@@ -2,8 +2,9 @@
 
 The exponent fit is ordinary least squares on (log x, log y); the automatic
 window search replaces eyeballing the linear range with a reproducible rule:
-among contiguous windows spanning at least one decade of the x axis with at
-least eight points, take the one maximizing r^2.
+from each starting point take the shortest contiguous window spanning at
+least one decade of the x axis with at least eight points, and of those
+windows keep the one maximizing r^2.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def fit_power_law(
     """Least-squares power-law fit ``y ~ x^e`` on log-log axes.
 
     With an explicit ``window = (lo, hi)`` only points with lo <= x <= hi are
-    used (at least 5 required).  Otherwise every contiguous window spanning
-    ``min_decades`` of x with ``min_points`` points is scored and the highest
-    r^2 wins (ties: wider, then earlier).
+    used (at least 5 required).  Otherwise, for each starting point only the
+    shortest contiguous window spanning ``min_decades`` of x with at least
+    ``min_points`` points is scored, and the highest r^2 among those wins
+    (ties: wider, then earlier).  The reported window is the first and last
+    x of the chosen points, so refitting with it selects the same points.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -92,10 +95,11 @@ def fit_power_law(
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("power-law fit needs strictly positive xs and ys")
     order = np.argsort(xs)
-    lx, ly = np.log(xs[order]), np.log(ys[order])
+    xs_sorted = xs[order]
+    lx, ly = np.log(xs_sorted), np.log(ys[order])
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
-        mask = (xs[order] >= lo) & (xs[order] <= hi)
+        mask = (xs_sorted >= lo) & (xs_sorted <= hi)
         if int(mask.sum()) < 5:
             raise ValueError(f"window [{lo:g}, {hi:g}] holds {int(mask.sum())} points; need >= 5")
         slope, intercept, r2 = _ols_loglog(lx[mask], ly[mask])
@@ -137,7 +141,7 @@ def fit_power_law(
         exponent=slope,
         intercept=intercept,
         r2=r2,
-        window=(float(np.exp(lx[i])), float(np.exp(lx[j]))),
+        window=(float(xs_sorted[i]), float(xs_sorted[j])),
         n_points=j - i + 1,
     )
 

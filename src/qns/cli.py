@@ -2,7 +2,8 @@
 
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
-1 verification failure, 2 usage/config error, 3 numeric divergence.
+1 verification failure, 2 usage/config error, 3 numeric failure (divergence,
+or a closed-form horizon past float64's exp range).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
 caps the run worker pool.
 """
@@ -20,6 +21,7 @@ import numpy as np
 
 from .analysis import fit_power_law
 from .flow import (
+    FlowNumericsError,
     FlowParams,
     align_curves,
     effective_scales,
@@ -89,6 +91,9 @@ class RunConfig:
             fail("r", f"must satisfy 1 <= r <= d, got r={self.r}, d={self.d}")
         if self.r_s < 1:
             fail("r_s", "must be >= 1")
+        if self.kind == "sgd-stiefel" and self.r_s > self.d:
+            fail("r_s", f"sgd-stiefel needs r_s <= d for orthonormal columns, "
+                        f"got r_s={self.r_s}, d={self.d}")
         if self.alpha < 0:
             fail("alpha", "must be >= 0")
         if self.alpha == 0.5:
@@ -330,7 +335,7 @@ def cmd_run(args) -> int:
                 paths = list(pool.map(work, cfg.seeds))
         else:
             paths = [work(seed) for seed in cfg.seeds]
-    except DivergenceError as exc:
+    except (DivergenceError, FlowNumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     for p in paths:

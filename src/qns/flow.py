@@ -29,6 +29,7 @@ from .linalg import check_symmetric
 from .model import PowerLawSpectrum
 
 __all__ = [
+    "FlowNumericsError",
     "FlowParams",
     "EffectiveScales",
     "GramTrajectory",
@@ -47,7 +48,7 @@ __all__ = [
 
 
 class FlowNumericsError(RuntimeError):
-    pass
+    """A flow left float64: exp overflow in a closed form or a non-finite RK4 state."""
 
 
 @dataclass(frozen=True)
@@ -157,35 +158,40 @@ def _factor_psd(g0: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-_EXP_CLAMP = 1400.0  # exp(x/2) overflows past ~1418; saturated modes clamp here
+# expm1(x) overflows float64 past x = log(max float) ~ 709.78; a time grid
+# reaching past it is refused rather than pushing inf into the SVD
+_EXP_LIMIT = math.log(np.finfo(float).max)
 
 
-def _core_curve(
-    f: np.ndarray, rates: np.ndarray, sqrt_a_of_t, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared closed-form core.
+def _exponents(t: float, rates: np.ndarray) -> np.ndarray:
+    """Per-mode exponents ``t * rates``; raises when one overflows expm1."""
+    tx = t * rates
+    if tx.max() > _EXP_LIMIT:
+        raise FlowNumericsError(
+            f"closed form at t={t:g}: exponent t*rate = {tx.max():.6g} overflows "
+            f"float64 past {_EXP_LIMIT:.2f}"
+        )
+    return tx
+
+
+def _svd(x: np.ndarray, t: float):
+    """Thin SVD of ``x``; LAPACK does not return on inf, so non-finite input raises."""
+    if not np.all(np.isfinite(x)):
+        raise FlowNumericsError(f"closed form at t={t:g}: non-finite input to the SVD")
+    return np.linalg.svd(x, full_matrices=False)
+
+
+def _align_parts(f: np.ndarray, t: float, params: FlowParams):
+    """Alignment closed form from the factor ``g0 = f f.T``.
 
     Returns ``(sqrt_a, u, h)`` so that ``G(t) = D U diag(h) U.T D`` with
-    ``D = diag(sqrt_a)``.  ``rates`` are the per-mode exponential rates
-    (lambda/T); ``sqrt_a_of_t`` supplies the diagonal sqrt(A) factor.
+    ``D = diag(sqrt_a)``, through the SVD of ``X = C^{-1/2} f`` with
+    ``C^{-1/2} = sqrt(expm1(t lambda / T_u))``.
     """
-    tx = np.minimum(t * rates, _EXP_CLAMP)
-    # C^{-1/2} = sqrt(expm1(t x)) for positive rates, sqrt(t/T) handled by caller
-    inv_sqrt_c = np.sqrt(np.expm1(tx))
-    x = inv_sqrt_c[:, None] * f
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    tx = _exponents(t, params.lambdas / params.t_u)
+    u, s, _ = _svd(np.sqrt(np.expm1(tx))[:, None] * f, t)
     h = s**2 / (1.0 + s**2)
-    return sqrt_a_of_t(t), u, h
-
-
-def _align_parts(g0, t, params):
-    f = _factor_psd(g0)
-    rates = params.lambdas / params.t_u
-
-    def sqrt_a(tt):
-        return 1.0 / np.sqrt(-np.expm1(-np.minimum(tt * rates, _EXP_CLAMP)))
-
-    return _core_curve(f, rates, sqrt_a, t)
+    return 1.0 / np.sqrt(-np.expm1(-tx)), u, h
 
 
 def closed_form_align_gram(g0: np.ndarray, t: float, params: FlowParams) -> np.ndarray:
@@ -201,7 +207,7 @@ def closed_form_align_gram(g0: np.ndarray, t: float, params: FlowParams) -> np.n
         raise ValueError(f"alignment Gram must be {params.r} x {params.r}")
     if t == 0.0:
         return g0.copy()
-    sa, u, h = _align_parts(g0, t, params)
+    sa, u, h = _align_parts(_factor_psd(g0), t, params)
     m = (sa[:, None] * u) * np.sqrt(h)
     out = m @ m.T
     if not np.all(np.isfinite(out)):
@@ -212,19 +218,20 @@ def closed_form_align_gram(g0: np.ndarray, t: float, params: FlowParams) -> np.n
 def align_curves(g0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.ndarray:
     """Diagonal of the alignment Gram on a time grid; shape (len(ts), r)."""
     g0 = check_symmetric(g0)
+    f = _factor_psd(g0)
     out = np.empty((len(ts), params.r))
     for i, t in enumerate(np.asarray(ts, dtype=float)):
         if t == 0.0:
             out[i] = np.diag(g0)
             continue
-        sa, u, h = _align_parts(g0, t, params)
+        sa, u, h = _align_parts(f, t, params)
         rows = (u * np.sqrt(h)) ** 2
         out[i] = sa**2 * rows.sum(axis=1)
     return out
 
 
 def _weight_diagonals(params: FlowParams, t: float):
-    """Rates, sqrt(A), and C^{-1/2} for the weight-Gram closed form.
+    """sqrt(A) and C^{-1/2} for the weight-Gram closed form.
 
     The target has d - r zero modes; their ``x/(1-exp(-t x/T))`` limits are
     ``T/t``, evaluated analytically instead of by epsilon-perturbation.
@@ -232,13 +239,13 @@ def _weight_diagonals(params: FlowParams, t: float):
     d, t_w = params.d, params.t_w
     lam_tilde = np.zeros(d)
     lam_tilde[: params.r] = np.sqrt(params.r_s) / params.frob * params.lambdas
-    rates = lam_tilde / t_w
-    tx = np.minimum(t * rates, _EXP_CLAMP)
+    tx = _exponents(t, lam_tilde / t_w)
     pos = lam_tilde > 0
     sqrt_a = np.empty(d)
     inv_sqrt_c = np.empty(d)
     sqrt_a[pos] = np.sqrt(lam_tilde[pos] / (-np.expm1(-tx[pos])))
-    inv_sqrt_c[pos] = np.sqrt(np.expm1(tx[pos]) / lam_tilde[pos])
+    with np.errstate(over="ignore"):  # lam_tilde < 1 can still overflow; _svd reports it
+        inv_sqrt_c[pos] = np.sqrt(np.expm1(tx[pos]) / lam_tilde[pos])
     sqrt_a[~pos] = math.sqrt(t_w / t)
     inv_sqrt_c[~pos] = math.sqrt(t / t_w)
     return sqrt_a, inv_sqrt_c
@@ -270,7 +277,7 @@ def closed_form_weight_gram(
         return f @ f.T if g0 is None else check_symmetric(g0).copy()
     sqrt_a, inv_sqrt_c = _weight_diagonals(params, t)
     x = inv_sqrt_c[:, None] * f
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    u, s, _ = _svd(x, t)
     h = s**2 / (1.0 + s**2)
     m = (sqrt_a[:, None] * u) * np.sqrt(h)
     out = m @ m.T
@@ -296,7 +303,7 @@ def weight_gram_diag(
             continue
         sqrt_a, inv_sqrt_c = _weight_diagonals(params, t)
         x = inv_sqrt_c[:, None] * w0
-        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        u, s, _ = _svd(x, t)
         h = s**2 / (1.0 + s**2)
         rows = (u[idx] * np.sqrt(h)) ** 2
         out[i] = sqrt_a[idx] ** 2 * rows.sum(axis=1)
@@ -324,7 +331,7 @@ def weight_risk_curve(w0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.
         else:
             sqrt_a, inv_sqrt_c = _weight_diagonals(params, t)
             x = inv_sqrt_c[:, None] * w0
-            u, s, _ = np.linalg.svd(x, full_matrices=False)
+            u, s, _ = _svd(x, t)
             h = s**2 / (1.0 + s**2)
             du = sqrt_a[:, None] * u
             # G_W = DU diag(h) DU.T ; only traces are needed

@@ -2,10 +2,12 @@
 
 One-pass training: every step consumes fresh samples from the teacher.  The
 Stiefel mode keeps ``W.T W = I`` via the polar retraction
-``W <- Wt (Wt.T Wt)^{-1/2}``; for single-sample steps the Gram perturbation is
-rank one and the retraction is applied through the exact rank-1 inverse
-square root instead of a dense eigensolve.  The Euclidean population mode is
-plain constant-step gradient descent on the population risk.
+``W <- Wt (Wt.T Wt)^{-1/2}``.  For a single-sample step the gradient is the
+rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation is rank
+one too, so the gradient step and its exact retraction fuse into one in-place
+rank-1 update ``W += u v.T``; ``run_training`` drives it on samples drawn in
+small blocks, the same stream as one draw per step.  The Euclidean population
+mode is plain constant-step gradient descent on the population risk.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ MODES = ("stiefel-online", "euclidean-online", "euclidean-population")
 PARAMS = ("plain", "two-homogeneous")
 
 DIVERGENCE_NORM = 1e3
+
+# rows per sample draw of the fused single-sample Stiefel loop: large enough
+# to amortize the draw, small enough that the block adds well under 1 MB at
+# d = 512 (1000 rows would add about 8 MB of peak memory)
+_SAMPLE_BLOCK = 64
 
 
 class DivergenceError(RuntimeError):
@@ -140,17 +147,29 @@ def stiefel_grad(
     return g - 0.5 * w @ (wg + wg.T)
 
 
-def _rank1_retract(w_new: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
-    """Apply ``(I + a v v^T)^{-1/2}`` on the right, exactly.
+def _stiefel_rank1_step(w: np.ndarray, x: np.ndarray, y: float, eta: float) -> None:
+    """One single-sample Stiefel step with its exact polar retraction, in place.
 
-    Valid because a single-sample Stiefel step perturbs the Gram by a pure
-    rank-1 term: ``Wt.T Wt = I + a v v.T`` with ``v = W.T x``.
+    With ``v = W.T x``, ``px = x - W v`` and ``c = eta c0`` the Stiefel
+    gradient step is ``Wt = W - c px v.T``, and for orthonormal ``W`` its Gram
+    is ``I + a v v.T`` with ``a = c^2 |px|^2``.  Applying the exact
+    ``(I + a v v.T)^{-1/2}`` on the right makes the whole step the rank-1
+    update ``W += u v.T`` with ``u = -c (1 + coef |v|^2) px + coef W v`` and
+    ``coef = ((1 + a |v|^2)^{-1/2} - 1) / |v|^2``.
     """
+    v = x @ w
+    wv = w @ v
+    px = x - wv
     vsq = float(v @ v)
-    if vsq == 0.0 or a == 0.0:
-        return w_new
+    if vsq == 0.0:
+        return  # x is orthogonal to span(W): the gradient vanishes
+    r_s = w.shape[1]
+    resid = y - (vsq - float(np.vdot(w, w))) / math.sqrt(r_s)
+    c = eta * -resid / (4.0 * math.sqrt(r_s))
+    a = c * c * float(px @ px)
     coef = (1.0 / math.sqrt(1.0 + a * vsq) - 1.0) / vsq
-    return w_new + coef * (w_new @ v)[:, None] * v[None, :]
+    u = (-c * (1.0 + coef * vsq)) * px + coef * wv
+    w += u[:, None] * v
 
 
 def sgd_step(
@@ -164,8 +183,8 @@ def sgd_step(
     """One online step on fresh samples; returns the number of samples used.
 
     Stiefel mode: gradient step in the tangent space followed by the polar
-    retraction (rank-1 fast path when batch == 1).  Euclidean mode: plain
-    gradient step, no constraint.
+    retraction (the fused rank-1 update when batch == 1).  Euclidean mode:
+    plain gradient step, no constraint.
     """
     x, y = draw_samples(teacher, batch, rng)
     if mode == "euclidean-online":
@@ -173,20 +192,13 @@ def sgd_step(
         return batch
     if mode != "stiefel-online":
         raise ValueError(f"sgd_step handles online modes, not {mode!r}")
-    w = student.w
     if batch == 1:
-        xv = x[0]
-        resid = float(y[0]) - student_output(student, xv)
-        v = w.T @ xv                                  # r_s
-        px = xv - w @ v                               # (I - W W^T) x
-        c0 = -resid / (4.0 * np.sqrt(student.r_s))
-        # g = c0 * px v^T is the exact Stiefel gradient for orthonormal W
-        w_new = w - (eta * c0) * px[:, None] * v[None, :]
-        a = (eta * c0) ** 2 * float(px @ px)
-        student.w = _rank1_retract(w_new, v, a)
+        w = student.w.copy()
+        _stiefel_rank1_step(w, x[0], float(y[0]), eta)
+        student.w = w
         return 1
     g = stiefel_grad(student, x, y)
-    student.w = inv_sqrt_gram(w - eta * g)
+    student.w = inv_sqrt_gram(student.w - eta * g)
     return batch
 
 
@@ -314,6 +326,7 @@ def run_training(
     rng = rng_stream(cfg.seed, 2)
     record_at = set(int(s) for s in _record_steps(cfg))
     records = [_snapshot(teacher, student, cfg, 0)]
+    fused = cfg.mode == "stiefel-online" and cfg.batch == 1
     samples = 0
     for step in range(1, cfg.steps + 1):
         if cfg.mode == "euclidean-population":
@@ -321,13 +334,23 @@ def run_training(
                 population_gd_step(student, teacher, cfg.eta)
             except DivergenceError as exc:
                 raise DivergenceError(step=step, norm=exc.norm) from None
+        elif fused:
+            # a block of n rows is the same stream as n one-row draws
+            i = (step - 1) % _SAMPLE_BLOCK
+            if i == 0:
+                xs, ys = draw_samples(teacher, min(_SAMPLE_BLOCK, cfg.steps - step + 1), rng)
+                ys = ys.tolist()
+                samples += len(ys)
+            _stiefel_rank1_step(student.w, xs[i], ys[i], cfg.eta)
         else:
             samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
         if cfg.mode == "stiefel-online" and step % 1000 == 0:
-            # the rank-1 fast retraction is exact per step, but rounding in the
-            # orthonormality error compounds exponentially along the unstable
-            # radial directions; a periodic dense cleanup keeps it at 1e-14
+            # the rank-1 step is exact, but rounding in the orthonormality
+            # error compounds exponentially along the unstable radial
+            # directions; a periodic dense cleanup keeps it at 1e-14
             student.w = inv_sqrt_gram(student.w)
         if step in record_at:
+            student.w = student.w  # in-place steps bypass the setter: drop the polar cache
             records.append(_snapshot(teacher, student, cfg, step))
+    student.w = student.w  # likewise on return
     return TrainResult(records=records, student=student, samples_used=samples, config=cfg)

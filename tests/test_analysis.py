@@ -43,6 +43,18 @@ class TestFitPowerLaw:
         fit = fit_power_law(x, y)
         assert fit.exponent == pytest.approx(-2.0, rel=0.05)
 
+    def test_reported_window_refits_same_points(self):
+        # the reported auto window must select exactly the fitted points again
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(20, 80))
+            x = np.geomspace(rng.uniform(0.1, 10.0), 10.0 ** rng.uniform(2.0, 6.0), n)
+            y = 2.0 * x ** rng.uniform(-2.0, -0.2) * np.exp(0.05 * rng.standard_normal(n))
+            auto = fit_power_law(x, y)
+            refit = fit_power_law(x, y, window=auto.window)
+            assert refit.n_points == auto.n_points
+            assert refit.exponent == pytest.approx(auto.exponent, rel=1e-9)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             fit_power_law(np.array([1.0, 2.0, 0.0, 3, 4, 5, 6, 7]), np.ones(8))

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qns
 from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from qns.trajectory import config_hash, read_trajectory
 
@@ -89,6 +92,31 @@ class TestRun:
             horizon=None,
         )
         assert main(["run", path]) == EXIT_DIVERGED
+
+    @pytest.mark.parametrize(
+        "overrides, code, needle",
+        [
+            # t lambda_tilde_1 / T_w reaches ~1260 > 709.8: expm1 overflows,
+            # and an inf reaching the SVD used to hang
+            ({"horizon": 3000.0, "steps": 3}, EXIT_DIVERGED, "overflows float64"),
+            # t*rate = 709.4 passes, but expm1(t*rate) / lambda_tilde_1 overflows
+            ({"d": 1000, "r": 600, "r_s": 1, "alpha": 0.0, "horizon": 17380.0, "steps": 1},
+             EXIT_DIVERGED, "non-finite input to the SVD"),
+            ({"kind": "sgd-stiefel", "d": 8, "r": 4, "r_s": 12, "steps": 5,
+              "horizon": None}, EXIT_USAGE, "config field 'r_s'"),
+        ],
+    )
+    def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
+        path, _ = base_config(tmp_path, **overrides)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qns.cli", "run", path],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == code
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and needle in lines[0], proc.stderr
 
     def test_sgd_kind_runs(self, tmp_path):
         path, _ = base_config(

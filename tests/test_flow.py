@@ -3,6 +3,7 @@ import pytest
 from conftest import rand_psd
 
 from qns.flow import (
+    FlowNumericsError,
     FlowParams,
     align_curves,
     closed_form_align_gram,
@@ -133,6 +134,32 @@ class TestClosedFormWeight:
         ts = np.geomspace(0.01, 400.0, 120)
         risk = weight_risk_curve(w0, ts, p)
         assert np.all(np.diff(risk) <= 1e-10)
+
+
+class TestClosedFormOverflow:
+    # past t * rate ~ 709.8 expm1 overflows, and an inf reaching LAPACK's SVD
+    # never returns: every closed-form entry point must raise instead
+    @pytest.mark.parametrize("t", [2e3, 1e300])
+    def test_exp_overflow_raises(self, rng, t):
+        p = FlowParams(lambdas=np.array([1.0, 0.6, 0.4]), d=12, r_s=3)
+        w0 = rng.standard_normal((12, 3)) / np.sqrt(12)
+        g0 = w0[:3] @ w0[:3].T
+        calls = [
+            lambda: weight_risk_curve(w0, np.array([1.0, t]), p),
+            lambda: closed_form_weight_gram(None, t, p, w0=w0),
+            lambda: align_curves(g0, np.array([1.0, t]), p),
+            lambda: closed_form_align_gram(g0, t, p),
+        ]
+        for call in calls:
+            with pytest.raises(FlowNumericsError, match="overflows"):
+                call()
+
+    def test_non_finite_input_raises(self, rng):
+        p = FlowParams(lambdas=np.array([1.0, 0.6, 0.4]), d=12, r_s=3)
+        w0 = rng.standard_normal((12, 3)) / np.sqrt(12)
+        w0[5, 1] = np.inf
+        with pytest.raises(FlowNumericsError, match="non-finite"):
+            weight_risk_curve(w0, np.array([1.0]), p)
 
 
 class TestRk4:

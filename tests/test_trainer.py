@@ -178,6 +178,39 @@ class TestSgdStep:
         band = 3 * np.linalg.norm(deltas.std(axis=0, ddof=1)) / np.sqrt(reps)
         assert np.linalg.norm(mean) <= band
 
+    def test_block_draws_equal_row_draws(self):
+        # the fused loop draws its samples in blocks; Philox must give the
+        # same stream as one draw per step
+        t = TeacherModel.haar(40, PowerLawSpectrum(r=6, alpha=1.0), seed=3)
+        xb, yb = draw_samples(t, 150, rng_stream(5, 2))
+        r = rng_stream(5, 2)
+        rows = [draw_samples(t, 1, r) for _ in range(150)]
+        np.testing.assert_array_equal(xb, np.vstack([x for x, _ in rows]))
+        # labels are one matmul; only its summation order depends on the rows
+        np.testing.assert_allclose(yb, np.concatenate([y for _, y in rows]), rtol=0, atol=1e-13)
+
+    def test_fused_run_matches_dense_reference(self):
+        # 1100 steps: 17 full sample blocks, a partial one, and the dense
+        # re-orthonormalization at step 1000
+        d, r_s, eta, steps, seed = 32, 3, 0.02, 1100, 4
+        t = small_teacher(d=d)
+        cfg = SgdConfig(eta=eta, steps=steps, mode="stiefel-online", seed=seed,
+                        tracked_js=(1, 2), record_every=100)
+        res = run_training(t, cfg, r_s=r_s)
+        assert res.samples_used == steps
+        ref = StudentState.stiefel_init(d, r_s, rng_stream(seed, 1))
+        rng = rng_stream(seed, 2)
+        risks = [population_risk(t, ref)]
+        for step in range(1, steps + 1):
+            x, y = draw_samples(t, 1, rng)
+            ref.w = inv_sqrt_gram(ref.w - eta * stiefel_grad(ref, x, y))
+            if step % 1000 == 0:
+                ref.w = inv_sqrt_gram(ref.w)
+            if step % 100 == 0:
+                risks.append(population_risk(t, ref))
+        assert np.abs(res.student.w - ref.w).max() <= 1e-10
+        np.testing.assert_allclose([rec.risk for rec in res.records], risks, rtol=1e-10)
+
     def test_one_pass_sample_counter(self, rng):
         t = small_teacher()
         cfg = SgdConfig(eta=0.01, steps=25, batch=3, mode="stiefel-online", seed=5,
