@@ -31,9 +31,6 @@ class FitResult:
     window: tuple[float, float]
     n_points: int
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.intercept) * np.asarray(x, dtype=float) ** self.exponent
-
 
 @dataclass(frozen=True)
 class Transition:

@@ -162,13 +162,14 @@ def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
     params = FlowParams.from_spectrum(spectrum, cfg.d, cfg.r_s)
     sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
     w0 = sample_gaussian_mat(cfg.d, cfg.r_s, 1.0 / cfg.d, rng_stream(seed, 1))
-    if not teacher.theta_is_basis:
-        # the closed forms are written in the teacher eigenbasis
-        w0 = _to_basis(teacher, w0)
+    # the closed forms are written in the teacher eigenbasis: a Haar teacher
+    # enters through its directions, projected out of w0
+    theta = None if teacher.theta_is_basis else teacher.theta
     ts = _time_grid(cfg)
     tracked = cfg.resolved_tracked()
-    risk_n = weight_risk_curve(w0, ts, params)
-    f0 = inv_sqrt_gram(w0)[: cfg.r]
+    risk_n = weight_risk_curve(w0, ts, params, theta=theta)
+    u0 = inv_sqrt_gram(w0)
+    f0 = u0[: cfg.r] if theta is None else theta.T @ u0
     aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in tracked]]
     return TrajectoryData(
         steps=np.arange(1, len(ts) + 1),
@@ -181,17 +182,6 @@ def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
         tracked_js=tracked,
         meta={"kind": cfg.kind},
     )
-
-
-def _to_basis(teacher: TeacherModel, w0: np.ndarray) -> np.ndarray:
-    """Rotate a weight matrix into the teacher eigenbasis (columns of theta
-    completed to an orthonormal basis)."""
-    theta = teacher.theta
-    d, r = theta.shape
-    q, _ = np.linalg.qr(np.hstack([theta, np.eye(d)]))
-    basis = q[:, :d]
-    # ensure the first r columns span theta with positive orientation
-    return basis.T @ w0
 
 
 def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
@@ -448,11 +438,8 @@ def main(argv=None) -> int:
 
     p_fit = sub.add_parser("fit", help="fit power-law exponents to trajectories")
     p_fit.add_argument("csv", nargs="+")
-    group = p_fit.add_mutually_exclusive_group()
-    group.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"),
-                       help="explicit compute window")
-    group.add_argument("--auto", action="store_true",
-                       help="automatic window selection (the default)")
+    p_fit.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"),
+                       help="explicit compute window (default: chosen automatically)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

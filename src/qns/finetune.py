@@ -113,20 +113,6 @@ def s_glob_estimate(batch: FineTuneBatch) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _sym_basis(r: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(r):
-        e = np.zeros((r, r))
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r))
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-    return basis
-
-
 def l_operator_gap(batch: FineTuneBatch, iters: int = 60, seed: int = 0) -> float:
     """Power-iteration estimate of ``||L - Id||_2`` over symmetric matrices.
 

@@ -14,8 +14,11 @@ collapses (push-through identity) to
 
 which is evaluated through an SVD of X.  That route stays numerically stable
 for singular initializations and late times, where the naive inverse is
-hopeless.  The RK4 integrator is kept fully independent as a numerical
-oracle.
+hopeless.  The d - r zero modes of the weight target share one scaling, so
+one thin QR of the rows of ``w0`` off the teacher span reduces the weight
+closed form to the (r + min(d - r, r_s)) x r_s factor ``S = [Theta.T w0; R]``
+with the same singular values; grids run as chunks of stacked SVDs, each no
+larger than one d x r_s matrix.  The RK4 integrator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -101,9 +104,6 @@ class GramTrajectory:
     ts: np.ndarray       # (n,)
     grams: np.ndarray    # (n, r, r)
 
-    def diag(self) -> np.ndarray:
-        return np.einsum("tii->ti", self.grams)
-
 
 # ---------------------------------------------------------------------------
 # Riccati right-hand sides
@@ -174,24 +174,75 @@ def _exponents(t: float, rates: np.ndarray) -> np.ndarray:
     return tx
 
 
-def _svd(x: np.ndarray, t: float):
-    """Thin SVD of ``x``; LAPACK does not return on inf, so non-finite input raises."""
-    if not np.all(np.isfinite(x)):
-        raise FlowNumericsError(f"closed form at t={t:g}: non-finite input to the SVD")
+def _svd(x: np.ndarray, ts: np.ndarray):
+    """Stacked thin SVD of ``x[i]`` at time ``ts[i]``; LAPACK does not return on
+    inf, so non-finite input raises."""
+    bad = ~np.isfinite(x).all(axis=(1, 2))
+    if bad.any():
+        raise FlowNumericsError(f"closed form at t={ts[bad.argmax()]:g}: non-finite input to the SVD")
     return np.linalg.svd(x, full_matrices=False)
 
 
-def _align_parts(f: np.ndarray, t: float, params: FlowParams):
-    """Alignment closed form from the factor ``g0 = f f.T``.
+def _reduce(w0: np.ndarray, r: int, theta: np.ndarray | None = None, with_q: bool = False):
+    """``S = [Theta.T w0; R]``, (r + k) x r_s with ``k = min(d - r, r_s)``, where
+    ``Q_b R`` is the thin QR of ``w0 - Theta Theta.T w0``, so that
+    ``w0 = Theta S_top + Q_b S_bot``; ``theta=None`` is the teacher eigenbasis.
+    Returns ``(S, Q_b)`` with ``with_q``."""
+    w0 = np.asarray(w0, dtype=float)
+    if not np.all(np.isfinite(w0)):
+        raise FlowNumericsError("non-finite entries in the weight factor")
+    top = w0[:r] if theta is None else theta.T @ w0
+    rest = w0[r:] if theta is None else w0 - theta @ top
+    k = min(w0.shape[0] - r, w0.shape[1])
+    if not with_q:
+        return np.vstack([top, np.linalg.qr(rest, mode="r")[:k]])
+    q, rf = np.linalg.qr(rest)
+    return np.vstack([top, rf[:k]]), q[:, :k]
 
-    Returns ``(sqrt_a, u, h)`` so that ``G(t) = D U diag(h) U.T D`` with
-    ``D = diag(sqrt_a)``, through the SVD of ``X = C^{-1/2} f`` with
-    ``C^{-1/2} = sqrt(expm1(t lambda / T_u))``.
-    """
-    tx = _exponents(t, params.lambdas / params.t_u)
-    u, s, _ = _svd(np.sqrt(np.expm1(tx))[:, None] * f, t)
-    h = s**2 / (1.0 + s**2)
-    return 1.0 / np.sqrt(-np.expm1(-tx)), u, h
+
+def _expand(s: np.ndarray, q: np.ndarray, r: int, theta: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`_reduce`: ``Theta S_top + Q_b S_bot``."""
+    bot = q @ s[r:]
+    return np.vstack([s[:r], bot]) if theta is None else theta @ s[:r] + bot
+
+
+def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zero: float):
+    """Factored closed form ``G(t) = du diag(h) du.T`` from ``G0 = f f.T``,
+    yielded as ``(idx, du, h)`` for the grid points t > 0 in stacked chunks no
+    larger than one d x r_s matrix.  Mode i has ``sqrt(A) = sqrt(kappa_i /
+    (1 - exp(-t rate_i)))`` and ``C^{-1/2} = sqrt(expm1(t rate_i) / kappa_i)``;
+    rows of ``f`` past the modes are zero modes, with analytic limits
+    ``A = T/t``, ``C^{-1} = t/T`` (T = t_zero)."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0):
+        raise ValueError("t must be >= 0")
+    pos = np.flatnonzero(ts > 0)
+    zero = np.ones(f.shape[0] - len(rates))
+    size = max(params.d * params.r_s // f.size, 1)
+    for idx in (pos[i : i + size] for i in range(0, pos.size, size)):
+        t = ts[idx, None]
+        tx = np.array([_exponents(ti, rates) for ti in ts[idx]])
+        with np.errstate(over="ignore"):  # kappa < 1 can still overflow; _svd reports it
+            inv_sqrt_c = np.hstack([np.sqrt(np.expm1(tx) / kappa), np.sqrt(t / t_zero) * zero])
+        sqrt_a = np.hstack([np.sqrt(kappa / -np.expm1(-tx)), np.sqrt(t_zero / t) * zero])
+        u, s, _ = _svd(inv_sqrt_c[:, :, None] * f, ts[idx])
+        yield idx, sqrt_a[:, :, None] * u, s**2 / (1.0 + s**2)
+
+
+def _align_core(f: np.ndarray, ts, params: FlowParams):
+    return _core(f, ts, params, params.lambdas / params.t_u, 1.0, params.t_u)
+
+
+def _weight_core(s: np.ndarray, ts, params: FlowParams):
+    lam_tilde = np.sqrt(params.r_s) / params.frob * params.lambdas
+    return _core(s, ts, params, lam_tilde / params.t_w, lam_tilde, params.t_w)
+
+
+def _sym_outer(m: np.ndarray, t: float, what: str) -> np.ndarray:
+    out = m @ m.T
+    if not np.all(np.isfinite(out)):
+        raise FlowNumericsError(f"{what} closed form overflowed at t={t}")
+    return 0.5 * (out + out.T)
 
 
 def closed_form_align_gram(g0: np.ndarray, t: float, params: FlowParams) -> np.ndarray:
@@ -207,55 +258,29 @@ def closed_form_align_gram(g0: np.ndarray, t: float, params: FlowParams) -> np.n
         raise ValueError(f"alignment Gram must be {params.r} x {params.r}")
     if t == 0.0:
         return g0.copy()
-    sa, u, h = _align_parts(_factor_psd(g0), t, params)
-    m = (sa[:, None] * u) * np.sqrt(h)
-    out = m @ m.T
-    if not np.all(np.isfinite(out)):
-        raise FlowNumericsError(f"alignment closed form overflowed at t={t}")
-    return 0.5 * (out + out.T)
+    [(_, du, h)] = _align_core(_factor_psd(g0), [t], params)
+    return _sym_outer(du[0] * np.sqrt(h[0]), t, "alignment")
 
 
 def align_curves(g0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.ndarray:
     """Diagonal of the alignment Gram on a time grid; shape (len(ts), r)."""
     g0 = check_symmetric(g0)
-    f = _factor_psd(g0)
-    out = np.empty((len(ts), params.r))
-    for i, t in enumerate(np.asarray(ts, dtype=float)):
-        if t == 0.0:
-            out[i] = np.diag(g0)
-            continue
-        sa, u, h = _align_parts(f, t, params)
-        rows = (u * np.sqrt(h)) ** 2
-        out[i] = sa**2 * rows.sum(axis=1)
+    return _gram_diag(_align_core(_factor_psd(g0), ts, params), ts, np.diag(g0))
+
+
+def _gram_diag(cores, ts, diag0: np.ndarray) -> np.ndarray:
+    """The first ``len(diag0)`` diagonal entries of the closed form on a grid,
+    ``diag0`` at t = 0."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((len(ts), len(diag0)))
+    out[ts == 0] = diag0
+    for idx, du, h in cores:
+        out[idx] = ((du[:, : len(diag0)] * np.sqrt(h)[:, None, :]) ** 2).sum(axis=2)
     return out
 
 
-def _weight_diagonals(params: FlowParams, t: float):
-    """sqrt(A) and C^{-1/2} for the weight-Gram closed form.
-
-    The target has d - r zero modes; their ``x/(1-exp(-t x/T))`` limits are
-    ``T/t``, evaluated analytically instead of by epsilon-perturbation.
-    """
-    d, t_w = params.d, params.t_w
-    lam_tilde = np.zeros(d)
-    lam_tilde[: params.r] = np.sqrt(params.r_s) / params.frob * params.lambdas
-    tx = _exponents(t, lam_tilde / t_w)
-    pos = lam_tilde > 0
-    sqrt_a = np.empty(d)
-    inv_sqrt_c = np.empty(d)
-    sqrt_a[pos] = np.sqrt(lam_tilde[pos] / (-np.expm1(-tx[pos])))
-    with np.errstate(over="ignore"):  # lam_tilde < 1 can still overflow; _svd reports it
-        inv_sqrt_c[pos] = np.sqrt(np.expm1(tx[pos]) / lam_tilde[pos])
-    sqrt_a[~pos] = math.sqrt(t_w / t)
-    inv_sqrt_c[~pos] = math.sqrt(t / t_w)
-    return sqrt_a, inv_sqrt_c
-
-
 def closed_form_weight_gram(
-    g0: np.ndarray | None,
-    t: float,
-    params: FlowParams,
-    w0: np.ndarray | None = None,
+    g0: np.ndarray | None, t: float, params: FlowParams, w0: np.ndarray | None = None
 ) -> np.ndarray:
     """Weight-Gram flow solution at time ``t`` (teacher eigenbasis).
 
@@ -275,74 +300,48 @@ def closed_form_weight_gram(
         raise ValueError(f"weight factor must have {params.d} rows")
     if t == 0.0:
         return f @ f.T if g0 is None else check_symmetric(g0).copy()
-    sqrt_a, inv_sqrt_c = _weight_diagonals(params, t)
-    x = inv_sqrt_c[:, None] * f
-    u, s, _ = _svd(x, t)
-    h = s**2 / (1.0 + s**2)
-    m = (sqrt_a[:, None] * u) * np.sqrt(h)
-    out = m @ m.T
-    if not np.all(np.isfinite(out)):
-        raise FlowNumericsError(f"weight closed form overflowed at t={t}")
-    return 0.5 * (out + out.T)
+    s, q = _reduce(f, params.r, with_q=True)
+    [(_, du, h)] = _weight_core(s, [t], params)
+    return _sym_outer(_expand(du[0] * np.sqrt(h[0]), q, params.r), t, "weight")
 
 
 def weight_gram_diag(
     w0: np.ndarray, ts: np.ndarray, params: FlowParams, idx: np.ndarray | list[int]
 ) -> np.ndarray:
-    """Selected diagonal entries of the weight-Gram flow; shape (len(ts), len(idx)).
+    """Weight-Gram flow entries ``G_W[j, j]`` of teacher directions ``j`` in
+    ``idx`` (0-based, below r); shape (len(ts), len(idx)).
 
-    Costs O(d r_s^2) per grid point like the risk curve; used to attribute
-    risk decrements to individual teacher directions.
+    Used to attribute risk decrements to individual teacher directions.
     """
-    w0 = np.asarray(w0, dtype=float)
-    idx = np.asarray(idx, dtype=int)
-    out = np.empty((len(ts), len(idx)))
-    for i, t in enumerate(np.asarray(ts, dtype=float)):
-        if t == 0.0:
-            out[i] = np.sum(w0[idx] ** 2, axis=1)
-            continue
-        sqrt_a, inv_sqrt_c = _weight_diagonals(params, t)
-        x = inv_sqrt_c[:, None] * w0
-        u, s, _ = _svd(x, t)
-        h = s**2 / (1.0 + s**2)
-        rows = (u[idx] * np.sqrt(h)) ** 2
-        out[i] = sqrt_a[idx] ** 2 * rows.sum(axis=1)
-    return out
+    s = _reduce(w0, params.r)
+    diag0 = np.sum(s[: params.r] ** 2, axis=1)
+    return _gram_diag(_weight_core(s, ts, params), ts, diag0)[:, np.asarray(idx, dtype=int)]
 
 
-def weight_risk_curve(w0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.ndarray:
+def weight_risk_curve(
+    w0: np.ndarray, ts: np.ndarray, params: FlowParams, theta: np.ndarray | None = None
+) -> np.ndarray:
     """Normalized population risk along the flow from ``W(0) = w0``.
 
     ``R(t) = || diag(lam,0) - (||lam||/sqrt(r_s)) G_W(t) ||_F^2 / ||lam||^2``
-    evaluated in O(d r_s^2) per grid point via the factored closed form.
+    from traces of the reduced closed form: O((r + r_s) r_s^2) per grid point
+    after one O(d r_s^2) reduction.  ``theta`` (d x r) holds the teacher
+    directions when ``w0`` is not written in the teacher eigenbasis.
     """
-    w0 = np.asarray(w0, dtype=float)
-    lam_e = np.zeros(params.d)
-    lam_e[: params.r] = params.lambdas
+    ts = np.asarray(ts, dtype=float)
+    lam, r = params.lambdas, params.r
     frob_sq = params.frob**2
     c0 = params.frob / np.sqrt(params.r_s)
-    out = np.empty(len(ts))
-    for i, t in enumerate(np.asarray(ts, dtype=float)):
-        if t == 0.0:
-            gram = w0.T @ w0
-            tw = lam_e[:, None] * w0
-            cross = float(np.sum(w0 * tw))
-            gw_sq = float(np.sum(gram**2))
-        else:
-            sqrt_a, inv_sqrt_c = _weight_diagonals(params, t)
-            x = inv_sqrt_c[:, None] * w0
-            u, s, _ = _svd(x, t)
-            h = s**2 / (1.0 + s**2)
-            du = sqrt_a[:, None] * u
-            # G_W = DU diag(h) DU.T ; only traces are needed
-            k = du.T @ du
-            hk = h[:, None] * k
-            gw_sq = float(np.sum(hk * hk.T))
-            rows = (du * np.sqrt(h)) ** 2
-            cross = float(lam_e @ rows.sum(axis=1))
-        r = 1.0 - 2.0 * (c0 / frob_sq) * cross + (c0**2 / frob_sq) * gw_sq
-        out[i] = max(r, 0.0)
-    return out
+    s = _reduce(w0, r, theta)
+    cross, gw_sq = np.empty(len(ts)), np.empty(len(ts))
+    cross[ts == 0] = np.sum(lam[:, None] * s[:r] ** 2)
+    gw_sq[ts == 0] = np.sum((s.T @ s) ** 2)
+    for c, du, h in _weight_core(s, ts, params):
+        # G_W = P DU diag(h) DU.T P.T with orthonormal P; only traces are needed
+        hk = h[:, :, None] * (du.transpose(0, 2, 1) @ du)
+        gw_sq[c] = np.sum(hk * hk.transpose(0, 2, 1), axis=(1, 2))
+        cross[c] = ((du[:, :r] * np.sqrt(h)[:, None, :]) ** 2).sum(axis=2) @ lam
+    return np.maximum(1.0 - 2.0 * (c0 / frob_sq) * cross + (c0**2 / frob_sq) * gw_sq, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
     "draw_samples",
     "instantaneous_loss",
     "population_risk",
+    "risk_from_gram",
     "alignment",
     "alignment_gram",
     "opt_risk",
@@ -199,11 +200,17 @@ def population_risk(
     materialized.
     """
     w = student.w
-    r_s = student.r_s
-    lam = teacher.spectrum.lambdas
-    frob = teacher.spectrum.frob
-    gram = w.T @ w
     tw = w[: teacher.r, :] if teacher.theta_is_basis else teacher.theta.T @ w
+    return risk_from_gram(teacher.spectrum, w.T @ w, tw, normalized)
+
+
+def risk_from_gram(
+    spectrum: PowerLawSpectrum, gram: np.ndarray, tw: np.ndarray, normalized: bool = False
+) -> float:
+    """:func:`population_risk` from ``gram = W.T W`` and ``tw = Theta.T W`` alone."""
+    r_s = gram.shape[0]
+    lam = spectrum.lambdas
+    frob = spectrum.frob
     # ||A - B||_F^2 = ||A||^2 - 2 <A, B> + ||B||^2 with A = WW^T/sqrt(rs), B = target
     wwt_sq = float(np.sum(gram**2))
     cross = float(np.sum(lam[:, None] * tw**2))

@@ -7,7 +7,11 @@ rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation is rank
 one too, so the gradient step and its exact retraction fuse into one in-place
 rank-1 update ``W += u v.T``; ``run_training`` drives it on samples drawn in
 small blocks, the same stream as one draw per step.  The Euclidean population
-mode is plain constant-step gradient descent on the population risk.
+mode is plain constant-step gradient descent on the population risk; it acts
+on the rows of ``W`` off the teacher span only through the right factor
+``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x r_s reduction
+``S = [Theta.T W; R]`` (``S.T S = W.T W``), which the records and the
+divergence guard read.  Both Euclidean modes stop on divergence.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ import math
 
 import numpy as np
 
+from .flow import _expand, _reduce
 from .linalg import inv_sqrt_gram, rng_stream
 from .model import (
+    PowerLawSpectrum,
     StudentState,
     TeacherModel,
-    alignment_gram,
     draw_samples,
-    population_risk,
+    risk_from_gram,
     student_output,
 )
 
@@ -202,30 +207,47 @@ def sgd_step(
     return batch
 
 
+def _check_norm(norm: float, step: int) -> None:
+    if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+        raise DivergenceError(step=step, norm=norm)
+
+
+def _population_gd_reduced(
+    s: np.ndarray, lam: np.ndarray, frob: float, eta: float, step: int = -1
+) -> np.ndarray:
+    """One population-GD step on the reduced factor ``S = [Theta.T W; R]``.
+
+    ``S <- S (I - c2 S.T S) + c1 [L S_top; 0]`` with ``c1 = eta / (2 sqrt(r_s)
+    ||L||_F)`` and ``c2 = eta / (2 r_s)``: one Gram and one GEMM.  Raises
+    :class:`DivergenceError` when ``||S||_F = ||W||_F`` exceeds the guard.
+    """
+    r, r_s = lam.size, s.shape[1]
+    m = s.T @ s
+    m *= -eta / (2.0 * r_s)
+    m.flat[:: r_s + 1] += 1.0
+    new = s @ m
+    new[:r] += (eta / (2.0 * math.sqrt(r_s) * frob) * lam)[:, None] * s[:r]
+    _check_norm(float(np.linalg.norm(new)), step)
+    return new
+
+
+def _teacher_theta(teacher: TeacherModel) -> np.ndarray | None:
+    return None if teacher.theta_is_basis else teacher.theta
+
+
 def population_gd_step(
     student: StudentState, teacher: TeacherModel, eta: float
 ) -> None:
     """Constant-step gradient descent on the population risk.
 
-    ``W <- W + (eta / (2 sqrt(r_s) ||L||_F)) (Q L Q.T - (||L||_F/sqrt(r_s)) W W.T) W``.
-    Raises :class:`DivergenceError` when ``||W||_F`` exceeds the guard.
+    ``W <- W + (eta / (2 sqrt(r_s) ||L||_F)) (Q L Q.T - (||L||_F/sqrt(r_s)) W W.T) W``,
+    applied to the teacher-subspace reduction of ``W``.  Raises
+    :class:`DivergenceError` when ``||W||_F`` exceeds the guard.
     """
-    w = student.w
-    lam = teacher.spectrum.lambdas
-    frob = teacher.spectrum.frob
-    r_s = student.r_s
-    if teacher.theta_is_basis:
-        mw = np.zeros_like(w)
-        mw[: teacher.r] = lam[:, None] * w[: teacher.r]
-    else:
-        mw = teacher.theta @ (lam[:, None] * (teacher.theta.T @ w))
-    wwt_w = w @ (w.T @ w)
-    step_dir = mw - (frob / np.sqrt(r_s)) * wwt_w
-    new_w = w + (eta / (2.0 * np.sqrt(r_s) * frob)) * step_dir
-    norm = float(np.linalg.norm(new_w))
-    if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-        raise DivergenceError(step=-1, norm=norm)
-    student.w = new_w
+    theta = _teacher_theta(teacher)
+    s, q = _reduce(student.w, teacher.r, theta, with_q=True)
+    s = _population_gd_reduced(s, teacher.spectrum.lambdas, teacher.spectrum.frob, eta)
+    student.w = _expand(s, q, teacher.r, theta)
 
 
 def schedule_eta(
@@ -273,28 +295,29 @@ def _record_steps(cfg: SgdConfig) -> np.ndarray:
 
 
 def _snapshot(
-    teacher: TeacherModel,
-    student: StudentState,
+    spectrum: PowerLawSpectrum,
+    w: np.ndarray,
+    theta: np.ndarray | None,
     cfg: SgdConfig,
     step: int,
+    d: int,
 ) -> StepRecord:
-    risk = population_risk(teacher, student)
+    """Risk and alignments of ``w``, d x r_s or its reduction ``S``: only the
+    Gram and the teacher projection (top rows when ``theta`` is None) are read."""
+
+    def proj(m):
+        return m[: spectrum.r] if theta is None else theta.T @ m
+
+    risk = risk_from_gram(spectrum, w.T @ w, proj(w))
     gram = None
     if cfg.record_gram or cfg.tracked_js:
-        if cfg.mode == "stiefel-online":
-            # W is orthonormal, so the polar factor is W itself
-            f = (
-                student.w[: teacher.r]
-                if teacher.theta_is_basis
-                else teacher.theta.T @ student.w
-            )
-            gram = f @ f.T
-        else:
-            gram = alignment_gram(teacher, student)
+        # W is orthonormal in the Stiefel mode, so the polar factor is W itself
+        f = proj(w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w))
+        gram = f @ f.T
     aligns = np.array([gram[j - 1, j - 1] for j in cfg.tracked_js]) if gram is not None else np.empty(0)
     return StepRecord(
         step=step,
-        compute=float(step) * cfg.batch * student.d * student.r_s,
+        compute=float(step) * cfg.batch * d * w.shape[1],
         risk=risk,
         risk_normalized=8.0 * risk,
         alignments=aligns,
@@ -323,18 +346,17 @@ def run_training(
             student = StudentState.stiefel_init(teacher.d, r_s, rng_stream(cfg.seed, 1))
         else:
             student = StudentState.gaussian_init(teacher.d, r_s, rng_stream(cfg.seed, 1))
-    rng = rng_stream(cfg.seed, 2)
     record_at = set(int(s) for s in _record_steps(cfg))
-    records = [_snapshot(teacher, student, cfg, 0)]
+    if cfg.mode == "euclidean-population":
+        records = _run_population(teacher, student, cfg, record_at)
+        return TrainResult(records=records, student=student, samples_used=0, config=cfg)
+    rng = rng_stream(cfg.seed, 2)
+    spec, theta = teacher.spectrum, _teacher_theta(teacher)
+    records = [_snapshot(spec, student.w, theta, cfg, 0, teacher.d)]
     fused = cfg.mode == "stiefel-online" and cfg.batch == 1
     samples = 0
     for step in range(1, cfg.steps + 1):
-        if cfg.mode == "euclidean-population":
-            try:
-                population_gd_step(student, teacher, cfg.eta)
-            except DivergenceError as exc:
-                raise DivergenceError(step=step, norm=exc.norm) from None
-        elif fused:
+        if fused:
             # a block of n rows is the same stream as n one-row draws
             i = (step - 1) % _SAMPLE_BLOCK
             if i == 0:
@@ -344,13 +366,31 @@ def run_training(
             _stiefel_rank1_step(student.w, xs[i], ys[i], cfg.eta)
         else:
             samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
-        if cfg.mode == "stiefel-online" and step % 1000 == 0:
+        if cfg.mode == "euclidean-online":
+            _check_norm(float(np.linalg.norm(student.w)), step)
+        elif step % 1000 == 0:
             # the rank-1 step is exact, but rounding in the orthonormality
             # error compounds exponentially along the unstable radial
             # directions; a periodic dense cleanup keeps it at 1e-14
             student.w = inv_sqrt_gram(student.w)
         if step in record_at:
-            student.w = student.w  # in-place steps bypass the setter: drop the polar cache
-            records.append(_snapshot(teacher, student, cfg, step))
-    student.w = student.w  # likewise on return
+            records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))
+    student.w = student.w  # in-place steps bypass the setter: drop the polar cache
     return TrainResult(records=records, student=student, samples_used=samples, config=cfg)
+
+
+def _run_population(
+    teacher: TeacherModel, student: StudentState, cfg: SgdConfig, record_at: set[int]
+) -> list[StepRecord]:
+    """Population GD on the reduced factor ``S``; records come from S, whose
+    top r rows are ``Theta.T W``, and ``W`` is rebuilt once, on return."""
+    theta = _teacher_theta(teacher)
+    s, q = _reduce(student.w, teacher.r, theta, with_q=True)
+    spec = teacher.spectrum
+    records = [_snapshot(spec, s, None, cfg, 0, teacher.d)]
+    for step in range(1, cfg.steps + 1):
+        s = _population_gd_reduced(s, spec.lambdas, spec.frob, cfg.eta, step)
+        if step in record_at:
+            records.append(_snapshot(spec, s, None, cfg, step, teacher.d))
+    student.w = _expand(s, q, teacher.r, theta)
+    return records

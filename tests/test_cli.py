@@ -104,6 +104,9 @@ class TestRun:
              EXIT_DIVERGED, "non-finite input to the SVD"),
             ({"kind": "sgd-stiefel", "d": 8, "r": 4, "r_s": 12, "steps": 5,
               "horizon": None}, EXIT_USAGE, "config field 'r_s'"),
+            # no guard used to stop plain online SGD: it wrote NaN risk columns
+            ({"kind": "sgd-euclidean", "d": 16, "r": 4, "r_s": 2, "eta": 50.0, "batch": 1,
+              "steps": 200, "horizon": None}, EXIT_DIVERGED, "divergence at step"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -135,6 +138,32 @@ class TestRun:
         assert np.all(np.isfinite(data.risk_normalized))
         assert data.risk_normalized[0] <= 1.5  # starts near 1 from tiny init
         assert data.risk_normalized[-1] < data.risk_normalized[0]
+
+    def test_haar_teacher_matches_rotated_basis(self, tmp_path):
+        # the run projects w0 onto the teacher directions; rotating w0 into a
+        # hand-built basis [theta, complement] must give the same curves
+        from qns.flow import FlowParams, align_curves, weight_risk_curve
+        from qns.linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
+        from qns.model import PowerLawSpectrum, TeacherModel
+
+        d, r, r_s, seed = 30, 4, 3, 1
+        path, _ = base_config(tmp_path, theta="haar", d=d, r=r, r_s=r_s, steps=25,
+                              tracked_j=[1, 2, 3, 4])
+        assert main(["run", path]) == EXIT_OK
+        data = read_trajectory(str(tmp_path / "runs" / "gf-closed_seed1.csv"))
+        spec = PowerLawSpectrum(r=r, alpha=1.0)
+        theta = TeacherModel.haar(d, spec, seed=seed).theta
+        q, _ = np.linalg.qr(np.hstack([theta, rng_stream(0, 0).standard_normal((d, d - r))]))
+        basis = np.hstack([theta, q[:, r:]])
+        w0 = basis.T @ sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(seed, 1))
+        params = FlowParams.from_spectrum(spec, d, r_s)
+        u0 = inv_sqrt_gram(w0)[:r]
+        np.testing.assert_allclose(
+            data.risk_normalized, weight_risk_curve(w0, data.time_raw, params), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            data.alignments, align_curves(u0 @ u0.T, data.time_raw, params), rtol=0, atol=1e-13
+        )
 
     def test_rk4_matches_closed_form_run(self, tmp_path):
         common = dict(d=48, r=4, r_s=3, alpha=1.0, horizon=20.0, steps=10, seeds=[2])

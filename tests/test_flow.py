@@ -15,8 +15,10 @@ from qns.flow import (
     theory_alignment,
     theory_limit_risk,
     theory_risk_curve,
+    weight_gram_diag,
     weight_risk_curve,
 )
+from qns.flow import _factor_psd
 from qns.linalg import loewner_slack, rng_stream, sample_gaussian_mat
 from qns.model import PowerLawSpectrum
 
@@ -134,6 +136,77 @@ class TestClosedFormWeight:
         ts = np.geomspace(0.01, 400.0, 120)
         risk = weight_risk_curve(w0, ts, p)
         assert np.all(np.diff(risk) <= 1e-10)
+
+
+def dense_weight_gram(w0, t, p):
+    """The unreduced factored closed form on the d x m factor of w0 w0.T."""
+    f = _factor_psd(w0 @ w0.T)
+    if t == 0.0:
+        return f @ f.T
+    lam_tilde = np.zeros(p.d)
+    lam_tilde[: p.r] = np.sqrt(p.r_s) / p.frob * p.lambdas
+    tx = t * lam_tilde[: p.r] / p.t_w
+    sqrt_a = np.full(p.d, np.sqrt(p.t_w / t))
+    inv_sqrt_c = np.full(p.d, np.sqrt(t / p.t_w))
+    sqrt_a[: p.r] = np.sqrt(lam_tilde[: p.r] / -np.expm1(-tx))
+    inv_sqrt_c[: p.r] = np.sqrt(np.expm1(tx) / lam_tilde[: p.r])
+    u, s, _ = np.linalg.svd(inv_sqrt_c[:, None] * f, full_matrices=False)
+    m = sqrt_a[:, None] * u * np.sqrt(s**2 / (1.0 + s**2))
+    return m @ m.T
+
+
+class TestReducedWeightFlow:
+    # the closed forms work on S = [w0[:r]; R], (r + k) x r_s with
+    # k = min(d - r, r_s); the dense route keeps all d rows
+    @pytest.mark.parametrize(
+        "d, r, r_s",
+        [(300, 4, 3),    # d >> r: stacked chunks of d // (r + k) = 42 points
+         (10, 7, 5),     # d - r < r_s: R has only k = 3 rows
+         (6, 6, 4)],     # d == r: no bottom block
+    )
+    def test_matches_dense_route(self, rng, d, r, r_s):
+        p = FlowParams.from_spectrum(PowerLawSpectrum(r=r, alpha=0.8), d, r_s)
+        w0 = rng.standard_normal((d, r_s)) / np.sqrt(d)
+        # t = 0 first, then 100 points: not a multiple of the chunk size
+        ts = np.concatenate([[0.0], np.geomspace(0.05, 300.0, 100)])
+        lam_e = np.zeros(d)
+        lam_e[:r] = p.lambdas
+        idx = [0, r - 1]
+        risk = weight_risk_curve(w0, ts, p)
+        diag = weight_gram_diag(w0, ts, p, idx)
+        for i, t in enumerate(ts):
+            ref = dense_weight_gram(w0, t, p)
+            ref_risk = np.linalg.norm(np.diag(lam_e) - p.frob / np.sqrt(r_s) * ref) ** 2 / p.frob**2
+            assert abs(risk[i] - ref_risk) <= 1e-13
+            np.testing.assert_allclose(diag[i], np.diag(ref)[idx], rtol=0, atol=1e-13)
+            if i % 10 == 0:  # every Gram entry, the zero modes' block included
+                gram = closed_form_weight_gram(None, t, p, w0=w0)
+                np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-13)
+
+    def test_teacher_directions_match_rotation(self, rng):
+        # a teacher with directions theta: projecting w0 onto theta and its
+        # complement gives the risk of w0 rotated into a hand-built basis
+        d, r, r_s = 40, 5, 3
+        p = FlowParams.from_spectrum(PowerLawSpectrum(r=r, alpha=1.0), d, r_s)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        w0 = rng.standard_normal((d, r_s)) / np.sqrt(d)
+        ts = np.concatenate([[0.0], np.geomspace(0.1, 200.0, 30)])
+        np.testing.assert_allclose(
+            weight_risk_curve(w0, ts, p, theta=basis[:, :r]),
+            weight_risk_curve(basis.T @ w0, ts, p), rtol=0, atol=1e-13,
+        )
+
+    def test_align_curves_chunked_match_pointwise(self, rng):
+        lam = np.array([1.0, 0.5, 0.25, 0.2])
+        p = FlowParams(lambdas=lam, d=8, r_s=2)  # chunks of 8 * 2 // (4 * 4) = 1 point
+        g0 = rand_psd(rng, 4, scale=0.3)
+        ts = np.array([0.0, 0.3, 2.0, 9.0, 40.0])
+        for params in (p, FlowParams(lambdas=lam, d=64, r_s=2)):  # and of 8 points
+            curves = align_curves(g0, ts, params)
+            for i, t in enumerate(ts):
+                np.testing.assert_allclose(
+                    curves[i], np.diag(closed_form_align_gram(g0, t, params)), atol=1e-14
+                )
 
 
 class TestClosedFormOverflow:

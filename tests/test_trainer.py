@@ -7,6 +7,7 @@ from qns.model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
+    alignment_gram,
     draw_samples,
     instantaneous_loss,
     population_risk,
@@ -266,6 +267,68 @@ class TestPopulationGd:
         with pytest.raises(DivergenceError, match="divergence"):
             for _ in range(50):
                 population_gd_step(s, t, 10.0)
+
+
+def dense_gd_step(teacher, w, eta):
+    """Population GD on the full d x r_s matrix, written out densely."""
+    lam, frob = teacher.spectrum.lambdas, teacher.spectrum.frob
+    r_s = w.shape[1]
+    mw = teacher.theta @ (lam[:, None] * (teacher.theta.T @ w))
+    step_dir = mw - (frob / np.sqrt(r_s)) * (w @ (w.T @ w))
+    return w + (eta / (2.0 * np.sqrt(r_s) * frob)) * step_dir
+
+
+class TestReducedPopulationGd:
+    # run_training drives GD on S = [Theta.T W; R], (r + r_s) x r_s here
+    @pytest.mark.parametrize("haar", [False, True])
+    def test_records_match_dense_loop(self, haar):
+        d, r, r_s, eta = 40, 6, 3, 0.3
+        spec = PowerLawSpectrum(r=r, alpha=1.0)
+        t = TeacherModel.haar(d, spec, seed=4) if haar else TeacherModel(d=d, spectrum=spec)
+        cfg = SgdConfig(eta=eta, steps=300, batch=d, mode="euclidean-population",
+                        record_every=7, seed=5, tracked_js=(1, 2, 6), record_gram=True)
+        res = run_training(t, cfg, r_s=r_s)
+        w = StudentState.gaussian_init(d, r_s, rng_stream(5, 1)).w
+        by_step = {rec.step: rec for rec in res.records}
+        assert sorted(by_step) == [0, *range(7, 300, 7), 300]
+        for step in range(cfg.steps + 1):
+            if step:
+                w = dense_gd_step(t, w, eta)
+            if step in by_step:
+                rec, ref = by_step[step], StudentState(w)
+                assert rec.risk == pytest.approx(population_risk(t, ref), rel=1e-12)
+                assert rec.compute == step * d * d * r_s
+                gram = alignment_gram(t, ref)
+                np.testing.assert_allclose(rec.gram_snapshot, gram, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(rec.alignments, np.diag(gram)[[0, 1, 5]], rtol=1e-12)
+        np.testing.assert_allclose(res.student.w, w, rtol=0, atol=1e-13)
+
+    def test_public_step_matches_dense(self):
+        spec = PowerLawSpectrum(r=4, alpha=0.5)
+        t = TeacherModel.haar(12, spec, seed=1)
+        w = rng_stream(2, 1).standard_normal((12, 5)) / 4  # d - r = 8 >= r_s = 5
+        s = StudentState(w.copy())
+        population_gd_step(s, t, 0.4)
+        np.testing.assert_allclose(s.w, dense_gd_step(t, w, 0.4), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("haar", [False, True])
+    def test_divergence_step_matches_dense(self, haar):
+        d, r, r_s, eta = 16, 4, 2, 40.0
+        spec = PowerLawSpectrum(r=r, alpha=1.0)
+        t = TeacherModel.haar(d, spec, seed=3) if haar else TeacherModel(d=d, spectrum=spec)
+        w = StudentState.gaussian_init(d, r_s, rng_stream(1, 1)).w
+        expected = None
+        for step in range(1, 500):
+            w = dense_gd_step(t, w, eta)
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm) or norm > 1e3:
+                expected = step
+                break
+        assert expected is not None and expected > 1
+        cfg = SgdConfig(eta=eta, steps=500, batch=d, mode="euclidean-population", seed=1)
+        with pytest.raises(DivergenceError) as exc:
+            run_training(t, cfg, r_s=r_s)
+        assert exc.value.step == expected
 
 
 class TestSchedule:
