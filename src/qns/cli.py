@@ -23,13 +23,16 @@ from .analysis import fit_power_law
 from .flow import (
     FlowNumericsError,
     FlowParams,
+    _reduce,
+    _rk4_dt,
+    _rk4_step,
     align_curves,
     effective_scales,
     theory_risk_curve,
     weight_risk_curve,
 )
 from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
-from .model import PowerLawSpectrum, TeacherModel
+from .model import PowerLawSpectrum, TeacherModel, risk_from_gram
 from .svgplot import line_chart
 from .trainer import DivergenceError, SgdConfig, default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
@@ -38,6 +41,10 @@ from .verify import SUITES, run_suite
 KINDS = ("gf-closed", "gf-rk4", "gd-population", "sgd-stiefel", "sgd-euclidean")
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
+
+# gf-rk4 configs needing more RK4 sub-steps than this are refused: at the
+# default step dt <= 0.01, a horizon of 1e7 would take about 1e9 of them
+MAX_RK4_SUBSTEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -91,9 +98,9 @@ class RunConfig:
             fail("r", f"must satisfy 1 <= r <= d, got r={self.r}, d={self.d}")
         if self.r_s < 1:
             fail("r_s", "must be >= 1")
-        if self.kind == "sgd-stiefel" and self.r_s > self.d:
-            fail("r_s", f"sgd-stiefel needs r_s <= d for orthonormal columns, "
-                        f"got r_s={self.r_s}, d={self.d}")
+        if self.r_s > self.d:
+            fail("r_s", f"must satisfy r_s <= d: the alignments need r_s orthonormal "
+                        f"student columns, got r_s={self.r_s}, d={self.d}")
         if self.alpha < 0:
             fail("alpha", "must be >= 0")
         if self.alpha == 0.5:
@@ -106,10 +113,18 @@ class RunConfig:
             fail("steps", "must be >= 1")
         if self.kind.startswith("gf") and (self.horizon is None or self.horizon <= 0):
             fail("horizon", "gf kinds need a positive time horizon")
+        if self.kind == "gf-rk4":
+            spectrum = PowerLawSpectrum(r=self.r, alpha=self.alpha)
+            n_sub = self.horizon / _rk4_dt(FlowParams.from_spectrum(spectrum, self.d, self.r_s))
+            if n_sub > MAX_RK4_SUBSTEPS:
+                fail("horizon", f"gf-rk4 would take horizon / dt = {n_sub:.3g} RK4 sub-steps, "
+                                f"past the cap of {MAX_RK4_SUBSTEPS:.0e}")
         if self.grid not in ("log", "linear"):
             fail("grid", "must be 'log' or 'linear'")
         if self.batch is not None and self.batch < 1:
             fail("batch", "must be >= 1")
+        if self.record_every != "log" and (type(self.record_every) is not int or self.record_every < 1):
+            fail("record_every", f"must be an integer >= 1 or 'log', got {self.record_every!r}")
         if self.theta not in ("basis", "haar"):
             fail("theta", "must be 'basis' or 'haar'")
         if isinstance(self.tracked_j, list):
@@ -156,21 +171,18 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.horizon / cfg.steps, cfg.horizon, cfg.steps)
 
 
-def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
+def _flow_start(cfg: RunConfig, seed: int):
+    """``(spectrum, params, w0, theta)`` of a flow run.  The flows are written in
+    the teacher eigenbasis: a Haar teacher enters through its directions
+    ``theta``, projected out of w0 (``None`` for the basis teacher)."""
     teacher = _teacher(cfg, seed)
-    spectrum = teacher.spectrum
-    params = FlowParams.from_spectrum(spectrum, cfg.d, cfg.r_s)
-    sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
+    params = FlowParams.from_spectrum(teacher.spectrum, cfg.d, cfg.r_s)
     w0 = sample_gaussian_mat(cfg.d, cfg.r_s, 1.0 / cfg.d, rng_stream(seed, 1))
-    # the closed forms are written in the teacher eigenbasis: a Haar teacher
-    # enters through its directions, projected out of w0
-    theta = None if teacher.theta_is_basis else teacher.theta
-    ts = _time_grid(cfg)
-    tracked = cfg.resolved_tracked()
-    risk_n = weight_risk_curve(w0, ts, params, theta=theta)
-    u0 = inv_sqrt_gram(w0)
-    f0 = u0[: cfg.r] if theta is None else theta.T @ u0
-    aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in tracked]]
+    return teacher.spectrum, params, w0, None if teacher.theta_is_basis else teacher.theta
+
+
+def _flow_data(cfg: RunConfig, ts: np.ndarray, risk_n: np.ndarray, aligns: np.ndarray) -> TrajectoryData:
+    sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
     return TrajectoryData(
         steps=np.arange(1, len(ts) + 1),
         time_raw=ts,
@@ -179,59 +191,47 @@ def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
         risk=risk_n / 8.0,
         risk_normalized=risk_n,
         alignments=aligns,
-        tracked_js=tracked,
+        tracked_js=cfg.resolved_tracked(),
         meta={"kind": cfg.kind},
     )
+
+
+def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
+    _, params, w0, theta = _flow_start(cfg, seed)
+    ts = _time_grid(cfg)
+    u0 = inv_sqrt_gram(w0)
+    f0 = u0[: cfg.r] if theta is None else theta.T @ u0
+    aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in cfg.resolved_tracked()]]
+    return _flow_data(cfg, ts, weight_risk_curve(w0, ts, params, theta=theta), aligns)
 
 
 def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
-    from .model import StudentState, population_risk, alignment_gram
+    spectrum, params, w0, theta = _flow_start(cfg, seed)
+    # dW/dt = P dS/dt for w0 = P S with orthonormal P = [Theta, Q_b]: the flow
+    # never leaves span P, so RK4 integrates the (r + k) x r_s factor S
+    s = _reduce(w0, cfg.r, theta)
+    lin = np.zeros((len(s), 1))
+    lin[: cfg.r, 0] = spectrum.lambdas / (2.0 * np.sqrt(cfg.r_s) * spectrum.frob)
+    cubic = -1.0 / (2.0 * cfg.r_s)
 
-    teacher = _teacher(cfg, seed)
-    params = FlowParams.from_spectrum(teacher.spectrum, cfg.d, cfg.r_s)
-    sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
-    w = sample_gaussian_mat(cfg.d, cfg.r_s, 1.0 / cfg.d, rng_stream(seed, 1))
-    lam_e = np.zeros(cfg.d)
-    lam_e[: cfg.r] = teacher.spectrum.lambdas
-    frob = teacher.spectrum.frob
-
-    def w_rhs(w_now):
-        mw = teacher.theta @ (teacher.spectrum.lambdas[:, None] * (teacher.theta.T @ w_now))
-        return (mw - (frob / np.sqrt(cfg.r_s)) * (w_now @ (w_now.T @ w_now))) / (
-            2.0 * np.sqrt(cfg.r_s) * frob
-        )
+    def s_rhs(s_now):  # [L S_top; 0] / (2 sqrt(r_s) ||lam||) - S S.T S / (2 r_s)
+        return lin * s_now + s_now @ ((s_now.T @ s_now) * cubic)
 
     ts = _time_grid(cfg)
-    tracked = cfg.resolved_tracked()
-    dt = min(0.01, 0.1 * params.t_u / float(params.lambdas[0]))
-    rows_risk, rows_align = [], []
-    t_now = 0.0
-    for t_target in ts:
+    tracked = [j - 1 for j in cfg.resolved_tracked()]
+    dt = _rk4_dt(params)
+    risk_n, aligns = np.empty(len(ts)), np.empty((len(ts), len(tracked)))
+    t_now, step = 0.0, 0
+    for i, t_target in enumerate(ts):
         n_sub = max(int(np.ceil((t_target - t_now) / dt)), 1)
         h = (t_target - t_now) / n_sub
         for _ in range(n_sub):
-            k1 = w_rhs(w)
-            k2 = w_rhs(w + 0.5 * h * k1)
-            k3 = w_rhs(w + 0.5 * h * k2)
-            k4 = w_rhs(w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            step += 1
+            s = _rk4_step(s_rhs, s, h, step)
         t_now = t_target
-        student = StudentState(w)
-        rows_risk.append(population_risk(teacher, student, normalized=True))
-        g = alignment_gram(teacher, student)
-        rows_align.append([g[j - 1, j - 1] for j in tracked])
-    risk_n = np.array(rows_risk)
-    return TrajectoryData(
-        steps=np.arange(1, len(ts) + 1),
-        time_raw=ts,
-        time_rescaled=ts / (sc.kappa_eff * sc.t_eff),
-        compute=ts * cfg.d * cfg.r_s,
-        risk=risk_n / 8.0,
-        risk_normalized=risk_n,
-        alignments=np.array(rows_align),
-        tracked_js=tracked,
-        meta={"kind": cfg.kind},
-    )
+        risk_n[i] = risk_from_gram(spectrum, s.T @ s, s[: cfg.r], normalized=True)
+        aligns[i] = np.sum(inv_sqrt_gram(s)[tracked] ** 2, axis=1)
+    return _flow_data(cfg, ts, risk_n, aligns)
 
 
 def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:

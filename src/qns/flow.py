@@ -12,13 +12,17 @@ collapses (push-through identity) to
 
     G(t) = sqrt(A) . X (I + X.T X)^{-1} X.T . sqrt(A),   X = C^{-1/2} F,
 
-which is evaluated through an SVD of X.  That route stays numerically stable
-for singular initializations and late times, where the naive inverse is
-hopeless.  The d - r zero modes of the weight target share one scaling, so
-one thin QR of the rows of ``w0`` off the teacher span reduces the weight
-closed form to the (r + min(d - r, r_s)) x r_s factor ``S = [Theta.T w0; R]``
-with the same singular values; grids run as chunks of stacked SVDs, each no
-larger than one d x r_s matrix.  The RK4 integrator is an independent oracle.
+which needs no singular values: the thin QR ``[X; I] = Q R`` gives
+``I + X.T X = R.T R``, so ``X (I + X.T X)^{-1} X.T = Y Y.T`` with
+``Y = Q[:n]`` and ``G(t) = (sqrt(A) Y) (sqrt(A) Y).T``.  That route stays
+numerically stable for singular initializations and late times, where the
+naive inverse is hopeless.  The d - r zero modes of the weight target share
+one scaling, so one thin QR of the rows of ``w0`` off the teacher span
+reduces the weight closed form to the (r + min(d - r, r_s)) x r_s factor
+``S = [Theta.T w0; R]`` with the same singular values; grids run as chunks of
+stacked QRs whose ``[X; I]`` is no larger than one d x r_s matrix.  The RK4
+integrator is an independent oracle: it integrates the ODE, on the Gram or,
+from the command line, on the reduced factor ``S``.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def _factor_psd(g0: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 # expm1(x) overflows float64 past x = log(max float) ~ 709.78; a time grid
-# reaching past it is refused rather than pushing inf into the SVD
+# reaching past it is refused rather than pushing inf into LAPACK's QR
 _EXP_LIMIT = math.log(np.finfo(float).max)
 
 
@@ -174,13 +178,24 @@ def _exponents(t: float, rates: np.ndarray) -> np.ndarray:
     return tx
 
 
-def _svd(x: np.ndarray, ts: np.ndarray):
-    """Stacked thin SVD of ``x[i]`` at time ``ts[i]``; LAPACK does not return on
-    inf, so non-finite input raises."""
-    bad = ~np.isfinite(x).all(axis=(1, 2))
+def _push_through(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``Y = Q[:n]`` from the stacked thin QR ``[x[i]; I] = Q R`` at time
+    ``ts[i]``, so that ``x (I + x.T x)^{-1} x.T = Y Y.T``; non-finite input is
+    refused before it reaches LAPACK."""
+    c, n, k = x.shape
+    # Householder QR is accurate row by row when the rows come in falling
+    # size; unsorted rows of scales 1e-3..1e6 lost up to 3e-11 absolute
+    size = np.abs(x).max(axis=2)
+    bad = ~np.isfinite(size).all(axis=1)
     if bad.any():
-        raise FlowNumericsError(f"closed form at t={ts[bad.argmax()]:g}: non-finite input to the SVD")
-    return np.linalg.svd(x, full_matrices=False)
+        raise FlowNumericsError(f"closed form at t={ts[bad.argmax()]:g}: non-finite input to the QR")
+    rows = np.arange(c)[:, None], np.argsort(-size, axis=1, kind="stable")
+    z = np.empty((c, n + k, k))
+    z[:, :n] = x[rows]
+    z[:, n:] = np.eye(k)
+    y = np.empty_like(x)
+    y[rows] = np.linalg.qr(z)[0][:, :n]
+    return y
 
 
 def _reduce(w0: np.ndarray, r: int, theta: np.ndarray | None = None, with_q: bool = False):
@@ -207,26 +222,28 @@ def _expand(s: np.ndarray, q: np.ndarray, r: int, theta: np.ndarray | None = Non
 
 
 def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zero: float):
-    """Factored closed form ``G(t) = du diag(h) du.T`` from ``G0 = f f.T``,
-    yielded as ``(idx, du, h)`` for the grid points t > 0 in stacked chunks no
-    larger than one d x r_s matrix.  Mode i has ``sqrt(A) = sqrt(kappa_i /
-    (1 - exp(-t rate_i)))`` and ``C^{-1/2} = sqrt(expm1(t rate_i) / kappa_i)``;
-    rows of ``f`` past the modes are zero modes, with analytic limits
-    ``A = T/t``, ``C^{-1} = t/T`` (T = t_zero)."""
+    """Factored closed form ``G(t) = DY DY.T`` from ``G0 = f f.T``, yielded as
+    ``(idx, DY)`` for the grid points t > 0 in chunks whose stacked
+    ``[X; I]`` is no larger than one d x r_s matrix.  ``DY = sqrt(A) Y`` with
+    ``Y`` the push-through factor of ``X = C^{-1/2} f``.  Mode i has
+    ``sqrt(A) = sqrt(kappa_i / (1 - exp(-t rate_i)))`` and
+    ``C^{-1/2} = sqrt(expm1(t rate_i) / kappa_i)``; rows of ``f`` past the
+    modes are zero modes, with analytic limits ``A = T/t``, ``C^{-1} = t/T``
+    (T = t_zero)."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("t must be >= 0")
     pos = np.flatnonzero(ts > 0)
-    zero = np.ones(f.shape[0] - len(rates))
-    size = max(params.d * params.r_s // f.size, 1)
+    m, k = f.shape
+    zero = np.ones(m - len(rates))
+    size = max(params.d * params.r_s // ((m + k) * k), 1)
     for idx in (pos[i : i + size] for i in range(0, pos.size, size)):
         t = ts[idx, None]
         tx = np.array([_exponents(ti, rates) for ti in ts[idx]])
-        with np.errstate(over="ignore"):  # kappa < 1 can still overflow; _svd reports it
+        with np.errstate(over="ignore"):  # kappa < 1 can still overflow; _push_through reports it
             inv_sqrt_c = np.hstack([np.sqrt(np.expm1(tx) / kappa), np.sqrt(t / t_zero) * zero])
         sqrt_a = np.hstack([np.sqrt(kappa / -np.expm1(-tx)), np.sqrt(t_zero / t) * zero])
-        u, s, _ = _svd(inv_sqrt_c[:, :, None] * f, ts[idx])
-        yield idx, sqrt_a[:, :, None] * u, s**2 / (1.0 + s**2)
+        yield idx, sqrt_a[:, :, None] * _push_through(inv_sqrt_c[:, :, None] * f, ts[idx])
 
 
 def _align_core(f: np.ndarray, ts, params: FlowParams):
@@ -258,8 +275,8 @@ def closed_form_align_gram(g0: np.ndarray, t: float, params: FlowParams) -> np.n
         raise ValueError(f"alignment Gram must be {params.r} x {params.r}")
     if t == 0.0:
         return g0.copy()
-    [(_, du, h)] = _align_core(_factor_psd(g0), [t], params)
-    return _sym_outer(du[0] * np.sqrt(h[0]), t, "alignment")
+    [(_, dy)] = _align_core(_factor_psd(g0), [t], params)
+    return _sym_outer(dy[0], t, "alignment")
 
 
 def align_curves(g0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.ndarray:
@@ -274,8 +291,8 @@ def _gram_diag(cores, ts, diag0: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     out = np.empty((len(ts), len(diag0)))
     out[ts == 0] = diag0
-    for idx, du, h in cores:
-        out[idx] = ((du[:, : len(diag0)] * np.sqrt(h)[:, None, :]) ** 2).sum(axis=2)
+    for idx, dy in cores:
+        out[idx] = (dy[:, : len(diag0)] ** 2).sum(axis=2)
     return out
 
 
@@ -301,8 +318,8 @@ def closed_form_weight_gram(
     if t == 0.0:
         return f @ f.T if g0 is None else check_symmetric(g0).copy()
     s, q = _reduce(f, params.r, with_q=True)
-    [(_, du, h)] = _weight_core(s, [t], params)
-    return _sym_outer(_expand(du[0] * np.sqrt(h[0]), q, params.r), t, "weight")
+    [(_, dy)] = _weight_core(s, [t], params)
+    return _sym_outer(_expand(dy[0], q, params.r), t, "weight")
 
 
 def weight_gram_diag(
@@ -336,16 +353,33 @@ def weight_risk_curve(
     cross, gw_sq = np.empty(len(ts)), np.empty(len(ts))
     cross[ts == 0] = np.sum(lam[:, None] * s[:r] ** 2)
     gw_sq[ts == 0] = np.sum((s.T @ s) ** 2)
-    for c, du, h in _weight_core(s, ts, params):
-        # G_W = P DU diag(h) DU.T P.T with orthonormal P; only traces are needed
-        hk = h[:, :, None] * (du.transpose(0, 2, 1) @ du)
-        gw_sq[c] = np.sum(hk * hk.transpose(0, 2, 1), axis=(1, 2))
-        cross[c] = ((du[:, :r] * np.sqrt(h)[:, None, :]) ** 2).sum(axis=2) @ lam
+    for c, dy in _weight_core(s, ts, params):
+        # G_W = P DY DY.T P.T with orthonormal P; only traces are needed
+        gw_sq[c] = np.sum((dy.transpose(0, 2, 1) @ dy) ** 2, axis=(1, 2))
+        cross[c] = (dy[:, :r] ** 2).sum(axis=2) @ lam
     return np.maximum(1.0 - 2.0 * (c0 / frob_sq) * cross + (c0**2 / frob_sq) * gw_sq, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # RK4 oracle
+
+
+def _rk4_dt(params: FlowParams) -> float:
+    """Default RK4 step, stable for the stiffest mode."""
+    return min(0.01, 0.1 * params.t_u / float(params.lambdas[0]))
+
+
+def _rk4_step(rhs, y: np.ndarray, h: float, step: int) -> np.ndarray:
+    """One classical RK4 step of ``dy/dt = rhs(y)``; aborts with the step index
+    on non-finite state."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(y).all():
+        raise FlowNumericsError(f"RK4 state became non-finite at step {step}")
+    return y
 
 
 def integrate_rk4(
@@ -365,7 +399,7 @@ def integrate_rk4(
     if dt is None:
         if params is None:
             raise ValueError("need dt or params to choose a step size")
-        dt = min(0.01, 0.1 * params.t_u / float(params.lambdas[0]))
+        dt = _rk4_dt(params)
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = check_symmetric(g0).copy()
@@ -374,14 +408,8 @@ def integrate_rk4(
     ts = [0.0]
     grams = [g.copy()]
     for step in range(1, n_steps + 1):
-        k1 = rhs(g)
-        k2 = rhs(g + 0.5 * h * k1)
-        k3 = rhs(g + 0.5 * h * k2)
-        k4 = rhs(g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g = _rk4_step(rhs, g, h, step)
         g = 0.5 * (g + g.T)
-        if not np.all(np.isfinite(g)):
-            raise FlowNumericsError(f"RK4 state became non-finite at step {step}")
         if step % record_every == 0 or step == n_steps:
             ts.append(step * h)
             grams.append(g.copy())

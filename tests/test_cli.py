@@ -101,12 +101,25 @@ class TestRun:
             ({"horizon": 3000.0, "steps": 3}, EXIT_DIVERGED, "overflows float64"),
             # t*rate = 709.4 passes, but expm1(t*rate) / lambda_tilde_1 overflows
             ({"d": 1000, "r": 600, "r_s": 1, "alpha": 0.0, "horizon": 17380.0, "steps": 1},
-             EXIT_DIVERGED, "non-finite input to the SVD"),
+             EXIT_DIVERGED, "non-finite input to the QR"),
             ({"kind": "sgd-stiefel", "d": 8, "r": 4, "r_s": 12, "steps": 5,
               "horizon": None}, EXIT_USAGE, "config field 'r_s'"),
             # no guard used to stop plain online SGD: it wrote NaN risk columns
             ({"kind": "sgd-euclidean", "d": 16, "r": 4, "r_s": 2, "eta": 50.0, "batch": 1,
               "steps": 200, "horizon": None}, EXIT_DIVERGED, "divergence at step"),
+            # r_s > d used to end in a RankDeficientError traceback from the alignments
+            ({"d": 16, "r": 4, "r_s": 40}, EXIT_USAGE, "config field 'r_s'"),
+            ({"kind": "gf-rk4", "d": 16, "r": 4, "r_s": 40}, EXIT_USAGE, "config field 'r_s'"),
+            ({"kind": "gd-population", "d": 16, "r": 4, "r_s": 40, "horizon": None},
+             EXIT_USAGE, "config field 'r_s'"),
+            ({"kind": "sgd-euclidean", "d": 16, "r": 4, "r_s": 40, "horizon": None},
+             EXIT_USAGE, "config field 'r_s'"),
+            # used to end in a ValueError traceback from the training loop
+            ({"kind": "gd-population", "d": 16, "r": 4, "r_s": 2, "horizon": None,
+              "record_every": 0}, EXIT_USAGE, "config field 'record_every'"),
+            # about 1e9 RK4 sub-steps: the run used to hang
+            ({"kind": "gf-rk4", "d": 16, "r": 4, "r_s": 2, "horizon": 1e7},
+             EXIT_USAGE, "config field 'horizon'"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -175,6 +188,40 @@ class TestRun:
         rk = read_trajectory(str(tmp_path / "runs" / "rk_seed2.csv"))
         np.testing.assert_allclose(rk.risk_normalized, cf.risk_normalized, atol=1e-6)
         np.testing.assert_allclose(rk.alignments, cf.alignments, atol=1e-6)
+
+    def test_rk4_reduced_factor_matches_dense_w(self, tmp_path):
+        # the run integrates the (r + k) x r_s factor S; RK4 on the dense
+        # d x r_s W with the same sub-steps must give the same records
+        from qns.flow import FlowParams, _rk4_dt, _rk4_step
+        from qns.linalg import rng_stream, sample_gaussian_mat
+        from qns.model import PowerLawSpectrum, StudentState, TeacherModel, alignment_gram, population_risk
+
+        d, r, r_s, seed = 40, 5, 3, 4
+        path, _ = base_config(tmp_path, kind="gf-rk4", theta="haar", d=d, r=r, r_s=r_s,
+                              horizon=15.0, steps=8, seeds=[seed], tracked_j=[1, 2, 5])
+        assert main(["run", path]) == EXIT_OK
+        data = read_trajectory(str(tmp_path / "runs" / f"gf-rk4_seed{seed}.csv"))
+        spec = PowerLawSpectrum(r=r, alpha=1.0)
+        teacher = TeacherModel.haar(d, spec, seed=seed)
+        th, lam, frob = teacher.theta, spec.lambdas, spec.frob
+
+        def w_rhs(w):
+            mw = th @ (lam[:, None] * (th.T @ w))
+            return (mw - (frob / np.sqrt(r_s)) * (w @ (w.T @ w))) / (2.0 * np.sqrt(r_s) * frob)
+
+        w = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(seed, 1))
+        dt = _rk4_dt(FlowParams.from_spectrum(spec, d, r_s))
+        risk, aligns, t_now = [], [], 0.0
+        for t in data.time_raw:
+            n_sub = max(int(np.ceil((t - t_now) / dt)), 1)
+            for _ in range(n_sub):
+                w = _rk4_step(w_rhs, w, (t - t_now) / n_sub, 0)
+            t_now = t
+            student = StudentState(w)
+            risk.append(population_risk(teacher, student, normalized=True))
+            aligns.append(np.diag(alignment_gram(teacher, student))[[0, 1, 4]])
+        np.testing.assert_allclose(data.risk_normalized, risk, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(data.alignments, aligns, rtol=0, atol=1e-13)
 
 
 class TestFitCommand:

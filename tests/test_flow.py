@@ -18,7 +18,7 @@ from qns.flow import (
     weight_gram_diag,
     weight_risk_curve,
 )
-from qns.flow import _factor_psd
+from qns.flow import _core, _factor_psd, _push_through
 from qns.linalg import loewner_slack, rng_stream, sample_gaussian_mat
 from qns.model import PowerLawSpectrum
 
@@ -160,7 +160,7 @@ class TestReducedWeightFlow:
     # k = min(d - r, r_s); the dense route keeps all d rows
     @pytest.mark.parametrize(
         "d, r, r_s",
-        [(300, 4, 3),    # d >> r: stacked chunks of d // (r + k) = 42 points
+        [(300, 4, 3),    # d >> r: chunks of d r_s // ((r + k + r_s) r_s) = 30 points
          (10, 7, 5),     # d - r < r_s: R has only k = 3 rows
          (6, 6, 4)],     # d == r: no bottom block
     )
@@ -198,10 +198,10 @@ class TestReducedWeightFlow:
 
     def test_align_curves_chunked_match_pointwise(self, rng):
         lam = np.array([1.0, 0.5, 0.25, 0.2])
-        p = FlowParams(lambdas=lam, d=8, r_s=2)  # chunks of 8 * 2 // (4 * 4) = 1 point
+        p = FlowParams(lambdas=lam, d=8, r_s=2)  # chunks of 8 * 2 // ((4 + 4) * 4) -> 1 point
         g0 = rand_psd(rng, 4, scale=0.3)
         ts = np.array([0.0, 0.3, 2.0, 9.0, 40.0])
-        for params in (p, FlowParams(lambdas=lam, d=64, r_s=2)):  # and of 8 points
+        for params in (p, FlowParams(lambdas=lam, d=64, r_s=2)):  # and of 4 points
             curves = align_curves(g0, ts, params)
             for i, t in enumerate(ts):
                 np.testing.assert_allclose(
@@ -209,9 +209,51 @@ class TestReducedWeightFlow:
                 )
 
 
+class TestPushThrough:
+    # X (I + X.T X)^{-1} X.T = Y Y.T with Y = Q[:m] of the thin QR [X; I] = Q R
+    @pytest.mark.parametrize("m, k, zero_rows", [(3, 6, 0), (12, 5, 0), (9, 4, 3)])
+    def test_matches_60_digit_reference(self, rng, m, k, zero_rows):
+        mpmath = pytest.importorskip("mpmath")
+        # row scales rising from 1e-3 to 1e6, the last zero_rows rows zero:
+        # Householder QR taking the rows in this order, or the SVD route,
+        # errs by up to 5e-12; sorted by falling size, by about 4e-15
+        x = rng.standard_normal((8, m, k)) * np.logspace(-3, 6, m)[:, None]
+        x[:, m - zero_rows :] = 0.0
+        y = _push_through(x, np.ones(8))
+        for xi, yi in zip(x, y):
+            with mpmath.workdps(60):
+                xm = mpmath.matrix(xi.tolist())
+                ref = xm * mpmath.inverse(mpmath.eye(k) + xm.T * xm) * xm.T
+                ref = np.array(ref.tolist(), dtype=float)
+            np.testing.assert_allclose(yi @ yi.T, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, k, n_modes", [(3, 6, 3), (7, 3, 4), (8, 5, 8)])
+    def test_core_matches_svd_form(self, rng, m, k, n_modes):
+        # m < k (rank-deficient f), m > k with m - n_modes zero-mode rows, and
+        # no zero modes; d = 4 forces chunks of one point
+        f = rng.standard_normal((m, k)) / np.sqrt(m)
+        rates = np.geomspace(1.0, 0.05, n_modes)
+        kappa = np.geomspace(2.0, 0.5, n_modes)
+        t_zero = 3.0
+        ts = np.concatenate([[0.0], np.geomspace(0.01, 400.0, 9)])
+        seen = []
+        for idx, dy in _core(f, ts, FlowParams(lambdas=np.ones(1), d=4, r_s=1), rates, kappa, t_zero):
+            for i, dyi in zip(idx, dy):
+                t = ts[i]
+                tx = t * rates
+                zero = np.ones(m - n_modes)
+                inv_sqrt_c = np.hstack([np.sqrt(np.expm1(tx) / kappa), np.sqrt(t / t_zero) * zero])
+                sqrt_a = np.hstack([np.sqrt(kappa / -np.expm1(-tx)), np.sqrt(t_zero / t) * zero])
+                u, s, _ = np.linalg.svd(inv_sqrt_c[:, None] * f, full_matrices=False)
+                ref = (sqrt_a[:, None] * u * (s**2 / (1.0 + s**2))) @ (sqrt_a[:, None] * u).T
+                np.testing.assert_allclose(dyi @ dyi.T, ref, rtol=0, atol=1e-13)
+                seen.append(i)
+        assert seen == list(range(1, len(ts)))
+
+
 class TestClosedFormOverflow:
-    # past t * rate ~ 709.8 expm1 overflows, and an inf reaching LAPACK's SVD
-    # never returns: every closed-form entry point must raise instead
+    # past t * rate ~ 709.8 expm1 overflows, and an inf must not reach LAPACK
+    # (its SVD never returned on one): every closed-form entry point raises
     @pytest.mark.parametrize("t", [2e3, 1e300])
     def test_exp_overflow_raises(self, rng, t):
         p = FlowParams(lambdas=np.array([1.0, 0.6, 0.4]), d=12, r_s=3)
