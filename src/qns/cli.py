@@ -32,11 +32,11 @@ from .flow import (
     weight_risk_curve,
 )
 from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
-from .model import PowerLawSpectrum, TeacherModel, risk_from_gram
+from .model import PowerLawSpectrum, TeacherModel, project, risk_from_gram
 from .svgplot import line_chart
 from .trainer import DivergenceError, SgdConfig, default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
-from .verify import SUITES, run_suite
+from .verify import MIN_DIM, SUITES, run_suite
 
 KINDS = ("gf-closed", "gf-rk4", "gd-population", "sgd-stiefel", "sgd-euclidean")
 
@@ -68,7 +68,6 @@ class RunConfig:
     horizon: float | None = None      # gf kinds: max raw time
     grid: str = "log"                 # gf kinds: t-grid spacing
     batch: int | None = None
-    param: str = "plain"
     theta: str = "basis"
     record_every: int | str = "log"
     record_points: int = 200
@@ -92,6 +91,14 @@ class RunConfig:
 
         if self.kind not in KINDS:
             fail("kind", f"must be one of {KINDS}")
+        for name in ("d", "r", "r_s", "steps", "record_points"):
+            if type(getattr(self, name)) is not int:
+                fail(name, f"must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.seeds, list) or not self.seeds:
+            fail("seeds", f"need a non-empty list of seeds, got {self.seeds!r}")
+        bad = [s for s in self.seeds if type(s) is not int or s < 0]
+        if bad:
+            fail("seeds", f"must be integers >= 0, got {bad}")
         if self.d < 2:
             fail("d", "must be >= 2")
         if not 1 <= self.r <= self.d:
@@ -105,12 +112,14 @@ class RunConfig:
             fail("alpha", "must be >= 0")
         if self.alpha == 0.5:
             fail("alpha", "0.5 sits on the regime boundary and is excluded")
-        if not self.seeds:
-            fail("seeds", "need at least one seed")
+        if float(self.r) ** -self.alpha == 0.0:
+            fail("alpha", f"the coefficient r**-alpha = {self.r}**-{self.alpha:g} underflows to 0")
         if self.eta is not None and self.eta <= 0:
             fail("eta", "must be positive")
         if self.steps < 1:
             fail("steps", "must be >= 1")
+        if self.record_points < 1:
+            fail("record_points", "must be >= 1")
         if self.kind.startswith("gf") and (self.horizon is None or self.horizon <= 0):
             fail("horizon", "gf kinds need a positive time horizon")
         if self.kind == "gf-rk4":
@@ -128,6 +137,8 @@ class RunConfig:
         if self.theta not in ("basis", "haar"):
             fail("theta", "must be 'basis' or 'haar'")
         if isinstance(self.tracked_j, list):
+            if any(type(j) is not int for j in self.tracked_j):
+                fail("tracked_j", f"indices must be integers, got {self.tracked_j}")
             bad = [j for j in self.tracked_j if not 1 <= j <= self.r]
             if bad:
                 fail("tracked_j", f"indices outside 1..r: {bad}")
@@ -178,7 +189,7 @@ def _flow_start(cfg: RunConfig, seed: int):
     teacher = _teacher(cfg, seed)
     params = FlowParams.from_spectrum(teacher.spectrum, cfg.d, cfg.r_s)
     w0 = sample_gaussian_mat(cfg.d, cfg.r_s, 1.0 / cfg.d, rng_stream(seed, 1))
-    return teacher.spectrum, params, w0, None if teacher.theta_is_basis else teacher.theta
+    return teacher.spectrum, params, w0, teacher.theta
 
 
 def _flow_data(cfg: RunConfig, ts: np.ndarray, risk_n: np.ndarray, aligns: np.ndarray) -> TrajectoryData:
@@ -200,7 +211,7 @@ def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
     _, params, w0, theta = _flow_start(cfg, seed)
     ts = _time_grid(cfg)
     u0 = inv_sqrt_gram(w0)
-    f0 = u0[: cfg.r] if theta is None else theta.T @ u0
+    f0 = project(u0, cfg.r, theta)
     aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in cfg.resolved_tracked()]]
     return _flow_data(cfg, ts, weight_risk_curve(w0, ts, params, theta=theta), aligns)
 
@@ -249,7 +260,6 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
         steps=cfg.steps,
         batch=cfg.resolved_batch(),
         mode=mode,
-        param=cfg.param,
         record_every=cfg.record_every,
         record_points=cfg.record_points,
         seed=seed,
@@ -285,6 +295,15 @@ def _out_path(cfg: RunConfig, seed: int) -> str:
     return os.path.join(cfg.out_dir, f"{stem}_seed{seed}.csv")
 
 
+def _env_int(name: str) -> int:
+    """Integer value of environment variable ``name``; 0 when unset or empty."""
+    value = os.environ.get(name) or "0"
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"environment variable {name}: must be an integer, got {value!r}") from None
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -301,9 +320,10 @@ def cmd_run(args) -> int:
             raw[key] = json.loads(value)
         except json.JSONDecodeError:
             raw[key] = value
-    if os.environ.get("QNS_SEED"):
-        raw["seeds"] = [int(os.environ["QNS_SEED"])]
     try:
+        if os.environ.get("QNS_SEED"):
+            raw["seeds"] = [_env_int("QNS_SEED")]
+        workers = _env_int("QNS_THREADS")
         cfg = RunConfig.from_dict(raw)
     except (ConfigError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -318,7 +338,7 @@ def cmd_run(args) -> int:
         write_trajectory(path, data, config_dict, seed)
         return path
 
-    workers = int(os.environ.get("QNS_THREADS", "0")) or min(4, len(cfg.seeds))
+    workers = workers or min(4, len(cfg.seeds))
     try:
         if workers > 1 and len(cfg.seeds) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -372,6 +392,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for name in ("dim", "trials", "steps"):
+        value = getattr(args, name)
+        if value < 0:
+            print(f"error: --{name} must be >= 0 (0 is the suite default), got {value}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.dim and args.dim < MIN_DIM[args.suite]:
+        print(f"error: --dim must be >= {MIN_DIM[args.suite]} for the {args.suite} suite, "
+              f"got {args.dim}", file=sys.stderr)
+        return EXIT_USAGE
     kwargs = {"seed": args.seed}
     if args.dim:
         kwargs["dim"] = args.dim

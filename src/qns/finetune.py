@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .linalg import check_symmetric, psd_project, psd_sqrt
-from .model import StudentState, TeacherModel, draw_samples
+from .model import StudentState, TeacherModel, draw_samples, project
 
 __all__ = [
     "FineTuneBatch",
@@ -201,7 +201,7 @@ def risk_decomposition(
     r_s = student.r_s
     lam = teacher.spectrum.lambdas
     frob = teacher.spectrum.frob
-    tw = w[: teacher.r, :] if teacher.theta_is_basis else teacher.theta.T @ w
+    tw = project(w, teacher.r, teacher.theta)
     wmw = tw.T * lam @ tw  # W.T Theta L Theta.T W
     wmw = 0.5 * (wmw + wmw.T)
     fit = float(np.linalg.norm(omega @ omega.T - (np.sqrt(r_s) / frob) * wmw) ** 2) / r_s

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .linalg import check_symmetric
-from .model import PowerLawSpectrum
+from .model import PowerLawSpectrum, project
 
 __all__ = [
     "FlowNumericsError",
@@ -178,10 +178,11 @@ def _exponents(t: float, rates: np.ndarray) -> np.ndarray:
     return tx
 
 
-def _push_through(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _push_through(x: np.ndarray, ts: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``Y = Q[:n]`` from the stacked thin QR ``[x[i]; I] = Q R`` at time
     ``ts[i]``, so that ``x (I + x.T x)^{-1} x.T = Y Y.T``; non-finite input is
-    refused before it reaches LAPACK."""
+    refused before it reaches LAPACK.  ``z`` is scratch of shape
+    ``(c, n + k, k)`` for the stacked matrices (the QR copies it)."""
     c, n, k = x.shape
     # Householder QR is accurate row by row when the rows come in falling
     # size; unsorted rows of scales 1e-3..1e6 lost up to 3e-11 absolute
@@ -190,7 +191,6 @@ def _push_through(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     if bad.any():
         raise FlowNumericsError(f"closed form at t={ts[bad.argmax()]:g}: non-finite input to the QR")
     rows = np.arange(c)[:, None], np.argsort(-size, axis=1, kind="stable")
-    z = np.empty((c, n + k, k))
     z[:, :n] = x[rows]
     z[:, n:] = np.eye(k)
     y = np.empty_like(x)
@@ -206,7 +206,7 @@ def _reduce(w0: np.ndarray, r: int, theta: np.ndarray | None = None, with_q: boo
     w0 = np.asarray(w0, dtype=float)
     if not np.all(np.isfinite(w0)):
         raise FlowNumericsError("non-finite entries in the weight factor")
-    top = w0[:r] if theta is None else theta.T @ w0
+    top = project(w0, r, theta)
     rest = w0[r:] if theta is None else w0 - theta @ top
     k = min(w0.shape[0] - r, w0.shape[1])
     if not with_q:
@@ -237,13 +237,16 @@ def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zer
     m, k = f.shape
     zero = np.ones(m - len(rates))
     size = max(params.d * params.r_s // ((m + k) * k), 1)
+    # one scratch [X; I] for all chunks: a fresh 1-2 MB buffer per chunk
+    # costs the heavy-tail runs thousands of page faults
+    z = np.empty((min(size, pos.size), m + k, k))
     for idx in (pos[i : i + size] for i in range(0, pos.size, size)):
         t = ts[idx, None]
         tx = np.array([_exponents(ti, rates) for ti in ts[idx]])
         with np.errstate(over="ignore"):  # kappa < 1 can still overflow; _push_through reports it
             inv_sqrt_c = np.hstack([np.sqrt(np.expm1(tx) / kappa), np.sqrt(t / t_zero) * zero])
         sqrt_a = np.hstack([np.sqrt(kappa / -np.expm1(-tx)), np.sqrt(t_zero / t) * zero])
-        yield idx, sqrt_a[:, :, None] * _push_through(inv_sqrt_c[:, :, None] * f, ts[idx])
+        yield idx, sqrt_a[:, :, None] * _push_through(inv_sqrt_c[:, :, None] * f, ts[idx], z[: len(idx)])
 
 
 def _align_core(f: np.ndarray, ts, params: FlowParams):

@@ -17,6 +17,7 @@ from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
 __all__ = [
     "PowerLawSpectrum",
     "TeacherModel",
+    "project",
     "StudentState",
     "teacher_output",
     "student_output",
@@ -54,22 +55,21 @@ class PowerLawSpectrum:
 
 @dataclass(frozen=True)
 class TeacherModel:
-    """Orthonormal directions ``theta`` (d x r) plus a coefficient spectrum."""
+    """Orthonormal directions ``theta`` (d x r) plus a coefficient spectrum.
+
+    ``theta=None`` is the standard basis (the first r coordinate axes); no
+    d x r identity is materialized, and :func:`project` reads its top rows.
+    """
 
     d: int
     spectrum: PowerLawSpectrum
-    theta: np.ndarray = None  # type: ignore[assignment]
-    theta_is_basis: bool = field(init=False, default=True)
+    theta: np.ndarray | None = None
 
     def __post_init__(self):
         r = self.spectrum.r
         if r > self.d:
             raise ValueError(f"teacher width r={r} exceeds dimension d={self.d}")
-        if self.theta is None:
-            theta = np.eye(self.d, r)
-            object.__setattr__(self, "theta", theta)
-            object.__setattr__(self, "theta_is_basis", True)
-        else:
+        if self.theta is not None:
             theta = np.asarray(self.theta, dtype=float)
             if theta.shape != (self.d, r):
                 raise ValueError(f"theta must be {(self.d, r)}, got {theta.shape}")
@@ -77,9 +77,6 @@ class TeacherModel:
             if err > 1e-10:
                 raise ValueError(f"teacher directions not orthonormal: residual {err:.2e}")
             object.__setattr__(self, "theta", theta)
-            object.__setattr__(
-                self, "theta_is_basis", bool(np.array_equal(theta, np.eye(self.d, r)))
-            )
 
     @staticmethod
     def haar(d: int, spectrum: PowerLawSpectrum, seed: int = 0) -> "TeacherModel":
@@ -90,6 +87,12 @@ class TeacherModel:
     @property
     def r(self) -> int:
         return self.spectrum.r
+
+
+def project(m: np.ndarray, r: int, theta: np.ndarray | None) -> np.ndarray:
+    """``Theta.T m``: the teacher-direction rows of ``m``; the top ``r`` rows
+    when ``theta`` is None (the standard basis)."""
+    return m[:r] if theta is None else theta.T @ m
 
 
 class StudentState:
@@ -154,7 +157,7 @@ def teacher_output(teacher: TeacherModel, x: np.ndarray) -> np.ndarray | float:
     xb = x[None, :] if single else x
     if xb.shape[1] != teacher.d:
         raise ValueError(f"input dimension {xb.shape[1]} != d={teacher.d}")
-    proj = xb[:, : teacher.r] if teacher.theta_is_basis else xb @ teacher.theta
+    proj = project(xb.T, teacher.r, teacher.theta).T
     lam = teacher.spectrum.lambdas
     y = ((proj**2 - 1.0) @ lam) / teacher.spectrum.frob
     return float(y[0]) if single else y
@@ -200,7 +203,7 @@ def population_risk(
     materialized.
     """
     w = student.w
-    tw = w[: teacher.r, :] if teacher.theta_is_basis else teacher.theta.T @ w
+    tw = project(w, teacher.r, teacher.theta)
     return risk_from_gram(teacher.spectrum, w.T @ w, tw, normalized)
 
 
@@ -221,7 +224,7 @@ def risk_from_gram(
 def alignment_gram(teacher: TeacherModel, student: StudentState) -> np.ndarray:
     """Alignment Gram ``Theta.T U U.T Theta`` (r x r) from the polar factor."""
     u, _ = student.polar()
-    f = u[: teacher.r, :] if teacher.theta_is_basis else teacher.theta.T @ u
+    f = project(u, teacher.r, teacher.theta)
     return f @ f.T
 
 
@@ -239,7 +242,7 @@ def alignment(teacher: TeacherModel, student: StudentState, j: int) -> float:
         g = alignment_gram(teacher, student)
         eigs = np.linalg.eigvalsh(g)[::-1]
         return float(np.clip(eigs[j - 1], 0.0, 1.0))
-    th_j = u[j - 1, :] if teacher.theta_is_basis else teacher.theta[:, j - 1] @ u
+    th_j = project(u, teacher.r, teacher.theta)[j - 1]
     return float(np.clip(np.sum(th_j**2), 0.0, 1.0))
 
 

@@ -28,6 +28,7 @@ from .model import (
     StudentState,
     TeacherModel,
     draw_samples,
+    project,
     risk_from_gram,
     student_output,
 )
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 MODES = ("stiefel-online", "euclidean-online", "euclidean-population")
-PARAMS = ("plain", "two-homogeneous")
 
 DIVERGENCE_NORM = 1e3
 
@@ -65,6 +65,10 @@ class DivergenceError(RuntimeError):
         self.norm = norm
         super().__init__(f"divergence at step {step}: ||W||_F = {norm:.3e} > {DIVERGENCE_NORM:g}")
 
+    def __reduce__(self):
+        # rebuild from (step, norm), not from the message: errors cross processes
+        return type(self), (self.step, self.norm)
+
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -72,7 +76,6 @@ class SgdConfig:
     steps: int
     batch: int = 1
     mode: str = "stiefel-online"
-    param: str = "plain"
     record_every: int | str = 1      # int cadence or "log" for log-spaced
     record_points: int = 200          # number of records in "log" mode
     seed: int = 0
@@ -88,13 +91,6 @@ class SgdConfig:
             raise ValueError("batch must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.param not in PARAMS:
-            raise ValueError(f"param must be one of {PARAMS}")
-        if self.mode == "stiefel-online" and self.param != "plain":
-            raise ValueError("the Stiefel mode requires the plain parameterization")
-        # with quadratic activation the 2-homogeneous parameterization
-        # |w|^2 sigma(<w/|w|, x>) collapses to the plain one identically,
-        # so both values are accepted and trained the same way.
 
 
 @dataclass(frozen=True)
@@ -231,10 +227,6 @@ def _population_gd_reduced(
     return new
 
 
-def _teacher_theta(teacher: TeacherModel) -> np.ndarray | None:
-    return None if teacher.theta_is_basis else teacher.theta
-
-
 def population_gd_step(
     student: StudentState, teacher: TeacherModel, eta: float
 ) -> None:
@@ -244,10 +236,9 @@ def population_gd_step(
     applied to the teacher-subspace reduction of ``W``.  Raises
     :class:`DivergenceError` when ``||W||_F`` exceeds the guard.
     """
-    theta = _teacher_theta(teacher)
-    s, q = _reduce(student.w, teacher.r, theta, with_q=True)
+    s, q = _reduce(student.w, teacher.r, teacher.theta, with_q=True)
     s = _population_gd_reduced(s, teacher.spectrum.lambdas, teacher.spectrum.frob, eta)
-    student.w = _expand(s, q, teacher.r, theta)
+    student.w = _expand(s, q, teacher.r, teacher.theta)
 
 
 def schedule_eta(
@@ -302,17 +293,14 @@ def _snapshot(
     step: int,
     d: int,
 ) -> StepRecord:
-    """Risk and alignments of ``w``, d x r_s or its reduction ``S``: only the
-    Gram and the teacher projection (top rows when ``theta`` is None) are read."""
-
-    def proj(m):
-        return m[: spectrum.r] if theta is None else theta.T @ m
-
-    risk = risk_from_gram(spectrum, w.T @ w, proj(w))
+    """Risk and alignments of ``w``, d x r_s or its reduction ``S`` (whose top
+    r rows are already ``Theta.T W``, so ``theta=None``): only the Gram and the
+    teacher projection are read."""
+    risk = risk_from_gram(spectrum, w.T @ w, project(w, spectrum.r, theta))
     gram = None
     if cfg.record_gram or cfg.tracked_js:
         # W is orthonormal in the Stiefel mode, so the polar factor is W itself
-        f = proj(w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w))
+        f = project(w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w), spectrum.r, theta)
         gram = f @ f.T
     aligns = np.array([gram[j - 1, j - 1] for j in cfg.tracked_js]) if gram is not None else np.empty(0)
     return StepRecord(
@@ -351,7 +339,7 @@ def run_training(
         records = _run_population(teacher, student, cfg, record_at)
         return TrainResult(records=records, student=student, samples_used=0, config=cfg)
     rng = rng_stream(cfg.seed, 2)
-    spec, theta = teacher.spectrum, _teacher_theta(teacher)
+    spec, theta = teacher.spectrum, teacher.theta
     records = [_snapshot(spec, student.w, theta, cfg, 0, teacher.d)]
     fused = cfg.mode == "stiefel-online" and cfg.batch == 1
     samples = 0
@@ -384,13 +372,12 @@ def _run_population(
 ) -> list[StepRecord]:
     """Population GD on the reduced factor ``S``; records come from S, whose
     top r rows are ``Theta.T W``, and ``W`` is rebuilt once, on return."""
-    theta = _teacher_theta(teacher)
-    s, q = _reduce(student.w, teacher.r, theta, with_q=True)
+    s, q = _reduce(student.w, teacher.r, teacher.theta, with_q=True)
     spec = teacher.spectrum
     records = [_snapshot(spec, s, None, cfg, 0, teacher.d)]
     for step in range(1, cfg.steps + 1):
         s = _population_gd_reduced(s, spec.lambdas, spec.frob, cfg.eta, step)
         if step in record_at:
             records.append(_snapshot(spec, s, None, cfg, step, teacher.d))
-    student.w = _expand(s, q, teacher.r, theta)
+    student.w = _expand(s, q, teacher.r, teacher.theta)
     return records

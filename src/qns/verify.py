@@ -32,7 +32,7 @@ from .finetune import (
     s_glob_estimate,
 )
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "SUITES", "MIN_DIM"]
 
 
 def _check(name: str, residual: float, tol: float, **detail) -> dict:
@@ -304,6 +304,10 @@ def suite_bounds(
         },
     ]
 
+
+# smallest --dim each suite can check: monotone draws sizes from 2..dim, and
+# retraction and finetune need dim >= their student widths (4 and 3)
+MIN_DIM = {"riccati": 1, "monotone": 2, "retraction": 4, "finetune": 3, "bounds": 1}
 
 SUITES = {
     "riccati": suite_riccati,

@@ -120,15 +120,27 @@ class TestRun:
             # about 1e9 RK4 sub-steps: the run used to hang
             ({"kind": "gf-rk4", "d": 16, "r": 4, "r_s": 2, "horizon": 1e7},
              EXIT_USAGE, "config field 'horizon'"),
+            # badly typed fields and environment variables used to end in tracebacks
+            ({"seeds": 5}, EXIT_USAGE, "config field 'seeds'"),
+            ({"seeds": ["a"]}, EXIT_USAGE, "config field 'seeds'"),
+            ({"d": 16.5}, EXIT_USAGE, "config field 'd'"),
+            ({"steps": 2.5}, EXIT_USAGE, "config field 'steps'"),
+            ({"tracked_j": [1.5]}, EXIT_USAGE, "config field 'tracked_j'"),
+            ({"QNS_SEED": "abc"}, EXIT_USAGE, "QNS_SEED"),
+            ({"QNS_THREADS": "abc"}, EXIT_USAGE, "QNS_THREADS"),
+            # 4**-1000 rounds to 0.0: the coefficients used to underflow
+            ({"alpha": 1000}, EXIT_USAGE, "config field 'alpha'"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
-        path, _ = base_config(tmp_path, **overrides)
+        # keys named QNS_* set environment variables, the rest config fields
+        env = {k: v for k, v in overrides.items() if k.startswith("QNS_")}
+        path, _ = base_config(tmp_path, **{k: v for k, v in overrides.items() if k not in env})
         src = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "qns.cli", "run", path],
             capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=src, **env),
         )
         assert proc.returncode == code
         lines = proc.stderr.strip().splitlines()
@@ -267,6 +279,25 @@ class TestVerifyCommand:
 
     def test_bounds_suite_small(self, capsys):
         assert main(["verify", "bounds", "--steps", "500"]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            # negative sizes used to check nothing and report "passed": true
+            (["riccati", "--trials", "-3"], "--trials"),
+            (["bounds", "--steps", "-1"], "--steps"),
+            (["finetune", "--dim", "-2"], "--dim"),
+            # too small to check: these used to end in tracebacks
+            (["monotone", "--dim", "1"], "--dim must be >= 2"),
+            (["retraction", "--dim", "2"], "--dim must be >= 4"),
+            (["finetune", "--dim", "2"], "--dim must be >= 3"),
+        ],
+    )
+    def test_refuses_sizes_it_cannot_check(self, argv, needle, capsys):
+        assert main(["verify", *argv]) == EXIT_USAGE
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and needle in lines[0], out.err
 
 
 class TestPlotCommand:

@@ -12,6 +12,7 @@ from qns.model import (
     instantaneous_loss,
     opt_risk,
     population_risk,
+    project,
     student_output,
     teacher_output,
 )
@@ -142,6 +143,30 @@ class TestLossAndRisk:
         assert population_risk(haar, StudentState(q[:, :12] @ w)) == pytest.approx(
             population_risk(basis, StudentState(w)), rel=1e-10
         )
+
+
+class TestProject:
+    def test_basis_teacher_materializes_nothing(self):
+        t = TeacherModel(d=12, spectrum=PowerLawSpectrum(r=4, alpha=1.0))
+        assert t.theta is None
+
+    def test_matches_explicit_theta(self, rng):
+        d, r = 15, 4
+        spec = PowerLawSpectrum(r=r, alpha=1.0)
+        m = rng.standard_normal((d, 3))
+        basis, haar = TeacherModel(d=d, spectrum=spec), TeacherModel.haar(d, spec, seed=2)
+        np.testing.assert_array_equal(project(m, r, basis.theta), np.eye(d, r).T @ m)
+        np.testing.assert_allclose(project(m, r, haar.theta), haar.theta.T @ m, rtol=0, atol=1e-15)
+
+    def test_reduced_factor_top_rows(self, rng):
+        # S = [Theta.T W; R] carries the teacher projection in its top rows
+        from qns.flow import _reduce
+
+        d, r = 15, 4
+        haar = TeacherModel.haar(d, PowerLawSpectrum(r=r, alpha=1.0), seed=5)
+        w = rng.standard_normal((d, 3))
+        s = _reduce(w, r, haar.theta)
+        np.testing.assert_allclose(project(s, r, None), haar.theta.T @ w, rtol=0, atol=1e-15)
 
 
 class TestAlignment:

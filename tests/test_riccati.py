@@ -153,6 +153,15 @@ class TestBlocks:
                 assert abs(p[1, 1] - b.a22[i]) / p[1, 1] <= 1e-12
 
     def test_large_t_no_overflow(self):
+        lams = np.array([1.0, 0.3, 1e-3])
+        for eta_i in (1e-5, 0.01, 0.5):
+            b = riccati_blocks(lams, eta_i, 1_000_000)
+            for v in (b.scaled_a11, b.scaled_a12, b.scaled_a22, b.log_scale):
+                assert np.isfinite(v).all()
+            sum_res = b.scaled_a11 + eta_i * lams * b.scaled_a12 - b.scaled_a22
+            det_res = b.scaled_a22 * b.scaled_a11 - b.scaled_a12**2 - np.exp(-2 * b.log_scale)
+            assert np.all(np.abs(sum_res) <= 1e-12 * b.scaled_a22)
+            assert np.all(np.abs(det_res) <= 1e-12 * b.scaled_a11 * b.scaled_a22)
         eta, lam = 0.1, 1.0
         b = riccati_blocks(np.array([lam]), eta, 1_000_000)
         assert np.isfinite(b.scaled_a11).all() and np.isfinite(b.log_scale).all()
@@ -160,6 +169,26 @@ class TestBlocks:
         # companion matrix: eta lam / 2 + sqrt(1 + eta^2 lam^2 / 4)
         limit = eta * lam / 2 + np.sqrt(1 + eta**2 * lam**2 / 4)
         assert b.ratio_22_12()[0] == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [1, 2, 50, 200, 1000])
+    def test_blocks_match_mpmath(self, t):
+        # the eigen closed form against the 2 x 2 power at 60 digits; the
+        # log-domain error is the relative error of blocks * exp(log_scale)
+        mpmath = pytest.importorskip("mpmath")
+        lam = np.array([1.0, 0.37, 0.05])
+        worst = 0.0
+        for eta in (1e-5, 3e-4, 0.01, 0.12, 0.5):
+            b = riccati_blocks(lam, eta, t)
+            with mpmath.workdps(60):
+                for i, l in enumerate(lam):
+                    e, lm = mpmath.mpf(eta), mpmath.mpf(l)
+                    p = mpmath.matrix([[1, e], [e * lm**2, 1 + e**2 * lm**2]]) ** t
+                    scale = mpmath.mpf(b.log_scale[i])
+                    for got, ref in ((b.scaled_a11[i], p[0, 0]), (b.scaled_a12[i], lm * p[0, 1]),
+                                     (b.scaled_a22[i], p[1, 1])):
+                        err = mpmath.log(mpmath.mpf(got)) + scale - mpmath.log(ref)
+                        worst = max(worst, abs(float(err)))
+        assert worst <= 1e-13
 
     def test_ratio_bounds(self):
         # a11/a12 > sqrt(I + eta^2 L^2/4) - eta L / 2 and the two-sided chain
