@@ -36,7 +36,7 @@ from .model import PowerLawSpectrum, TeacherModel, project, risk_from_gram
 from .svgplot import line_chart
 from .trainer import DivergenceError, SgdConfig, default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
-from .verify import MIN_DIM, SUITES, run_suite
+from .verify import MAX_DIM, MIN_DIM, SUITES, run_suite
 
 KINDS = ("gf-closed", "gf-rk4", "gd-population", "sgd-stiefel", "sgd-euclidean")
 
@@ -399,6 +399,10 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     if args.dim and args.dim < MIN_DIM[args.suite]:
         print(f"error: --dim must be >= {MIN_DIM[args.suite]} for the {args.suite} suite, "
+              f"got {args.dim}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.dim > MAX_DIM.get(args.suite, args.dim):
+        print(f"error: --dim must be <= {MAX_DIM[args.suite]} for the {args.suite} suite, "
               f"got {args.dim}", file=sys.stderr)
         return EXIT_USAGE
     kwargs = {"seed": args.seed}

@@ -166,6 +166,11 @@ def _factor_psd(g0: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 # reaching past it is refused rather than pushing inf into LAPACK's QR
 _EXP_LIMIT = math.log(np.finfo(float).max)
 
+# rows of X below this size take DY from R^{-1} rather than from their own
+# rows of Q, whose absolute error of about 1e-16 is a relative error of
+# 1e-16 / size: every row keeps a relative 2e-13 or better
+_SMALL_ROW = 1e-3
+
 
 def _exponents(t: float, rates: np.ndarray) -> np.ndarray:
     """Per-mode exponents ``t * rates``; raises when one overflows expm1."""
@@ -178,11 +183,12 @@ def _exponents(t: float, rates: np.ndarray) -> np.ndarray:
     return tx
 
 
-def _push_through(x: np.ndarray, ts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``Y = Q[:n]`` from the stacked thin QR ``[x[i]; I] = Q R`` at time
-    ``ts[i]``, so that ``x (I + x.T x)^{-1} x.T = Y Y.T``; non-finite input is
-    refused before it reaches LAPACK.  ``z`` is scratch of shape
-    ``(c, n + k, k)`` for the stacked matrices (the QR copies it)."""
+def _push_through(x: np.ndarray, ts: np.ndarray, z: np.ndarray):
+    """``(Y, R^{-1})`` from the stacked thin QR ``[x[i]; I] = Q R`` at time
+    ``ts[i]``: ``Y = Q[:n]``, so that ``x (I + x.T x)^{-1} x.T = Y Y.T``, and
+    ``R^{-1} = Q[n:]``.  Non-finite input is refused before it reaches LAPACK.
+    ``z`` is scratch of shape ``(c, n + k, k)`` for the stacked matrices (the
+    QR copies it)."""
     c, n, k = x.shape
     # Householder QR is accurate row by row when the rows come in falling
     # size; unsorted rows of scales 1e-3..1e6 lost up to 3e-11 absolute
@@ -193,9 +199,10 @@ def _push_through(x: np.ndarray, ts: np.ndarray, z: np.ndarray) -> np.ndarray:
     rows = np.arange(c)[:, None], np.argsort(-size, axis=1, kind="stable")
     z[:, :n] = x[rows]
     z[:, n:] = np.eye(k)
+    q = np.linalg.qr(z)[0]
     y = np.empty_like(x)
-    y[rows] = np.linalg.qr(z)[0][:, :n]
-    return y
+    y[rows] = q[:, :n]
+    return y, q[:, n:]
 
 
 def _reduce(w0: np.ndarray, r: int, theta: np.ndarray | None = None, with_q: bool = False):
@@ -229,7 +236,8 @@ def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zer
     ``sqrt(A) = sqrt(kappa_i / (1 - exp(-t rate_i)))`` and
     ``C^{-1/2} = sqrt(expm1(t rate_i) / kappa_i)``; rows of ``f`` past the
     modes are zero modes, with analytic limits ``A = T/t``, ``C^{-1} = t/T``
-    (T = t_zero)."""
+    (T = t_zero).  Rows of ``X`` below ``_SMALL_ROW`` take ``DY`` from
+    ``R^{-1}`` instead of from their rows of ``Y``."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("t must be >= 0")
@@ -240,13 +248,26 @@ def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zer
     # one scratch [X; I] for all chunks: a fresh 1-2 MB buffer per chunk
     # costs the heavy-tail runs thousands of page faults
     z = np.empty((min(size, pos.size), m + k, k))
+    f_size = np.abs(f).max(axis=1)  # row sizes of X are inv_sqrt_c * f_size
     for idx in (pos[i : i + size] for i in range(0, pos.size, size)):
         t = ts[idx, None]
         tx = np.array([_exponents(ti, rates) for ti in ts[idx]])
-        with np.errstate(over="ignore"):  # kappa < 1 can still overflow; _push_through reports it
+        # kappa < 1 can still overflow C^{-1/2}, which _push_through reports;
+        # sqrt(A) overflows for rates near 1e-308, in rows replaced below
+        with np.errstate(over="ignore", divide="ignore"):
             inv_sqrt_c = np.hstack([np.sqrt(np.expm1(tx) / kappa), np.sqrt(t / t_zero) * zero])
-        sqrt_a = np.hstack([np.sqrt(kappa / -np.expm1(-tx)), np.sqrt(t_zero / t) * zero])
-        yield idx, sqrt_a[:, :, None] * _push_through(inv_sqrt_c[:, :, None] * f, ts[idx], z[: len(idx)])
+            sqrt_a = np.hstack([np.sqrt(kappa / -np.expm1(-tx)), np.sqrt(t_zero / t) * zero])
+        dy, r_inv = _push_through(inv_sqrt_c[:, :, None] * f, ts[idx], z[: len(idx)])
+        with np.errstate(invalid="ignore"):  # inf * 0 in those rows
+            dy *= sqrt_a[:, :, None]
+        # a row of X far below the identity rows keeps only the QR's absolute
+        # error of about 1e-16, which sqrt(A) ~ (t rate)^{-1/2} of a tiny rate
+        # blew up into alignments of 1e27; there DY = sqrt(A) X R^{-1} is
+        # computed as e^{t rate / 2} f R^{-1}
+        b, i = np.nonzero(inv_sqrt_c * f_size < _SMALL_ROW)
+        exp_half = np.hstack([np.exp(tx / 2.0), np.ones((len(idx), zero.size))])
+        dy[b, i] = exp_half[b, i, None] * np.einsum("nk,nkl->nl", f[i], r_inv[b])
+        yield idx, dy
 
 
 def _align_core(f: np.ndarray, ts, params: FlowParams):
@@ -255,6 +276,9 @@ def _align_core(f: np.ndarray, ts, params: FlowParams):
 
 def _weight_core(s: np.ndarray, ts, params: FlowParams):
     lam_tilde = np.sqrt(params.r_s) / params.frob * params.lambdas
+    # a subnormal lambda_tilde has too few bits for expm1(t rate) / kappa:
+    # those modes, the last ones, are zero modes to within 1e-300
+    lam_tilde = lam_tilde[lam_tilde >= np.finfo(float).tiny]
     return _core(s, ts, params, lam_tilde / params.t_w, lam_tilde, params.t_w)
 
 

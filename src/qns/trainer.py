@@ -6,12 +6,16 @@ Stiefel mode keeps ``W.T W = I`` via the polar retraction
 rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation is rank
 one too, so the gradient step and its exact retraction fuse into one in-place
 rank-1 update ``W += u v.T``; ``run_training`` drives it on samples drawn in
-small blocks, the same stream as one draw per step.  The Euclidean population
-mode is plain constant-step gradient descent on the population risk; it acts
-on the rows of ``W`` off the teacher span only through the right factor
-``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x r_s reduction
-``S = [Theta.T W; R]`` (``S.T S = W.T W``), which the records and the
-divergence guard read.  Both Euclidean modes stop on divergence.
+small blocks, the same stream as one draw per step.  The step writes every
+intermediate into scratch arrays owned by one run and forms ``u v.T`` as a
+GEMM with inner dimension 1, whose entries are single rounded products: the
+floats of numpy's broadcast ``u[:, None] * v``, without allocating.  The
+Euclidean population mode is plain constant-step gradient descent on the
+population risk; it acts on the rows of ``W`` off the teacher span only
+through the right factor ``I - c2 W.T W``, so it runs on the
+(r + min(d - r, r_s)) x r_s reduction ``S = [Theta.T W; R]``
+(``S.T S = W.T W``), which the records and the divergence guard read.  Both
+Euclidean modes stop on divergence.
 """
 
 from __future__ import annotations
@@ -148,7 +152,16 @@ def stiefel_grad(
     return g - 0.5 * w @ (wg + wg.T)
 
 
-def _stiefel_rank1_step(w: np.ndarray, x: np.ndarray, y: float, eta: float) -> None:
+def _rank1_scratch(d: int, r_s: int) -> tuple[np.ndarray, ...]:
+    """Work arrays of :func:`_stiefel_rank1_step`: ``v`` (r_s), ``wv``, ``px``,
+    ``u`` (d each) and the d x r_s update ``buf``.  Each run owns its own set:
+    seeds run on threads, so a shared set would mix their steps."""
+    return np.empty(r_s), np.empty(d), np.empty(d), np.empty(d), np.empty((d, r_s))
+
+
+def _stiefel_rank1_step(
+    w: np.ndarray, x: np.ndarray, y: float, eta: float, scratch: tuple[np.ndarray, ...]
+) -> None:
     """One single-sample Stiefel step with its exact polar retraction, in place.
 
     With ``v = W.T x``, ``px = x - W v`` and ``c = eta c0`` the Stiefel
@@ -157,10 +170,16 @@ def _stiefel_rank1_step(w: np.ndarray, x: np.ndarray, y: float, eta: float) -> N
     ``(I + a v v.T)^{-1/2}`` on the right makes the whole step the rank-1
     update ``W += u v.T`` with ``u = -c (1 + coef |v|^2) px + coef W v`` and
     ``coef = ((1 + a |v|^2)^{-1/2} - 1) / |v|^2``.
+
+    Every intermediate is written into ``scratch`` (from :func:`_rank1_scratch`),
+    so a step allocates nothing.  The outer product ``u v.T`` is a GEMM with
+    inner dimension 1 into ``buf``: each entry is one rounded product, the
+    same float as the broadcast ``u[:, None] * v``, at a fraction of its cost.
     """
-    v = x @ w
-    wv = w @ v
-    px = x - wv
+    v, wv, px, u, buf = scratch
+    np.dot(x, w, out=v)
+    np.dot(w, v, out=wv)
+    np.subtract(x, wv, out=px)
     vsq = float(v @ v)
     if vsq == 0.0:
         return  # x is orthogonal to span(W): the gradient vanishes
@@ -169,8 +188,10 @@ def _stiefel_rank1_step(w: np.ndarray, x: np.ndarray, y: float, eta: float) -> N
     c = eta * -resid / (4.0 * math.sqrt(r_s))
     a = c * c * float(px @ px)
     coef = (1.0 / math.sqrt(1.0 + a * vsq) - 1.0) / vsq
-    u = (-c * (1.0 + coef * vsq)) * px + coef * wv
-    w += u[:, None] * v
+    np.multiply(px, -c * (1.0 + coef * vsq), out=u)
+    u += np.multiply(wv, coef, out=wv)
+    np.dot(u[:, None], v[None, :], out=buf)
+    w += buf
 
 
 def sgd_step(
@@ -195,7 +216,7 @@ def sgd_step(
         raise ValueError(f"sgd_step handles online modes, not {mode!r}")
     if batch == 1:
         w = student.w.copy()
-        _stiefel_rank1_step(w, x[0], float(y[0]), eta)
+        _stiefel_rank1_step(w, x[0], float(y[0]), eta, _rank1_scratch(*w.shape))
         student.w = w
         return 1
     g = stiefel_grad(student, x, y)
@@ -342,6 +363,7 @@ def run_training(
     spec, theta = teacher.spectrum, teacher.theta
     records = [_snapshot(spec, student.w, theta, cfg, 0, teacher.d)]
     fused = cfg.mode == "stiefel-online" and cfg.batch == 1
+    scratch = _rank1_scratch(*student.w.shape) if fused else None
     samples = 0
     for step in range(1, cfg.steps + 1):
         if fused:
@@ -351,7 +373,7 @@ def run_training(
                 xs, ys = draw_samples(teacher, min(_SAMPLE_BLOCK, cfg.steps - step + 1), rng)
                 ys = ys.tolist()
                 samples += len(ys)
-            _stiefel_rank1_step(student.w, xs[i], ys[i], cfg.eta)
+            _stiefel_rank1_step(student.w, xs[i], ys[i], cfg.eta, scratch)
         else:
             samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
         if cfg.mode == "euclidean-online":

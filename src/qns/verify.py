@@ -308,6 +308,10 @@ def suite_bounds(
 # smallest --dim each suite can check: monotone draws sizes from 2..dim, and
 # retraction and finetune need dim >= their student widths (4 and 3)
 MIN_DIM = {"riccati": 1, "monotone": 2, "retraction": 4, "finetune": 3, "bounds": 1}
+# largest --dim: bounds fixes d = 1000 and eta = 1e-4, and for a teacher rank
+# above 54 its widened lower spectrum falls below the reference floor's
+# quadratic term, so the floor no longer holds (from 56 it is not positive)
+MAX_DIM = {"bounds": 54}
 
 SUITES = {
     "riccati": suite_riccati,

@@ -146,6 +146,36 @@ class TestRun:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and needle in lines[0], proc.stderr
 
+    @pytest.mark.parametrize("alpha", [60, 200, 537])
+    def test_tiny_modes_closed_form_matches_rk4(self, tmp_path, alpha):
+        # lambda_j = j**-alpha: the closed form used to read alignments off by
+        # 3.6e-2 at alpha = 60, 1e28 at alpha = 200 and inf from 520 on, and
+        # the risk as nan at 537 (4**-537 is the smallest positive double)
+        data = {}
+        for kind in ("gf-closed", "gf-rk4"):
+            path, _ = base_config(tmp_path, kind=kind, alpha=alpha)
+            assert main(["run", path]) == EXIT_OK
+            data[kind] = read_trajectory(str(tmp_path / "runs" / f"{kind}_seed1.csv"))
+        closed, rk4 = data["gf-closed"], data["gf-rk4"]
+        assert np.all((closed.alignments >= 0.0) & (closed.alignments <= 1.0))
+        np.testing.assert_allclose(closed.alignments, rk4.alignments, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.risk_normalized, rk4.risk_normalized, rtol=0, atol=1e-12)
+
+    def test_sgd_seeds_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        # seeds run on worker threads: each run must own its step scratch
+        csvs = {}
+        for threads in ("1", "2"):
+            path, _ = base_config(
+                tmp_path, kind="sgd-stiefel", eta=0.01, steps=6000, d=64, r=4, r_s=4,
+                horizon=None, record_every=500, seeds=[1, 2],
+                out_dir=str(tmp_path / f"runs{threads}"),
+            )
+            monkeypatch.setenv("QNS_THREADS", threads)
+            assert main(["run", path]) == EXIT_OK
+            csvs[threads] = [(tmp_path / f"runs{threads}" / f"sgd-stiefel_seed{s}.csv").read_bytes()
+                             for s in (1, 2)]
+        assert csvs["1"] == csvs["2"]
+
     def test_sgd_kind_runs(self, tmp_path):
         path, _ = base_config(
             tmp_path, kind="sgd-stiefel", eta=0.01, steps=200, d=32, r=4, r_s=4,
@@ -280,6 +310,10 @@ class TestVerifyCommand:
     def test_bounds_suite_small(self, capsys):
         assert main(["verify", "bounds", "--steps", "500"]) == EXIT_OK
 
+    @pytest.mark.parametrize("dim", ["20", "54"])
+    def test_bounds_largest_dims_pass(self, dim, capsys):
+        assert main(["verify", "bounds", "--dim", dim, "--steps", "300"]) == EXIT_OK
+
     @pytest.mark.parametrize(
         "argv, needle",
         [
@@ -291,6 +325,11 @@ class TestVerifyCommand:
             (["monotone", "--dim", "1"], "--dim must be >= 2"),
             (["retraction", "--dim", "2"], "--dim must be >= 4"),
             (["finetune", "--dim", "2"], "--dim must be >= 3"),
+            # bounds fixes d = 1000, eta = 1e-4: at 55 its floor check fails,
+            # and larger sizes used to end in tracebacks
+            (["bounds", "--dim", "55"], "--dim must be <= 54"),
+            (["bounds", "--dim", "100"], "--dim must be <= 54"),
+            (["bounds", "--dim", "1001"], "--dim must be <= 54"),
         ],
     )
     def test_refuses_sizes_it_cannot_check(self, argv, needle, capsys):

@@ -219,7 +219,7 @@ class TestPushThrough:
         # errs by up to 5e-12; sorted by falling size, by about 4e-15
         x = rng.standard_normal((8, m, k)) * np.logspace(-3, 6, m)[:, None]
         x[:, m - zero_rows :] = 0.0
-        y = _push_through(x, np.ones(8), np.empty((8, m + k, k)))
+        y, _ = _push_through(x, np.ones(8), np.empty((8, m + k, k)))
         for xi, yi in zip(x, y):
             with mpmath.workdps(60):
                 xm = mpmath.matrix(xi.tolist())

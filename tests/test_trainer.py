@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -15,6 +16,9 @@ from qns.model import (
     population_risk,
 )
 from qns.trainer import (
+    _SAMPLE_BLOCK,
+    _rank1_scratch,
+    _stiefel_rank1_step,
     DivergenceError,
     SgdConfig,
     default_tracked_js,
@@ -220,6 +224,68 @@ class TestSgdStep:
                         tracked_js=(1,), record_every=5)
         res = run_training(t, cfg, r_s=2)
         assert res.samples_used == 25 * 3
+
+
+def broadcast_rank1_step(w, x, y, eta):
+    """The fused step as first written: temporaries and a broadcast update."""
+    v = x @ w
+    wv = w @ v
+    px = x - wv
+    vsq = float(v @ v)
+    if vsq == 0.0:
+        return
+    r_s = w.shape[1]
+    resid = y - (vsq - float(np.vdot(w, w))) / math.sqrt(r_s)
+    c = eta * -resid / (4.0 * math.sqrt(r_s))
+    a = c * c * float(px @ px)
+    coef = (1.0 / math.sqrt(1.0 + a * vsq) - 1.0) / vsq
+    u = (-c * (1.0 + coef * vsq)) * px + coef * wv
+    w += u[:, None] * v
+
+
+class TestScratchRank1Step:
+    """The in-place kernel must give the broadcast formula's floats, bit for bit."""
+
+    @pytest.mark.parametrize("d, r_s", [(512, 16), (512, 1), (16, 16), (7, 3)])
+    def test_bitwise_equal_to_broadcast(self, d, r_s):
+        rng = np.random.default_rng(d + r_s)
+        scratch = _rank1_scratch(d, r_s)
+        for _ in range(40):
+            w = sample_stiefel(d, r_s, rng)
+            xs = rng.standard_normal((3, d))
+            y, eta = float(rng.standard_normal()), 10.0 ** rng.uniform(-4, 0)
+            ref, out = w.copy(), w.copy()
+            broadcast_rank1_step(ref, xs[1], y, eta)
+            _stiefel_rank1_step(out, xs[1], y, eta, scratch)  # reused scratch
+            np.testing.assert_array_equal(out, ref)
+            # at d == r_s, px is rounding noise: the step may move nothing
+            assert d == r_s or not np.array_equal(out, w)
+
+    def test_orthogonal_sample_leaves_w(self):
+        # v = W.T x is exactly zero: the early return, no update
+        w = np.eye(10, 3)
+        x = np.concatenate([np.zeros(3), np.arange(1.0, 8.0)])
+        out = w.copy()
+        _stiefel_rank1_step(out, x, 0.7, 0.1, _rank1_scratch(10, 3))
+        np.testing.assert_array_equal(out, w)
+
+    def test_run_training_bitwise_equal_to_broadcast_loop(self):
+        # 2100 steps: 32 full sample blocks, a partial one of 52 rows and the
+        # dense cleanups at steps 1000 and 2000
+        d, r_s, eta, steps, seed = 40, 4, 0.05, 2100, 6
+        t = small_teacher(d=d)
+        cfg = SgdConfig(eta=eta, steps=steps, mode="stiefel-online", seed=seed,
+                        tracked_js=(1,), record_every=700)
+        res = run_training(t, cfg, r_s=r_s)
+        w = StudentState.stiefel_init(d, r_s, rng_stream(seed, 1)).w
+        rng = rng_stream(seed, 2)
+        for start in range(0, steps, _SAMPLE_BLOCK):
+            xs, ys = draw_samples(t, min(_SAMPLE_BLOCK, steps - start), rng)
+            for i, y in enumerate(ys.tolist()):
+                broadcast_rank1_step(w, xs[i], y, eta)
+                if (start + i + 1) % 1000 == 0:
+                    w = inv_sqrt_gram(w)
+        np.testing.assert_array_equal(res.student.w, w)
 
 
 class TestPopulationGd:
