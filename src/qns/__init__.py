@@ -48,6 +48,7 @@ from .riccati import (
     BoundingState,
     RiccatiBlocks,
     antisym_blocks,
+    bounding_run,
     bounding_step,
     closed_form_discrete_gram,
     euler_update,

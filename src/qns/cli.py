@@ -11,6 +11,7 @@ caps the run worker pool.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -396,6 +397,12 @@ def cmd_verify(args) -> int:
         value = getattr(args, name)
         if value < 0:
             print(f"error: --{name} must be >= 0 (0 is the suite default), got {value}", file=sys.stderr)
+            return EXIT_USAGE
+    # each suite's signature is the one list of the sizes and modes it reads
+    reads = inspect.signature(SUITES[args.suite]).parameters
+    for name in ("trials", "steps", "euler"):
+        if getattr(args, name) and name not in reads:
+            print(f"error: the {args.suite} suite does not read --{name}", file=sys.stderr)
             return EXIT_USAGE
     if args.dim and args.dim < MIN_DIM[args.suite]:
         print(f"error: --dim must be >= {MIN_DIM[args.suite]} for the {args.suite} suite, "

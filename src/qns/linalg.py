@@ -49,18 +49,29 @@ class EigenPair(NamedTuple):
 def check_symmetric(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     """Validate that ``m`` is square and symmetric; return its symmetric part.
 
-    The asymmetry ``max|m - m.T|`` must not exceed ``tol * max|m|``.
+    The asymmetry ``max|m - m.T|`` must not exceed ``tol * max|m|``.  A stack
+    of shape ``(..., r, r)`` is checked matrix by matrix (each against its own
+    scale) and the error names the first offending one's asymmetry; each
+    matrix of the result equals what a 2-D call would return.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    scale = np.abs(m).max()
-    asym = np.abs(m - m.T).max()
-    if asym > tol * max(scale, 1e-300):
+    if m.ndim == 2:
+        mt = m.T
+        asym = np.abs(m - mt).max()
+        bad = asym > tol * max(np.abs(m).max(), 1e-300)
+    else:
+        mt = m.swapaxes(-1, -2)
+        asyms = np.abs(m - mt).max(axis=(-2, -1))
+        flags = asyms > tol * np.maximum(np.abs(m).max(axis=(-2, -1)), 1e-300)
+        bad = flags.any()
+        asym = asyms[flags][0] if bad else 0.0
+    if bad:
         raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym:.3e}")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def sym_eigen(m: np.ndarray) -> EigenPair:
@@ -108,13 +119,19 @@ def inv_sqrt_gram(w: np.ndarray) -> np.ndarray:
     return w @ inv_root
 
 
-def loewner_slack(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest eigenvalue of ``a - b`` (negative when the order fails)."""
+def loewner_slack(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of ``a - b`` (negative when the order fails).
+
+    For stacks of shape ``(..., r, r)`` it returns the ``(...)`` array of
+    per-pair slacks from one ``eigvalsh`` call, each equal to the float a
+    2-D call on that pair gives.
+    """
     a = check_symmetric(a)
     b = check_symmetric(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.eigvalsh(a - b)[0])
+    slack = np.linalg.eigvalsh(a - b)[..., 0]
+    return float(slack) if slack.ndim == 0 else slack
 
 
 def loewner_geq(a: np.ndarray, b: np.ndarray, slack: float | None = None) -> bool:

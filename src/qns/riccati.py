@@ -15,11 +15,19 @@ has determinant 1, so its powers have an exact eigen closed form, evaluated
 in a scaled representation that cannot overflow.  A deterministic
 reference/bounding recursion harness built on the same map sandwiches noisy
 iterates between decoupled systems.
+
+The maps take stacks of matrices ``(..., r, r)`` and solve them with one
+LAPACK call, giving each matrix the floats of a 2-D call.  ``bounding_run``
+runs the noise-free sandwich as one loop: the step's constants are computed
+once, and each step solves the lower and upper iterates and the exact Gram
+iterate as one ``(3, r, r)`` stack, through the same private step kernel as
+``bounding_step``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,7 @@ __all__ = [
     "default_kappa_d",
     "init_bounding",
     "bounding_step",
+    "bounding_run",
 ]
 
 
@@ -52,43 +61,85 @@ def _as_diag_vector(lam) -> np.ndarray:
     return lam
 
 
-def monotone_update(g: np.ndarray, lam, eta: float) -> np.ndarray:
+def _checked_stack(g, lam, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate G (one matrix or a stack) once; shape ``lam`` and ``eta`` to it.
+
+    A single G still takes a diagonal matrix for ``lam``.  An array ``eta``
+    comes back with two trailing unit axes so it scales each matrix of the
+    stack; a scalar stays a scalar.
+    """
+    g = check_symmetric(g)
+    lam = _as_diag_vector(lam) if g.ndim == 2 else np.asarray(lam, dtype=float)
+    if lam.shape[-1:] != g.shape[-1:]:
+        raise ValueError("dimension mismatch between G and the spectrum")
+    if np.ndim(eta):
+        eta = np.asarray(eta, dtype=float)[..., None, None]
+    return g, lam, eta
+
+
+def _solve_right(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b a^{-1}`` for each matrix of a stack, by one LAPACK gesv loop."""
+    return np.linalg.solve(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _monotone_system(g: np.ndarray, lam: np.ndarray, eta, eye: np.ndarray):
+    """Resolvent ``I + eta L (2G - I)`` and middle term ``(2G - I) L (2G - I)``."""
+    two_g_minus_i = 2.0 * g - eye
+    l_two_g = lam[..., :, None] * two_g_minus_i
+    return eye + eta * l_two_g, two_g_minus_i @ l_two_g
+
+
+def _monotone_drift(lam: np.ndarray, eta, eye: np.ndarray):
+    """``eta/2`` and the additive constant ``(eta/2) L`` of the monotone map.
+
+    The constant is forced by the change of variables to the V recursion
+    (V' = V - eta V^2 (I+eta V)^{-1} + eta Lhat^2) and by the requirement
+    that the map agree with Euler to second order.
+    """
+    half_eta = 0.5 * eta
+    return half_eta, half_eta * (eye * lam[..., None, :])
+
+
+def _monotone_finish(g: np.ndarray, corr: np.ndarray, half_eta, drift) -> np.ndarray:
+    return _sym(g - half_eta * corr + drift)
+
+
+def monotone_update(g: np.ndarray, lam, eta) -> np.ndarray:
     """One step of the order-preserving discrete Riccati map.
 
     Preserves ``G+ >= G- >= 0`` for any eta with an invertible resolvent;
-    ``eta < 1/||L||_2`` suffices for PSD inputs.
+    ``eta < 1/||L||_2`` suffices for PSD inputs.  ``g`` may be a stack of
+    shape ``(..., r, r)`` with ``lam`` of shape ``(..., r)`` and ``eta`` a
+    scalar or of shape ``(...)``: the stack is validated once and solved by
+    one ``np.linalg.solve`` call, and each matrix gets the same floats as a
+    2-D call.
     """
-    g = check_symmetric(g)
-    lam = _as_diag_vector(lam)
-    r = lam.size
-    if g.shape[0] != r:
-        raise ValueError("dimension mismatch between G and the spectrum")
-    two_g_minus_i = 2.0 * g - np.eye(r)
-    mid = two_g_minus_i @ (lam[:, None] * two_g_minus_i)
-    resolvent = np.eye(r) + eta * (lam[:, None] * two_g_minus_i)
+    g, lam, eta = _checked_stack(g, lam, eta)
+    eye = np.eye(g.shape[-1])
+    resolvent, mid = _monotone_system(g, lam, eta, eye)
     try:
-        corr = np.linalg.solve(resolvent.T, mid.T).T
+        corr = _solve_right(resolvent, mid)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular resolvent in monotone update: {exc}")
-    # additive constant is (eta/2) L: forced by the change of variables to the
-    # V recursion (V' = V - eta V^2 (I+eta V)^{-1} + eta Lhat^2) and by the
-    # requirement that the map agree with Euler to second order.
-    out = g - 0.5 * eta * corr + 0.5 * eta * np.diag(lam)
-    return 0.5 * (out + out.T)
+    return _monotone_finish(g, corr, *_monotone_drift(lam, eta, eye))
 
 
-def euler_update(g: np.ndarray, lam, eta: float) -> np.ndarray:
+def euler_update(g: np.ndarray, lam, eta) -> np.ndarray:
     """Plain Euler step ``G + eta (L G + G L - 2 G L G)``.
 
     Matches :func:`monotone_update` to O(eta^2) but does NOT preserve the
-    Loewner order; kept as the counterexample generator.
+    Loewner order; kept as the counterexample generator.  Takes stacks the
+    way :func:`monotone_update` does.
     """
-    g = check_symmetric(g)
-    lam = _as_diag_vector(lam)
-    lg = lam[:, None] * g
+    g, lam, eta = _checked_stack(g, lam, eta)
+    lg = lam[..., :, None] * g
     glg = g @ lg
-    out = g + eta * (lg + lg.T - (glg + glg.T))
-    return 0.5 * (out + out.T)
+    out = g + eta * (lg + lg.swapaxes(-1, -2) - (glg + glg.swapaxes(-1, -2)))
+    return _sym(out)
 
 
 def v_update(v: np.ndarray, lam_hat, eta: float) -> np.ndarray:
@@ -98,11 +149,11 @@ def v_update(v: np.ndarray, lam_hat, eta: float) -> np.ndarray:
     r = v.shape[0]
     resolvent = np.eye(r) + eta * v
     try:
-        corr = np.linalg.solve(resolvent.T, (v @ v).T).T
+        corr = _solve_right(resolvent, v @ v)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular resolvent in V update: {exc}")
     out = v - eta * corr + eta * np.diag(lam_hat**2)
-    return 0.5 * (out + out.T)
+    return _sym(out)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +457,73 @@ def init_bounding(
     )
 
 
-def _resolvent_step(v: np.ndarray, a: float, add_diag: np.ndarray) -> np.ndarray:
-    r = v.shape[0]
-    solved = np.linalg.solve((np.eye(r) + a * v).T, v.T).T
-    out = solved + np.diag(add_diag)
-    return 0.5 * (out + out.T)
+class _StepConstants(NamedTuple):
+    """What a harness step needs that no step changes, computed once."""
+
+    coef: float               # reference sequence: t' = t + coef (lam_lo t - quad lam t^2)
+    lam_lo_col: np.ndarray    # lam_lo[:, None]
+    quad_lam_col: np.ndarray  # quad * lam[:, None]
+    a: np.ndarray             # (2, 1, 1): resolvent weights of lower and upper
+    add: np.ndarray           # (2, r, r): diagonal drifts of lower and upper
+    eye: np.ndarray
+    lam: np.ndarray           # the exact iterate's monotone map: spectrum,
+    eta: float                # step, eta/2 and additive constant (eta/2) L
+    half_eta: float
+    drift: np.ndarray
+
+
+def _step_constants(state: BoundingState) -> _StepConstants:
+    kappa = state.kappa_d
+    ue = state.eta_eff
+    frob_sq = float(np.sum(state.lam**2))
+    # reference sequence: logistic-type recursion, stays diagonal from T0
+    coef = 2.0 * (1.0 - 2.0 * kappa) * ue
+    quad = (3.0 * kappa + 1.0) / (kappa * (1.0 - 2.0 * kappa))
+    a_lo = ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue)
+    a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
+    add_lo = a_lo * (
+        state.lam_lo**2 / (1.0 + 2.0 * kappa) ** 2
+        - state.c_tilde * ue * frob_sq * state.r_s * state.lam_lo
+    )
+    add_up = a_up * (
+        state.lam_up**2 / (1.0 - 2.0 * kappa) ** 2
+        + state.c_tilde * ue * frob_sq * state.r_s * state.lam_up
+    )
+    eye = np.eye(state.lam.size)
+    half_eta, drift = _monotone_drift(state.lam, state.eta_eff, eye)
+    return _StepConstants(
+        coef=coef,
+        lam_lo_col=state.lam_lo[:, None],
+        quad_lam_col=quad * state.lam[:, None],
+        a=np.array([a_lo, a_up])[:, None, None],
+        add=np.stack([np.diag(add_lo), np.diag(add_up)]),
+        eye=eye,
+        lam=state.lam,
+        eta=state.eta_eff,
+        half_eta=half_eta,
+        drift=drift,
+    )
+
+
+def _harness_step(c: _StepConstants, t_ref: np.ndarray, bounds: np.ndarray, g=None):
+    """Step the reference sequence, the ``(2, r, r)`` stack of lower and upper
+    V iterates and, if given, the exact Gram iterate ``g``; one solve call.
+
+    The bounds take ``V' = V (I + a V)^{-1} + diag(add)``; ``g`` takes the
+    :func:`monotone_update` arithmetic with the harness's spectrum and step.
+    No input is validated.
+    """
+    t_ref = t_ref + c.coef * (c.lam_lo_col * t_ref - c.quad_lam_col * (t_ref @ t_ref))
+    lhs = c.eye + c.a * bounds
+    rhs = bounds
+    if g is not None:
+        resolvent, mid = _monotone_system(g, c.lam, c.eta, c.eye)
+        lhs = np.concatenate([lhs, resolvent[None]])
+        rhs = np.concatenate([rhs, mid[None]])
+    solved = _solve_right(lhs, rhs)
+    if g is not None:
+        g = _monotone_finish(g, solved[2], c.half_eta, c.drift)
+    return _sym(t_ref), _sym(solved[:2] + c.add), g
 
 
 def bounding_step(
@@ -425,30 +538,9 @@ def bounding_step(
     to both bounding iterates, mirroring how the common noise term enters the
     sandwich; the default run is noise-free and fully deterministic.
     """
-    kappa = state.kappa_d
-    ue = state.eta_eff
-    frob_sq = float(np.sum(state.lam**2))
-    # reference sequence: logistic-type recursion, stays diagonal from T0
-    coef = 2.0 * (1.0 - 2.0 * kappa) * ue
-    quad = (3.0 * kappa + 1.0) / (kappa * (1.0 - 2.0 * kappa))
-    t_ref = state.t_ref + coef * (
-        state.lam_lo[:, None] * state.t_ref
-        - quad * state.lam[:, None] * (state.t_ref @ state.t_ref)
+    t_ref, (lower, upper), _ = _harness_step(
+        _step_constants(state), state.t_ref, np.stack([state.lower, state.upper])
     )
-    t_ref = 0.5 * (t_ref + t_ref.T)
-
-    a_lo = ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue)
-    a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
-    add_lo = a_lo * (
-        state.lam_lo**2 / (1.0 + 2.0 * kappa) ** 2
-        - state.c_tilde * ue * frob_sq * state.r_s * state.lam_lo
-    )
-    add_up = a_up * (
-        state.lam_up**2 / (1.0 - 2.0 * kappa) ** 2
-        + state.c_tilde * ue * frob_sq * state.r_s * state.lam_up
-    )
-    lower = _resolvent_step(state.lower, a_lo, add_lo)
-    upper = _resolvent_step(state.upper, a_up, add_up)
     if noise is not None:
         noise = check_symmetric(noise)
         lower = lower + noise
@@ -456,3 +548,29 @@ def bounding_step(
     return replace(
         state, t_ref=t_ref, lower=lower, upper=upper, step=state.step + 1
     )
+
+
+def bounding_run(
+    g0: np.ndarray,
+    spectrum: PowerLawSpectrum,
+    cfg: BoundingConfig,
+    steps: int,
+    at,
+) -> Iterator[tuple[int, BoundingState, np.ndarray]]:
+    """Noise-free sandwich run: yield ``(k, state, g)`` at each step k in ``at``.
+
+    Starts from :func:`init_bounding` of ``g0`` and takes ``steps`` steps.  The
+    state is what k calls of :func:`bounding_step` give, and ``g`` is ``g0``
+    after k calls of :func:`monotone_update` with the harness's ``eta_eff``,
+    both to the last bit.  The step's constants are computed once, each step
+    solves lower, upper and ``g`` as one ``(3, r, r)`` stack, and nothing is
+    validated or built inside the loop except the yielded states.
+    """
+    state = init_bounding(g0, spectrum, cfg)
+    c = _step_constants(state)
+    at = frozenset(at)
+    t_ref, bounds, g = state.t_ref, np.stack([state.lower, state.upper]), check_symmetric(g0)
+    for k in range(1, steps + 1):
+        t_ref, bounds, g = _harness_step(c, t_ref, bounds, g)
+        if k in at:
+            yield k, replace(state, t_ref=t_ref, lower=bounds[0], upper=bounds[1], step=k), g

@@ -14,10 +14,9 @@ from .model import PowerLawSpectrum, StudentState, TeacherModel, population_risk
 from .riccati import (
     BoundingConfig,
     antisym_blocks,
-    bounding_step,
+    bounding_run,
     closed_form_discrete_gram,
     euler_update,
-    init_bounding,
     monotone_update,
     riccati_blocks,
     v_update,
@@ -50,7 +49,7 @@ def _rand_psd(rng, dim: int, scale: float = 1.0, rank: int | None = None) -> np.
     return scale * (b @ b.T) / dim
 
 
-def suite_riccati(dim: int = 8, trials: int = 20, seed: int = 0, **_) -> list[dict]:
+def suite_riccati(dim: int = 8, trials: int = 20, seed: int = 0) -> list[dict]:
     """Block identities, closed forms vs iteration, ratio bounds."""
     rng = rng_stream(seed, 31)
     checks = []
@@ -133,73 +132,85 @@ def suite_riccati(dim: int = 8, trials: int = 20, seed: int = 0, **_) -> list[di
     return checks
 
 
-def suite_monotone(
-    dim: int = 8, trials: int = 1000, seed: int = 0, euler: bool = False, **_
-) -> list[dict]:
-    """Order preservation of the resolvent map; Euler counterexample search."""
+# trials drawn and evaluated together by suite_monotone: enough to amortise
+# the per-call overhead of the stacked maps, few enough to keep memory flat
+MONOTONE_CHUNK = 256
+
+
+def monotone_trial_slacks(
+    dim: int, trials: int, seed: int, updates
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loewner slacks ``lambda_min(F(G+) - F(G-))`` of each map F in ``updates``
+    over the monotone suite's random trials, and each trial's eta.
+
+    Trials are drawn one by one in a fixed order (size n, spectrum, eta, then
+    the two PSD matrices), in chunks of :data:`MONOTONE_CHUNK`; within a chunk
+    the trials of each size n go through every map as one stack.  Returns a
+    ``(len(updates), trials)`` array of slacks and the ``(trials,)`` etas.
+    """
     rng = rng_stream(seed, 32)
-    checks = []
-    update = euler_update if euler else monotone_update
-    worst = 0.0
-    violations = 0
-    witness = None
-    for k in range(trials):
-        n = int(rng.integers(2, dim + 1))
-        lam = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
-        eta = rng.uniform(0.05, 0.45) / lam[0]
-        g_minus = _rand_psd(rng, n, scale=rng.uniform(0.5, 2.0))
-        g_plus = g_minus + _rand_psd(rng, n, scale=rng.uniform(0.1, 2.0))
-        slack = loewner_slack(update(g_plus, lam, eta), update(g_minus, lam, eta))
-        if slack < -1e-10:
-            violations += 1
-            if witness is None:
-                witness = {"trial": k, "slack": float(slack), "eta": float(eta)}
-        worst = min(worst, slack)
+    slacks = np.empty((len(updates), trials))
+    etas = np.empty(trials)
+    for start in range(0, trials, MONOTONE_CHUNK):
+        by_size: dict[int, list] = {}
+        for k in range(start, min(start + MONOTONE_CHUNK, trials)):
+            n = int(rng.integers(2, dim + 1))
+            lam = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+            etas[k] = rng.uniform(0.05, 0.45) / lam[0]
+            g_minus = _rand_psd(rng, n, scale=rng.uniform(0.5, 2.0))
+            g_plus = g_minus + _rand_psd(rng, n, scale=rng.uniform(0.1, 2.0))
+            by_size.setdefault(n, []).append((k, lam, g_plus, g_minus))
+        for rows in by_size.values():
+            ks, lam, g_plus, g_minus = (np.array(col) for col in zip(*rows))
+            for i, update in enumerate(updates):
+                slacks[i, ks] = loewner_slack(
+                    update(g_plus, lam, etas[ks]), update(g_minus, lam, etas[ks])
+                )
+    return slacks, etas
+
+
+def suite_monotone(
+    dim: int = 8, trials: int = 1000, seed: int = 0, euler: bool = False
+) -> list[dict]:
+    """Order preservation of the resolvent map; Euler counterexample search.
+
+    Without ``euler`` both maps run on the same trials: the resolvent map must
+    keep every pair ordered, and plain Euler must break the order somewhere.
+    """
+    updates = (euler_update,) if euler else (monotone_update, euler_update)
+    slacks, etas = monotone_trial_slacks(dim, trials, seed, updates)
+    # 0.0 - worst: a run without negative slacks reports 0.0, not -0.0
+    worst = float(slacks[0].min(initial=0.0))
+    violated = np.flatnonzero(slacks[0] < -1e-10)
     if euler:
-        checks.append(
+        witness = None
+        if violated.size:
+            k = int(violated[0])
+            witness = {"trial": k, "slack": float(slacks[0, k]), "eta": float(etas[k])}
+        return [
             {
                 "name": "euler_violation_exhibited",
-                "passed": violations > 0,
-                "residual": float(-worst),
+                "passed": violated.size > 0,
+                "residual": 0.0 - worst,
                 "tolerance": 1e-10,
-                "detail": {"violations": violations, "trials": trials, "witness": witness},
+                "detail": {"violations": violated.size, "trials": trials, "witness": witness},
             }
-        )
-    else:
-        checks.append(
-            _check(
-                "order_preserved",
-                -worst,
-                1e-10,
-                trials=trials,
-                violations=violations,
-            )
-        )
+        ]
+    euler_viol = int(np.count_nonzero(slacks[1] < -1e-10))
+    return [
+        _check("order_preserved", 0.0 - worst, 1e-10, trials=trials, violations=violated.size),
         # the same trial distribution must expose Euler as non-monotone
-        rng2 = rng_stream(seed, 32)
-        euler_viol = 0
-        for k in range(trials):
-            n = int(rng2.integers(2, dim + 1))
-            lam = np.sort(rng2.uniform(0.1, 1.0, n))[::-1]
-            eta = rng2.uniform(0.05, 0.45) / lam[0]
-            g_minus = _rand_psd(rng2, n, scale=rng2.uniform(0.5, 2.0))
-            g_plus = g_minus + _rand_psd(rng2, n, scale=rng2.uniform(0.1, 2.0))
-            s = loewner_slack(euler_update(g_plus, lam, eta), euler_update(g_minus, lam, eta))
-            if s < -1e-10:
-                euler_viol += 1
-        checks.append(
-            {
-                "name": "euler_counterexample_found",
-                "passed": euler_viol > 0,
-                "residual": float(euler_viol),
-                "tolerance": 1.0,
-                "detail": {"violations": euler_viol, "trials": trials},
-            }
-        )
-    return checks
+        {
+            "name": "euler_counterexample_found",
+            "passed": euler_viol > 0,
+            "residual": float(euler_viol),
+            "tolerance": 1.0,
+            "detail": {"violations": euler_viol, "trials": trials},
+        },
+    ]
 
 
-def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0, **_) -> list[dict]:
+def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0) -> list[dict]:
     """Rank-1 fast retraction vs dense orthonormalization; tangency."""
     from .trainer import sgd_step, stiefel_grad
     from .model import draw_samples
@@ -230,7 +241,7 @@ def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0, **_) -> lis
     ]
 
 
-def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0, **_) -> list[dict]:
+def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0) -> list[dict]:
     """Risk decomposition identity, operator self-adjointness, ERM gap."""
     rng = rng_stream(seed, 36)
     spec = PowerLawSpectrum(r=min(8, dim), alpha=1.0)
@@ -271,7 +282,7 @@ def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0, **_) -> list[
 
 
 def suite_bounds(
-    dim: int = 8, steps: int = 10000, seed: int = 0, alpha: float = 0.25, **_
+    dim: int = 8, steps: int = 10000, seed: int = 0, alpha: float = 0.25
 ) -> list[dict]:
     """Noise-free sandwich and reference-sequence floor over many steps."""
     d, r_s = 1000, 4
@@ -280,18 +291,13 @@ def suite_bounds(
     rng = rng_stream(seed, 37)
     z = rng.standard_normal((d, r_s)) / np.sqrt(d)
     g0 = z[:dim] @ z[:dim].T
-    state = init_bounding(g0, spec, cfg)
-    g = g0.copy()
     worst_order = worst_sand = np.inf
     floor_ok = True
-    check_at = set(np.unique(np.geomspace(1, steps, 60).astype(int)))
-    for k in range(1, steps + 1):
-        state = bounding_step(state, spec, cfg)
-        g = monotone_update(g, spec.lambdas, state.eta_eff)
-        if k in check_at:
-            worst_order = min(worst_order, state.order_slack())
-            worst_sand = min(worst_sand, state.sandwich_slack(g))
-            floor_ok &= state.floor_ok(d)
+    check_at = np.unique(np.geomspace(1, steps, 60).astype(int))
+    for _, state, g in bounding_run(g0, spec, cfg, steps, check_at):
+        worst_order = min(worst_order, state.order_slack())
+        worst_sand = min(worst_sand, state.sandwich_slack(g))
+        floor_ok &= state.floor_ok(d)
     return [
         _check("gram_order_lower_vs_upper", max(-worst_order, 0.0), 1e-8, steps=steps),
         _check("exact_iterate_sandwiched", max(-worst_sand, 0.0), 1e-8, steps=steps),

@@ -28,10 +28,9 @@ from qns.model import PowerLawSpectrum, StudentState, TeacherModel, opt_risk, po
 from qns.riccati import (
     BoundingConfig,
     antisym_blocks,
-    bounding_step,
+    bounding_run,
     closed_form_discrete_gram,
     euler_update,
-    init_bounding,
     monotone_update,
     riccati_blocks,
     v_update,
@@ -392,17 +391,12 @@ def test_criterion_11_bounding_harness():
     cfg = BoundingConfig(d=d, r_s=r_s, eta=1e-4)
     z = rng_stream(11, 1).standard_normal((d, r_s)) / np.sqrt(d)
     g0 = z[:r] @ z[:r].T
-    state = init_bounding(g0, spec, cfg)
-    g = g0.copy()
     worst_order = worst_sand = np.inf
     floor_ok = True
-    for k in range(1, 10_001):
-        state = bounding_step(state, spec, cfg)
-        g = monotone_update(g, spec.lambdas, state.eta_eff)
-        if k % 250 == 0:
-            worst_order = min(worst_order, state.order_slack())
-            worst_sand = min(worst_sand, state.sandwich_slack(g))
-            floor_ok &= state.floor_ok(d)
+    for _, state, g in bounding_run(g0, spec, cfg, 10_000, range(250, 10_001, 250)):
+        worst_order = min(worst_order, state.order_slack())
+        worst_sand = min(worst_sand, state.sandwich_slack(g))
+        floor_ok &= state.floor_ok(d)
     elapsed = time.perf_counter() - start
     report(
         11,

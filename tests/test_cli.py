@@ -330,6 +330,16 @@ class TestVerifyCommand:
             (["bounds", "--dim", "55"], "--dim must be <= 54"),
             (["bounds", "--dim", "100"], "--dim must be <= 54"),
             (["bounds", "--dim", "1001"], "--dim must be <= 54"),
+            # flags a suite does not read used to run its defaults and exit 0
+            (["monotone", "--steps", "3"], "--steps"),
+            (["riccati", "--steps", "3"], "--steps"),
+            (["retraction", "--steps", "3"], "--steps"),
+            (["finetune", "--steps", "3"], "--steps"),
+            (["bounds", "--trials", "5"], "--trials"),
+            (["riccati", "--euler"], "--euler"),
+            (["retraction", "--euler"], "--euler"),
+            (["finetune", "--euler"], "--euler"),
+            (["bounds", "--euler"], "--euler"),
         ],
     )
     def test_refuses_sizes_it_cannot_check(self, argv, needle, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qns.linalg import (
     RankDeficientError,
+    check_symmetric,
     inv_sqrt_gram,
     loewner_geq,
     loewner_slack,
@@ -128,6 +129,54 @@ class TestLoewner:
         strict_ab = loewner_slack(a, b) > 0
         strict_ba = loewner_slack(b, a) > 0
         assert not (strict_ab and strict_ba)
+
+
+class TestStacks:
+    """Stacks of matrices: one call, each matrix as a 2-D call would see it."""
+
+    def _stack(self, m, n, seed=0):
+        from conftest import rand_psd
+
+        rng = rng_stream(seed, 6)
+        return np.stack([rand_psd(rng, n) for _ in range(m)])
+
+    def test_check_symmetric_matches_2d(self):
+        a = self._stack(9, 5)
+        a[3] += 1e-14 * np.triu(np.ones((5, 5)), 1)  # tolerated asymmetry
+        out = check_symmetric(a)
+        for i in range(9):
+            assert out[i].tobytes() == check_symmetric(a[i]).tobytes()
+
+    def test_loewner_slack_matches_2d(self):
+        a, b = self._stack(12, 4, seed=1), self._stack(12, 4, seed=2)
+        slack = loewner_slack(a, b)
+        assert slack.shape == (12,)
+        assert [float(s) for s in slack] == [loewner_slack(a[i], b[i]) for i in range(12)]
+        assert isinstance(loewner_slack(a[0], b[0]), float)
+
+    @pytest.mark.parametrize("poison", ["asym", "nan"])
+    def test_bad_matrix_in_stack_raises_the_2d_message(self, poison):
+        a = self._stack(5, 3)
+        if poison == "asym":
+            a[1, 2, 0] += 3e-12 * np.abs(a[1]).max()  # just past the tolerance
+            a[3, 0, 1] += 1e-3  # the message names the first offender
+        else:
+            a[3, 0, 0] = np.nan
+        bad = 1 if poison == "asym" else 3
+        with pytest.raises(ValueError) as one:
+            check_symmetric(a[bad])
+        for call in (lambda: check_symmetric(a), lambda: loewner_slack(a, a.copy())):
+            with pytest.raises(ValueError) as stack:
+                call()
+            assert str(stack.value) == str(one.value)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check_symmetric(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check_symmetric(np.zeros(3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            loewner_slack(self._stack(2, 3), self._stack(3, 3))
 
 
 class TestSampling:

@@ -9,6 +9,7 @@ from qns.model import PowerLawSpectrum
 from qns.riccati import (
     BoundingConfig,
     antisym_blocks,
+    bounding_run,
     bounding_step,
     closed_form_discrete_gram,
     euler_update,
@@ -74,6 +75,67 @@ class TestMonotoneUpdate:
         g_plus = g_minus + rand_psd(rng, n, scale=rng.uniform(0.1, 2.0))
         slack = loewner_slack(monotone_update(g_plus, lam, eta), monotone_update(g_minus, lam, eta))
         assert slack >= -1e-10
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestStackedMaps:
+    """A stack of G gives each matrix the floats of a 2-D call, to the bit."""
+
+    def _stack(self, seed, m, n):
+        rng = rng_stream(seed, 79)
+        lam = np.sort(rng.uniform(0.1, 1.0, (m, n)), axis=1)[:, ::-1]
+        eta = rng.uniform(0.05, 0.45, m) / lam[:, 0]
+        g = np.stack([rand_psd(rng, n, scale=rng.uniform(0.5, 2.0)) for _ in range(m)])
+        return g, lam, eta
+
+    @pytest.mark.parametrize("update", [monotone_update, euler_update])
+    @pytest.mark.parametrize("seed, m, n", [(0, 1, 2), (1, 7, 3), (2, 40, 8), (3, 5, 16)])
+    def test_stack_equals_2d_calls(self, update, seed, m, n):
+        g, lam, eta = self._stack(seed, m, n)
+        stacked = update(g, lam, eta)
+        assert stacked.shape == (m, n, n)
+        for i in range(m):
+            assert _bits(stacked[i]) == _bits(update(g[i], lam[i], eta[i]))
+
+    @pytest.mark.parametrize("update", [monotone_update, euler_update])
+    def test_scalar_eta_and_deeper_stacks(self, update):
+        g, lam, eta = self._stack(4, 6, 4)
+        flat = update(g, lam, 0.3)
+        deep = update(g.reshape(2, 3, 4, 4), lam.reshape(2, 3, 4), eta.reshape(2, 3))
+        for i in range(6):
+            assert _bits(flat[i]) == _bits(update(g[i], lam[i], 0.3))
+            assert _bits(deep.reshape(6, 4, 4)[i]) == _bits(update(g[i], lam[i], eta[i]))
+
+    def test_diagonal_spectrum_still_taken_for_one_g(self):
+        g, lam, eta = self._stack(5, 1, 3)
+        assert _bits(monotone_update(g[0], np.diag(lam[0]), eta[0])) == _bits(
+            monotone_update(g[0], lam[0], eta[0])
+        )
+
+    @pytest.mark.parametrize("update", [monotone_update, euler_update])
+    def test_spectrum_size_mismatch(self, update):
+        g, lam, eta = self._stack(6, 3, 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            update(g, lam[:, :3], eta)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            update(g[0], lam[0, :3], eta[0])
+
+    @pytest.mark.parametrize("update", [monotone_update, euler_update])
+    @pytest.mark.parametrize("poison", ["asym", "nan"])
+    def test_bad_matrix_in_stack_raises_the_2d_message(self, update, poison):
+        g, lam, eta = self._stack(7, 4, 3)
+        if poison == "asym":
+            g[2, 0, 1] += 1e-3
+        else:
+            g[2, 1, 1] = np.inf
+        with pytest.raises(ValueError) as one:
+            update(g[2], lam[2], eta[2])
+        with pytest.raises(ValueError) as stack:
+            update(g, lam, eta)
+        assert str(stack.value) == str(one.value)
 
 
 class TestEulerCounterexample:
@@ -305,14 +367,28 @@ class TestBoundingHarness:
             assert np.all(diag <= u_star * (1 + np.max(a) ** 2 / 4) + 1e-15)
 
     def test_noise_free_sandwich(self):
+        for _, state, g in bounding_run(self.g0, self.spec, self.cfg, 2000, range(1, 2000, 100)):
+            assert state.order_ok(1e-8)
+            assert state.sandwich_slack(g) >= -1e-8
+
+    def test_run_matches_step_loop(self):
+        # bounding_run's fused loop against bounding_step + monotone_update
         state = init_bounding(self.g0, self.spec, self.cfg)
         g = self.g0.copy()
-        for k in range(2000):
+        hand = {}
+        for k in range(1, 2001):
             state = bounding_step(state, self.spec, self.cfg)
             g = monotone_update(g, self.spec.lambdas, state.eta_eff)
-            if k % 100 == 0:
-                assert state.order_ok(1e-8)
-                assert state.sandwich_slack(g) >= -1e-8
+            if k in (1, 777, 2000):
+                hand[k] = (state, g)
+        run = list(bounding_run(self.g0, self.spec, self.cfg, 2000, (1, 777, 2000)))
+        assert [k for k, _, _ in run] == [1, 777, 2000]
+        for k, fused, g_fused in run:
+            ref, g_ref = hand[k]
+            assert fused.step == ref.step == k
+            for name in ("t_ref", "lower", "upper"):
+                assert _bits(getattr(fused, name)) == _bits(getattr(ref, name)), (k, name)
+            assert _bits(g_fused) == _bits(g_ref), k
 
     def test_noise_hook_applies_to_both(self):
         state = init_bounding(self.g0, self.spec, self.cfg)
