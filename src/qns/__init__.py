@@ -1,6 +1,6 @@
 """Teacher-student quadratic networks: Gram flows, Stiefel SGD, scaling laws."""
 
-from .analysis import FitResult, TransitionReport, compare_to_limit, extract_transitions, fit_power_law
+from .analysis import FitResult, TransitionReport, extract_transitions, fit_power_law
 from .finetune import FineTuneBatch, FineTuneResult, collect_batch, finetune, risk_decomposition
 from .flow import (
     EffectiveScales,
@@ -13,7 +13,6 @@ from .flow import (
     gram_rhs_align,
     gram_rhs_weight,
     integrate_rk4,
-    theory_alignment,
     theory_limit_risk,
     theory_risk_curve,
     weight_risk_curve,
@@ -21,7 +20,6 @@ from .flow import (
 from .linalg import (
     EigenPair,
     inv_sqrt_gram,
-    loewner_geq,
     loewner_slack,
     psd_project,
     psd_sqrt,
@@ -62,7 +60,6 @@ from .trainer import (
     StepRecord,
     TrainResult,
     euclidean_grad,
-    population_gd_step,
     run_training,
     schedule_eta,
     sgd_step,

@@ -1,4 +1,4 @@
-"""Trajectory post-processing: exponent fits, transition times, limit gaps.
+"""Trajectory post-processing: exponent fits and transition times.
 
 The exponent fit is ordinary least squares on (log x, log y); the automatic
 window search replaces eyeballing the linear range with a reproducible rule:
@@ -19,7 +19,6 @@ __all__ = [
     "TransitionReport",
     "fit_power_law",
     "extract_transitions",
-    "compare_to_limit",
 ]
 
 
@@ -179,35 +178,3 @@ def extract_transitions(
         out.append(Transition(j=j, predicted=pred, measured=measured, relative_error=rel))
     return TransitionReport(transitions=out)
 
-
-def compare_to_limit(
-    times: np.ndarray,
-    values: np.ndarray,
-    limit_times: np.ndarray,
-    limit_values: np.ndarray,
-    exclude_around: list[float] | None = None,
-    delta: float = 0.1,
-) -> dict:
-    """Sup gap between a trajectory and a limit curve on a common grid.
-
-    The limit curve is linearly interpolated onto the trajectory grid; points
-    within ``delta`` of any time in ``exclude_around`` (transition locations)
-    are ignored, mirroring how the limit statements exclude the jumps.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    ref = np.interp(t, np.asarray(limit_times, float), np.asarray(limit_values, float))
-    mask = np.ones(len(t), dtype=bool)
-    for c in exclude_around or []:
-        mask &= np.abs(t - c) >= delta
-    if not np.any(mask):
-        raise ValueError("exclusion zones cover the whole grid")
-    gaps = np.abs(v - ref)[mask]
-    k = int(np.argmax(gaps))
-    t_masked = t[mask]
-    return {
-        "sup_gap": float(gaps[k]),
-        "argmax_time": float(t_masked[k]),
-        "n_compared": int(mask.sum()),
-        "n_excluded": int((~mask).sum()),
-    }

@@ -3,7 +3,7 @@
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error, 3 numeric failure (divergence,
-or a closed-form horizon past float64's exp range).
+a closed-form horizon past float64's exp range, or non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
 caps the run worker pool.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +50,10 @@ MAX_RK4_SUBSTEPS = 1_000_000
 
 
 class ConfigError(ValueError):
+    pass
+
+
+class NonFiniteRunError(ArithmeticError):
     pass
 
 
@@ -95,6 +100,14 @@ class RunConfig:
         for name in ("d", "r", "r_s", "steps", "record_points"):
             if type(getattr(self, name)) is not int:
                 fail(name, f"must be an integer, got {getattr(self, name)!r}")
+        for name in ("alpha", "eta", "eta_c", "c_alpha", "horizon"):
+            value = getattr(self, name)
+            if value is None and name in ("eta", "horizon"):
+                continue
+            if type(value) not in (int, float) or not math.isfinite(value):
+                fail(name, f"must be a finite number, got {value!r}")
+        if type(self.out_dir) is not str:
+            fail("out_dir", f"must be a string, got {self.out_dir!r}")
         if not isinstance(self.seeds, list) or not self.seeds:
             fail("seeds", f"need a non-empty list of seeds, got {self.seeds!r}")
         bad = [s for s in self.seeds if type(s) is not int or s < 0]
@@ -117,6 +130,8 @@ class RunConfig:
             fail("alpha", f"the coefficient r**-alpha = {self.r}**-{self.alpha:g} underflows to 0")
         if self.eta is not None and self.eta <= 0:
             fail("eta", "must be positive")
+        if self.eta_c <= 0:
+            fail("eta_c", "must be positive")
         if self.steps < 1:
             fail("steps", "must be >= 1")
         if self.record_points < 1:
@@ -131,8 +146,8 @@ class RunConfig:
                                 f"past the cap of {MAX_RK4_SUBSTEPS:.0e}")
         if self.grid not in ("log", "linear"):
             fail("grid", "must be 'log' or 'linear'")
-        if self.batch is not None and self.batch < 1:
-            fail("batch", "must be >= 1")
+        if self.batch is not None and (type(self.batch) is not int or self.batch < 1):
+            fail("batch", f"must be an integer >= 1, got {self.batch!r}")
         if self.record_every != "log" and (type(self.record_every) is not int or self.record_every < 1):
             fail("record_every", f"must be an integer >= 1 or 'log', got {self.record_every!r}")
         if self.theta not in ("basis", "haar"):
@@ -305,6 +320,18 @@ def _env_int(name: str) -> int:
         raise ConfigError(f"environment variable {name}: must be an integer, got {value!r}") from None
 
 
+def _check_finite(data: TrajectoryData, seed: int) -> None:
+    """Raise :class:`NonFiniteRunError` naming the first record with a
+    non-finite time, compute, risk or alignment."""
+    columns = (data.time_raw, data.time_rescaled, data.compute, data.risk,
+               data.risk_normalized, data.alignments)
+    bad = ~np.isfinite(np.column_stack(columns)).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFiniteRunError(f"seed {seed}: non-finite record at step {data.steps[row]} "
+                                f"(risk {data.risk[row]:.3g}); no CSV written")
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -334,7 +361,11 @@ def cmd_run(args) -> int:
     config_dict = cfg.to_dict()
 
     def work(seed: int) -> str:
-        data = runner(cfg, seed)
+        # a run that left float64 is refused below, on its finished records;
+        # the overflow warnings on the way there would bury that one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = runner(cfg, seed)
+        _check_finite(data, seed)
         path = _out_path(cfg, seed)
         write_trajectory(path, data, config_dict, seed)
         return path
@@ -346,7 +377,7 @@ def cmd_run(args) -> int:
                 paths = list(pool.map(work, cfg.seeds))
         else:
             paths = [work(seed) for seed in cfg.seeds]
-    except (DivergenceError, FlowNumericsError) as exc:
+    except (DivergenceError, FlowNumericsError, NonFiniteRunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     for p in paths:

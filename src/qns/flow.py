@@ -48,7 +48,6 @@ __all__ = [
     "weight_risk_curve",
     "integrate_rk4",
     "effective_scales",
-    "theory_alignment",
     "theory_risk_curve",
     "theory_limit_risk",
 ]
@@ -468,21 +467,6 @@ def effective_scales(d: int, r_s: int, r: int, alpha: float) -> EffectiveScales:
         kappa = 1.0
         r_eff = r_s
     return EffectiveScales(kappa_eff=kappa, t_eff=t_eff, r_eff=r_eff)
-
-
-def theory_alignment(
-    t: float, j: int, scales: EffectiveScales, spectrum: PowerLawSpectrum
-) -> float:
-    """Limit alignment of direction j at rescaled time t: a 0/1 step at 1/lambda_j.
-
-    ``t`` is measured so the transition of direction j sits at
-    ``1/(lambda_j kappa_eff)``; exactly at the transition the post-transition
-    value is returned.
-    """
-    if not 1 <= j <= min(scales.r_eff, spectrum.r):
-        raise ValueError(f"direction j={j} beyond effective width {scales.r_eff}")
-    lam_j = spectrum.lambdas[j - 1]
-    return 1.0 if t * scales.kappa_eff >= 1.0 / lam_j else 0.0
 
 
 def theory_risk_curve(

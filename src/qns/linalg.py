@@ -19,7 +19,6 @@ __all__ = [
     "psd_sqrt",
     "psd_project",
     "inv_sqrt_gram",
-    "loewner_geq",
     "loewner_slack",
     "rng_stream",
     "sample_gaussian_mat",
@@ -132,19 +131,6 @@ def loewner_slack(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     slack = np.linalg.eigvalsh(a - b)[..., 0]
     return float(slack) if slack.ndim == 0 else slack
-
-
-def loewner_geq(a: np.ndarray, b: np.ndarray, slack: float | None = None) -> bool:
-    """True iff ``a >= b`` in the Loewner (PSD) order, up to ``slack``.
-
-    ``slack=None`` uses ``1e-10 * (||a||_2 + ||b||_2)`` so near-singular
-    comparisons degrade gracefully instead of flapping on rounding noise.
-    """
-    if slack is None:
-        na = float(np.linalg.norm(a, 2))
-        nb = float(np.linalg.norm(b, 2))
-        slack = 1e-10 * (na + nb)
-    return loewner_slack(a, b) >= -slack
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

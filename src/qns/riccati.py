@@ -21,7 +21,8 @@ LAPACK call, giving each matrix the floats of a 2-D call.  ``bounding_run``
 runs the noise-free sandwich as one loop: the step's constants are computed
 once, and each step solves the lower and upper iterates and the exact Gram
 iterate as one ``(3, r, r)`` stack, through the same private step kernel as
-``bounding_step``.
+``bounding_step``.  ``riccati_blocks`` broadcasts array-valued ``eta`` and
+``t`` against a stack of spectra, so many trials are one call.
 """
 
 from __future__ import annotations
@@ -168,11 +169,10 @@ class RiccatiBlocks:
     per mode) so t up to ~1e6 never overflows; the ``a11/a12/a22`` properties
     materialize unscaled values and may return inf once t*eta*lambda is large.
     Identities: ``a11 + eta lhat a12 = a22`` and ``a22 a11 - a12^2 = 1``.
+    Every array has the broadcast shape of the spectrum, eta and t it was
+    built from.
     """
 
-    eta: float
-    lambda_hat: np.ndarray
-    t: int
     scaled_a11: np.ndarray
     scaled_a12: np.ndarray
     scaled_a22: np.ndarray
@@ -205,7 +205,7 @@ class RiccatiBlocks:
             return np.exp(-self.log_scale) / self.scaled_a12
 
 
-def riccati_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
+def riccati_blocks(lam_hat, eta, t) -> RiccatiBlocks:
     """Blocks of ``[[I, eta I], [eta Lhat^2, I + eta^2 Lhat^2]]^t``.
 
     This is the companion matrix of the full V recursion (second-order term
@@ -215,10 +215,16 @@ def riccati_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
     (2 sinh theta)``: O(1) per t, evaluated with ``e^{t theta}`` pulled out as
     ``log_scale``.  Each block comes from its own formula, so the sum and
     determinant identities checked below are independent tests.
+
+    ``eta`` and ``t`` may be arrays that broadcast against the vector (or
+    stack of vectors) ``lam_hat``, e.g. ``(trials, 1)`` against ``(trials, r)``:
+    one call then evaluates every trial, each element to the floats of a
+    scalar call.  Any ``t < 0`` raises, and the identities are checked per
+    element wherever ``t > 0``.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
-    lam_hat = _as_diag_vector(lam_hat)
+    lam_hat = np.asarray(lam_hat, dtype=float)
     if np.any(lam_hat <= 0):
         raise ValueError("lambda_hat must be strictly positive")
     theta = 2.0 * np.arcsinh(0.5 * eta * lam_hat)
@@ -230,24 +236,16 @@ def riccati_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
     a11 = (decay * up - down) / two_sinh
     a12 = eta * lam_hat * -np.expm1(-2.0 * log_scale) / two_sinh
     a22 = (up - decay * down) / two_sinh
-    blocks = RiccatiBlocks(
-        eta=float(eta),
-        lambda_hat=lam_hat,
-        t=int(t),
-        scaled_a11=a11,
-        scaled_a12=a12,
-        scaled_a22=a22,
-        log_scale=log_scale,
-    )
     # construction-time contract: a11 + eta lhat a12 = a22 and
     # a22 a11 - a12^2 = 1 (checked relative to the block magnitudes)
     rel_sum = np.abs(a11 + eta * lam_hat * a12 - a22)
     rel_det = np.abs(a22 * a11 - a12**2 - decay)
-    if t > 0 and (
-        np.any(rel_sum > 1e-10 * a22) or np.any(rel_det > 1e-10 * a11 * a22)
-    ):
+    lost = (rel_sum > 1e-10 * a22) | (rel_det > 1e-10 * a11 * a22)
+    if np.any(lost & (np.asarray(t) > 0)):
         raise FloatingPointError("companion power lost its invariants (overflow?)")
-    return blocks
+    return RiccatiBlocks(
+        scaled_a11=a11, scaled_a12=a12, scaled_a22=a22, log_scale=log_scale
+    )
 
 
 def antisym_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
@@ -266,9 +264,6 @@ def antisym_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
     rho = (1.0 - eta * lam_hat) / (1.0 + eta * lam_hat)
     rho_t = rho**t
     return RiccatiBlocks(
-        eta=float(eta),
-        lambda_hat=lam_hat,
-        t=int(t),
         scaled_a11=(1.0 + rho_t) / 2.0,
         scaled_a12=(1.0 - rho_t) / 2.0,
         scaled_a22=(1.0 + rho_t) / 2.0,
@@ -392,9 +387,6 @@ class BoundingState:
         offsets differ), so the bracket is only meaningful on the Grams.
         """
         return float(np.linalg.eigvalsh(self.upper_gram() - self.lower_gram())[0])
-
-    def order_ok(self, slack: float = 1e-8) -> bool:
-        return self.order_slack() >= -slack
 
     def sandwich_slack(self, g: np.ndarray) -> float:
         """Margin of ``lower + T <= G <= upper - T`` for an exact iterate."""

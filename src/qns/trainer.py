@@ -45,7 +45,6 @@ __all__ = [
     "euclidean_grad",
     "stiefel_grad",
     "sgd_step",
-    "population_gd_step",
     "schedule_eta",
     "default_tracked_js",
     "run_training",
@@ -246,20 +245,6 @@ def _population_gd_reduced(
     new[:r] += (eta / (2.0 * math.sqrt(r_s) * frob) * lam)[:, None] * s[:r]
     _check_norm(float(np.linalg.norm(new)), step)
     return new
-
-
-def population_gd_step(
-    student: StudentState, teacher: TeacherModel, eta: float
-) -> None:
-    """Constant-step gradient descent on the population risk.
-
-    ``W <- W + (eta / (2 sqrt(r_s) ||L||_F)) (Q L Q.T - (||L||_F/sqrt(r_s)) W W.T) W``,
-    applied to the teacher-subspace reduction of ``W``.  Raises
-    :class:`DivergenceError` when ``||W||_F`` exceeds the guard.
-    """
-    s, q = _reduce(student.w, teacher.r, teacher.theta, with_q=True)
-    s = _population_gd_reduced(s, teacher.spectrum.lambdas, teacher.spectrum.frob, eta)
-    student.w = _expand(s, q, teacher.r, teacher.theta)
 
 
 def schedule_eta(

@@ -3,9 +3,17 @@
 Each suite returns a list of check dicts ``{name, passed, residual,
 tolerance, detail}``; residuals are the measured quantities so failures are
 diagnosable from the JSON alone.  Suites are deterministic given the seed.
+
+The arithmetic of each Riccati check lives once, in a kernel that takes
+already-drawn inputs: :func:`block_identity_residuals`,
+:func:`closed_form_residual`, :func:`power_residual` and
+:func:`monotone_slacks`.  The suites and the acceptance criteria draw their
+own trials and call the same kernels.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +39,13 @@ from .finetune import (
     s_glob_estimate,
 )
 
-__all__ = ["run_suite", "SUITES", "MIN_DIM"]
+__all__ = ["run_suite", "SUITES", "MIN_DIM", "block_identity_residuals", "closed_form_residual",
+           "power_residual", "monotone_slacks"]
+
+
+# trials evaluated together by the stacked kernels: enough to amortise the
+# per-call overhead, few enough to keep memory flat
+TRIAL_CHUNK = 256
 
 
 def _check(name: str, residual: float, tol: float, **detail) -> dict:
@@ -49,53 +63,84 @@ def _rand_psd(rng, dim: int, scale: float = 1.0, rank: int | None = None) -> np.
     return scale * (b @ b.T) / dim
 
 
-def suite_riccati(dim: int = 8, trials: int = 20, seed: int = 0) -> list[dict]:
-    """Block identities, closed forms vs iteration, ratio bounds."""
-    rng = rng_stream(seed, 31)
-    checks = []
-    worst_r2a = worst_r2b = 0.0
-    for _ in range(trials):
-        lam = np.sort(rng.uniform(0.2, 1.0, dim))[::-1]
-        eta = rng.uniform(0.01, 0.25)
-        t = int(rng.integers(1, 101))
-        b = riccati_blocks(lam, eta, t)
-        r2a = np.abs(b.scaled_a11 + eta * lam * b.scaled_a12 - b.scaled_a22) / b.scaled_a22
-        det = b.scaled_a22 * b.scaled_a11 - b.scaled_a12**2
-        r2b = np.abs(det - np.exp(-2.0 * b.log_scale)) / (b.scaled_a22 * b.scaled_a11)
-        worst_r2a = max(worst_r2a, float(r2a.max()))
-        worst_r2b = max(worst_r2b, float(r2b.max()))
-    checks.append(_check("block_identity_sum", worst_r2a, 1e-12, trials=trials))
-    checks.append(_check("block_identity_det", worst_r2b, 1e-12, trials=trials))
+def block_identity_residuals(lam, eta, t) -> tuple[float, float]:
+    """Worst relative residuals of the sum identity ``a11 + eta lhat a12 = a22``
+    and the determinant identity ``a22 a11 - a12^2 = 1`` of the companion power.
 
-    # closed-form discrete Gram vs iterated V update, t = 200
-    lam = np.sort(rng.uniform(0.3, 1.0, dim))[::-1]
-    eta = 0.05
-    g0 = np.diag(rng.uniform(0.01, 0.9, dim))
+    ``lam`` is a ``(trials, r)`` stack of spectra and ``eta`` and ``t`` hold one
+    value per trial; each :data:`TRIAL_CHUNK` trials go through one
+    :func:`riccati_blocks` call.
+    """
+    eta = np.asarray(eta, dtype=float)[:, None]
+    t = np.asarray(t)[:, None]
+    worst_sum = worst_det = 0.0
+    for k in range(0, len(t), TRIAL_CHUNK):
+        part = slice(k, k + TRIAL_CHUNK)
+        lp, ep = lam[part], eta[part]
+        b = riccati_blocks(lp, ep, t[part])
+        rel_sum = np.abs(b.scaled_a11 + ep * lp * b.scaled_a12 - b.scaled_a22) / b.scaled_a22
+        det = b.scaled_a22 * b.scaled_a11 - b.scaled_a12**2
+        rel_det = np.abs(det - np.exp(-2.0 * b.log_scale)) / (b.scaled_a22 * b.scaled_a11)
+        worst_sum = max(worst_sum, float(rel_sum.max()))
+        worst_det = max(worst_det, float(rel_det.max()))
+    return worst_sum, worst_det
+
+
+def closed_form_residual(g0: np.ndarray, lam: np.ndarray, eta: float, t_max: int) -> float:
+    """Worst entry gap, over t = 1..t_max, between :func:`closed_form_discrete_gram`
+    (with ``lam`` as all three coefficients) and ``g0`` pushed t times through
+    :func:`v_update` and mapped back to Gram coordinates."""
     sq = np.sqrt(lam)
     v = 2.0 * (sq[:, None] * g0 * sq[None, :]) - np.diag(lam)
     worst = 0.0
-    for t in range(1, 201):
+    for t in range(1, t_max + 1):
         v = v_update(v, lam, eta)
         g_cf = closed_form_discrete_gram(g0, lam, lam, lam, eta, t)
         g_it = (v + np.diag(lam)) / (2.0 * np.outer(sq, sq))
         worst = max(worst, float(np.abs(g_cf - g_it).max()))
-    checks.append(_check("closed_form_vs_iteration", worst, 1e-10, t_max=200))
+    return worst
 
-    # zero-diagonal companion closed form vs repeated multiplication
+
+def power_residual(lam: np.ndarray, eta: float, ts) -> float:
+    """Worst relative gap between :func:`antisym_blocks` and the zero-diagonal
+    companion ``[[1, eta], [eta l^2, 1]]`` raised by ``np.linalg.matrix_power``,
+    over every mode of ``lam`` and every power in ``ts``."""
     worst = 0.0
-    eta = 0.15
-    for t in (1, 2, 7, 37, 64):
+    for t in ts:
         blocks = antisym_blocks(lam, eta, t)
         for i, l in enumerate(lam):
-            m = np.array([[1.0, eta], [eta * l**2, 1.0]])
-            p = np.linalg.matrix_power(m, t)
-            rel = max(
+            p = np.linalg.matrix_power(np.array([[1.0, eta], [eta * l**2, 1.0]]), t)
+            worst = max(
+                worst,
                 abs(p[0, 0] - blocks.a11[i]) / abs(p[0, 0]),
                 abs(p[0, 1] - blocks.a12[i] / l) / abs(p[0, 1]),
                 abs(p[1, 1] - blocks.a22[i]) / abs(p[1, 1]),
             )
-            worst = max(worst, rel)
-    checks.append(_check("power_closed_form_vs_product", worst, 1e-12))
+    return worst
+
+
+def suite_riccati(dim: int = 8, trials: int = 20, seed: int = 0) -> list[dict]:
+    """Block identities, closed forms vs iteration, ratio bounds."""
+    rng = rng_stream(seed, 31)
+    lam, eta, t = np.empty((trials, dim)), np.empty(trials), np.empty(trials, dtype=int)
+    for k in range(trials):
+        lam[k] = np.sort(rng.uniform(0.2, 1.0, dim))[::-1]
+        eta[k] = rng.uniform(0.01, 0.25)
+        t[k] = rng.integers(1, 101)
+    worst_r2a, worst_r2b = block_identity_residuals(lam, eta, t)
+    checks = [
+        _check("block_identity_sum", worst_r2a, 1e-12, trials=trials),
+        _check("block_identity_det", worst_r2b, 1e-12, trials=trials),
+    ]
+
+    # closed-form discrete Gram vs iterated V update, t = 200
+    lam = np.sort(rng.uniform(0.3, 1.0, dim))[::-1]
+    g0 = np.diag(rng.uniform(0.01, 0.9, dim))
+    checks.append(_check("closed_form_vs_iteration", closed_form_residual(g0, lam, 0.05, 200),
+                         1e-10, t_max=200))
+    # zero-diagonal companion closed form vs repeated multiplication
+    checks.append(_check("power_closed_form_vs_product",
+                         power_residual(lam, 0.15, (1, 2, 7, 37, 64)), 1e-12))
 
     # ratio bounds: a11/a12 lower bound and the a22/a12 two-sided chain
     lam = np.sort(rng.uniform(0.2, 0.9, dim))[::-1]
@@ -132,41 +177,47 @@ def suite_riccati(dim: int = 8, trials: int = 20, seed: int = 0) -> list[dict]:
     return checks
 
 
-# trials drawn and evaluated together by suite_monotone: enough to amortise
-# the per-call overhead of the stacked maps, few enough to keep memory flat
-MONOTONE_CHUNK = 256
 
 
-def monotone_trial_slacks(
-    dim: int, trials: int, seed: int, updates
-) -> tuple[np.ndarray, np.ndarray]:
+def monotone_slacks(draws, updates) -> tuple[np.ndarray, np.ndarray]:
     """Loewner slacks ``lambda_min(F(G+) - F(G-))`` of each map F in ``updates``
-    over the monotone suite's random trials, and each trial's eta.
+    over drawn trials, and each trial's eta.
 
-    Trials are drawn one by one in a fixed order (size n, spectrum, eta, then
-    the two PSD matrices), in chunks of :data:`MONOTONE_CHUNK`; within a chunk
-    the trials of each size n go through every map as one stack.  Returns a
-    ``(len(updates), trials)`` array of slacks and the ``(trials,)`` etas.
+    ``draws`` yields ``(lam, eta, g_plus, g_minus)`` trials.  They are taken
+    :data:`TRIAL_CHUNK` at a time, so a generator draws a chunk before any
+    of it is evaluated; within a chunk the trials of each size go through
+    every map as one stack.  Returns a ``(len(updates), trials)`` array of
+    slacks and the ``(trials,)`` etas.
     """
-    rng = rng_stream(seed, 32)
-    slacks = np.empty((len(updates), trials))
-    etas = np.empty(trials)
-    for start in range(0, trials, MONOTONE_CHUNK):
-        by_size: dict[int, list] = {}
-        for k in range(start, min(start + MONOTONE_CHUNK, trials)):
-            n = int(rng.integers(2, dim + 1))
-            lam = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
-            etas[k] = rng.uniform(0.05, 0.45) / lam[0]
-            g_minus = _rand_psd(rng, n, scale=rng.uniform(0.5, 2.0))
-            g_plus = g_minus + _rand_psd(rng, n, scale=rng.uniform(0.1, 2.0))
-            by_size.setdefault(n, []).append((k, lam, g_plus, g_minus))
-        for rows in by_size.values():
-            ks, lam, g_plus, g_minus = (np.array(col) for col in zip(*rows))
+    draws = iter(draws)
+    slacks, etas = [np.empty((len(updates), 0))], [np.empty(0)]
+    while chunk := list(islice(draws, TRIAL_CHUNK)):
+        eta = np.array([trial[1] for trial in chunk])
+        out = np.empty((len(updates), len(chunk)))
+        by_size: dict[int, list[int]] = {}
+        for k, trial in enumerate(chunk):
+            by_size.setdefault(trial[0].size, []).append(k)
+        for ks in by_size.values():
+            lam, g_plus, g_minus = (np.array([chunk[k][col] for k in ks]) for col in (0, 2, 3))
             for i, update in enumerate(updates):
-                slacks[i, ks] = loewner_slack(
-                    update(g_plus, lam, etas[ks]), update(g_minus, lam, etas[ks])
+                out[i, ks] = loewner_slack(
+                    update(g_plus, lam, eta[ks]), update(g_minus, lam, eta[ks])
                 )
-    return slacks, etas
+        slacks.append(out)
+        etas.append(eta)
+    return np.concatenate(slacks, axis=1), np.concatenate(etas)
+
+
+def _monotone_draws(dim: int, trials: int, seed: int):
+    """The monotone suite's trials: size n, spectrum, eta, then the PSD pair."""
+    rng = rng_stream(seed, 32)
+    for _ in range(trials):
+        n = int(rng.integers(2, dim + 1))
+        lam = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+        eta = rng.uniform(0.05, 0.45) / lam[0]
+        g_minus = _rand_psd(rng, n, scale=rng.uniform(0.5, 2.0))
+        g_plus = g_minus + _rand_psd(rng, n, scale=rng.uniform(0.1, 2.0))
+        yield lam, eta, g_plus, g_minus
 
 
 def suite_monotone(
@@ -178,7 +229,7 @@ def suite_monotone(
     keep every pair ordered, and plain Euler must break the order somewhere.
     """
     updates = (euler_update,) if euler else (monotone_update, euler_update)
-    slacks, etas = monotone_trial_slacks(dim, trials, seed, updates)
+    slacks, etas = monotone_slacks(_monotone_draws(dim, trials, seed), updates)
     # 0.0 - worst: a run without negative slacks reports 0.0, not -0.0
     worst = float(slacks[0].min(initial=0.0))
     violated = np.flatnonzero(slacks[0] < -1e-10)

@@ -25,18 +25,10 @@ from qns.flow import (
 )
 from qns.linalg import inv_sqrt_gram, loewner_slack, rng_stream, sample_gaussian_mat, sample_stiefel
 from qns.model import PowerLawSpectrum, StudentState, TeacherModel, opt_risk, population_risk
-from qns.riccati import (
-    BoundingConfig,
-    antisym_blocks,
-    bounding_run,
-    closed_form_discrete_gram,
-    euler_update,
-    monotone_update,
-    riccati_blocks,
-    v_update,
-)
+from qns.riccati import BoundingConfig, bounding_run, euler_update, monotone_update
 from qns.trainer import SgdConfig, run_training
 from qns.finetune import default_n_ft, finetune, risk_decomposition
+from qns.verify import block_identity_residuals, closed_form_residual, monotone_slacks, power_residual
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -116,60 +108,23 @@ def test_criterion_04_discrete_identities():
     """Block identities, discrete closed form, and the power closed form."""
     start = time.perf_counter()
     rng = rng_stream(4, 0)
-    ok_r2 = True
-    worst_r2 = 0.0
-    for _ in range(30):
-        lam = np.sort(rng.uniform(0.2, 1.0, 8))[::-1]
-        eta = rng.uniform(0.01, 0.25)
-        t = int(rng.integers(1, 101))
-        b = riccati_blocks(lam, eta, t)
-        rel_sum = np.abs(b.scaled_a11 + eta * lam * b.scaled_a12 - b.scaled_a22) / b.scaled_a22
-        det = b.scaled_a22 * b.scaled_a11 - b.scaled_a12**2
-        rel_det = np.abs(det - np.exp(-2 * b.log_scale)) / (b.scaled_a11 * b.scaled_a22)
-        worst_r2 = max(worst_r2, float(rel_sum.max()), float(rel_det.max()))
-    ok_r2 = worst_r2 <= 1e-12
-
+    trials = [(np.sort(rng.uniform(0.2, 1.0, 8))[::-1], rng.uniform(0.01, 0.25),
+               int(rng.integers(1, 101))) for _ in range(30)]
+    worst_r2 = max(block_identity_residuals(*(np.array(col) for col in zip(*trials))))
     lam = np.sort(rng.uniform(0.3, 1.0, 6))[::-1]
-    eta = 0.05
     g0 = np.diag(rng.uniform(0.01, 0.9, 6))
-    sq = np.sqrt(lam)
-    v = 2.0 * (sq[:, None] * g0 * sq[None, :]) - np.diag(lam)
-    worst_cf = 0.0
-    for t in range(1, 201):
-        v = v_update(v, lam, eta)
-        g_cf = closed_form_discrete_gram(g0, lam, lam, lam, eta, t)
-        g_it = (v + np.diag(lam)) / (2.0 * np.outer(sq, sq))
-        worst_cf = max(worst_cf, float(np.abs(g_cf - g_it).max()))
-    ok_cf = worst_cf <= 1e-10
-
-    worst_pw = 0.0
-    eta = 0.15
-    for t in (1, 2, 5, 17, 50, 100):
-        b = antisym_blocks(lam, eta, t)
-        for i, l in enumerate(lam):
-            p = np.linalg.matrix_power(np.array([[1.0, eta], [eta * l**2, 1.0]]), t)
-            worst_pw = max(
-                worst_pw,
-                abs(p[0, 0] - b.a11[i]) / p[0, 0],
-                abs(p[0, 1] - b.a12[i] / l) / p[0, 1],
-                abs(p[1, 1] - b.a22[i]) / p[1, 1],
-            )
-    ok_pw = worst_pw <= 1e-12
+    worst_cf = closed_form_residual(g0, lam, 0.05, 200)
+    worst_pw = power_residual(lam, 0.15, (1, 2, 5, 17, 50, 100))
     elapsed = time.perf_counter() - start
     report(
         4,
         "discrete identities (blocks, closed form, matrix powers)",
-        ok_r2 and ok_cf and ok_pw and elapsed < 5.0,
+        worst_r2 <= 1e-12 and worst_cf <= 1e-10 and worst_pw <= 1e-12 and elapsed < 5.0,
         f"identities {worst_r2:.1e}, closed-form {worst_cf:.1e}, power {worst_pw:.1e}, {elapsed:.1f}s",
     )
 
 
-def test_criterion_05_monotone_map_vs_euler():
-    """1000 random trials: the resolvent map preserves order; Euler does not."""
-    rng = rng_stream(5, 0)
-    trials = 1000
-    worst = 0.0
-    euler_violations = 0
+def _criterion_05_draws(rng, trials):
     for _ in range(trials):
         n = int(rng.integers(2, 17))
         lam = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
@@ -177,14 +132,17 @@ def test_criterion_05_monotone_map_vs_euler():
         b1 = rng.standard_normal((n, n))
         g_minus = b1 @ b1.T / n
         b2 = rng.standard_normal((n, n))
-        g_plus = g_minus + b2 @ b2.T / n
-        slack = loewner_slack(
-            monotone_update(g_plus, lam, eta), monotone_update(g_minus, lam, eta)
-        )
-        worst = min(worst, slack)
-        es = loewner_slack(euler_update(g_plus, lam, eta), euler_update(g_minus, lam, eta))
-        if es < -1e-10:
-            euler_violations += 1
+        yield lam, eta, g_minus + b2 @ b2.T / n, g_minus
+
+
+def test_criterion_05_monotone_map_vs_euler():
+    """1000 random trials: the resolvent map preserves order; Euler does not."""
+    trials = 1000
+    slacks, _ = monotone_slacks(
+        _criterion_05_draws(rng_stream(5, 0), trials), (monotone_update, euler_update)
+    )
+    worst = min(0.0, float(slacks[0].min()))
+    euler_violations = int(np.count_nonzero(slacks[1] < -1e-10))
     report(
         5,
         "order preservation over 1000 trials; Euler counterexample exists",

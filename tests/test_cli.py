@@ -29,6 +29,9 @@ def base_config(tmp_path, **overrides):
     return str(path), cfg
 
 
+SMALL_SGD = {"kind": "sgd-stiefel", "d": 16, "r": 4, "r_s": 2, "steps": 200, "horizon": None}
+
+
 class TestRun:
     def test_gf_closed_row_count(self, tmp_path):
         path, cfg = base_config(tmp_path)
@@ -130,6 +133,19 @@ class TestRun:
             ({"QNS_THREADS": "abc"}, EXIT_USAGE, "QNS_THREADS"),
             # 4**-1000 rounds to 0.0: the coefficients used to underflow
             ({"alpha": 1000}, EXIT_USAGE, "config field 'alpha'"),
+            # each of these used to end in a traceback, in exit 2 with Python's
+            # comparison TypeError, in a NaN CSV with exit 0, or in a QR error
+            ({**SMALL_SGD, "batch": 2.5}, EXIT_USAGE, "config field 'batch'"),
+            ({"out_dir": 5}, EXIT_USAGE, "config field 'out_dir'"),
+            ({**SMALL_SGD, "kind": "gd-population", "eta_c": -1}, EXIT_USAGE, "config field 'eta_c'"),
+            ({**SMALL_SGD, "eta": "x"}, EXIT_USAGE, "config field 'eta'"),
+            ({"horizon": "x"}, EXIT_USAGE, "config field 'horizon'"),
+            ({"alpha": "x"}, EXIT_USAGE, "config field 'alpha'"),
+            ({**SMALL_SGD, "eta": float("nan")}, EXIT_USAGE, "config field 'eta'"),
+            ({"horizon": float("nan")}, EXIT_USAGE, "config field 'horizon'"),
+            ({"alpha": float("nan")}, EXIT_USAGE, "config field 'alpha'"),
+            # used to exit 0 with RuntimeWarnings on stderr and a NaN risk column
+            ({**SMALL_SGD, "eta": 1e300}, EXIT_DIVERGED, "non-finite record"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -145,6 +161,7 @@ class TestRun:
         assert proc.returncode == code
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and needle in lines[0], proc.stderr
+        assert not list(tmp_path.glob("runs/*.csv"))
 
     @pytest.mark.parametrize("alpha", [60, 200, 537])
     def test_tiny_modes_closed_form_matches_rk4(self, tmp_path, alpha):

@@ -12,7 +12,6 @@ from qns.flow import (
     gram_rhs_align,
     gram_rhs_weight,
     integrate_rk4,
-    theory_alignment,
     theory_limit_risk,
     theory_risk_curve,
     weight_gram_diag,
@@ -328,13 +327,6 @@ class TestTheoryCurves:
         assert theory_risk_curve(2.5, sc, spec) == pytest.approx(5 / 41)
         assert theory_risk_curve(0.5, sc, spec) == pytest.approx(1.0)
         assert theory_risk_curve(1e9, sc, spec) == pytest.approx(0.0)
-
-    def test_alignment_indicator(self):
-        spec = PowerLawSpectrum(r=4, alpha=1.0)
-        sc = effective_scales(10_000, 4, 4, 1.0)
-        assert theory_alignment(2.5, 2, sc, spec) == 1.0
-        assert theory_alignment(2.5, 3, sc, spec) == 0.0
-        assert theory_alignment(2.0, 2, sc, spec) == 1.0  # boundary: post-transition
 
 
 class TestLimitRisk:

@@ -23,7 +23,6 @@ from qns.trainer import (
     SgdConfig,
     default_tracked_js,
     euclidean_grad,
-    population_gd_step,
     run_training,
     schedule_eta,
     sgd_step,
@@ -288,6 +287,11 @@ class TestScratchRank1Step:
         np.testing.assert_array_equal(res.student.w, w)
 
 
+def gd_run(teacher, w0, eta, steps, **kwargs):
+    cfg = SgdConfig(eta=eta, steps=steps, batch=teacher.d, mode="euclidean-population", **kwargs)
+    return run_training(teacher, cfg, w0=w0)
+
+
 class TestPopulationGd:
     def test_stationary_at_global_min(self):
         spec = PowerLawSpectrum(r=6, alpha=1.0)
@@ -295,9 +299,8 @@ class TestPopulationGd:
         r_s = 3
         scale = np.sqrt(np.sqrt(r_s) * spec.lambdas[:r_s] / spec.frob)
         w_opt = np.eye(20, r_s) * scale[None, :]
-        s = StudentState(w_opt.copy())
-        population_gd_step(s, t, 0.3)
-        assert np.abs(s.w - w_opt).max() <= 1e-10
+        res = gd_run(t, w_opt.copy(), 0.3, 1)
+        assert np.abs(res.student.w - w_opt).max() <= 1e-10
 
     def test_euler_consistency_with_flow(self):
         # GD with step eta approximates the flow at time eta * steps, O(eta)
@@ -311,30 +314,21 @@ class TestPopulationGd:
         ref = weight_risk_curve(w0, np.array([horizon]), p)[0]
         errs = []
         for eta in (0.04, 0.02):
-            s = StudentState(w0.copy())
-            for _ in range(int(horizon / eta)):
-                population_gd_step(s, t, eta)
-            errs.append(abs(population_risk(t, s, normalized=True) - ref))
+            res = gd_run(t, w0.copy(), eta, int(horizon / eta))
+            errs.append(abs(population_risk(t, res.student, normalized=True) - ref))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.35)
 
     def test_risk_nonincreasing_small_step(self):
         spec = PowerLawSpectrum(r=5, alpha=0.8)
         t = TeacherModel(d=24, spectrum=spec)
-        s = StudentState(rng_stream(8, 1).standard_normal((24, 3)) / np.sqrt(24))
-        prev = population_risk(t, s)
-        for _ in range(400):
-            population_gd_step(s, t, 0.05)
-            cur = population_risk(t, s)
-            assert cur <= prev + 1e-12
-            prev = cur
+        w0 = rng_stream(8, 1).standard_normal((24, 3)) / np.sqrt(24)
+        risks = [rec.risk for rec in gd_run(t, w0, 0.05, 400, record_every=1).records]
+        assert np.all(np.diff(risks) <= 1e-12)
 
     def test_divergence_guard(self):
-        spec = PowerLawSpectrum(r=2, alpha=0.0)
-        t = TeacherModel(d=4, spectrum=spec)
-        s = StudentState(np.full((4, 2), 500.0))
+        t = TeacherModel(d=4, spectrum=PowerLawSpectrum(r=2, alpha=0.0))
         with pytest.raises(DivergenceError, match="divergence"):
-            for _ in range(50):
-                population_gd_step(s, t, 10.0)
+            gd_run(t, 500.0 * np.eye(4, 2), 10.0, 50)
 
 
 def test_divergence_error_pickles():
@@ -379,14 +373,6 @@ class TestReducedPopulationGd:
                 np.testing.assert_allclose(rec.gram_snapshot, gram, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(rec.alignments, np.diag(gram)[[0, 1, 5]], rtol=1e-12)
         np.testing.assert_allclose(res.student.w, w, rtol=0, atol=1e-13)
-
-    def test_public_step_matches_dense(self):
-        spec = PowerLawSpectrum(r=4, alpha=0.5)
-        t = TeacherModel.haar(12, spec, seed=1)
-        w = rng_stream(2, 1).standard_normal((12, 5)) / 4  # d - r = 8 >= r_s = 5
-        s = StudentState(w.copy())
-        population_gd_step(s, t, 0.4)
-        np.testing.assert_allclose(s.w, dense_gd_step(t, w, 0.4), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("haar", [False, True])
     def test_divergence_step_matches_dense(self, haar):

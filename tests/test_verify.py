@@ -4,7 +4,7 @@ from conftest import rand_psd
 
 from qns.linalg import loewner_slack, rng_stream
 from qns.riccati import euler_update, monotone_update
-from qns.verify import MONOTONE_CHUNK, monotone_trial_slacks, suite_monotone
+from qns.verify import TRIAL_CHUNK, _monotone_draws, monotone_slacks, suite_monotone
 
 
 def per_trial_slacks(dim, trials, seed, update):
@@ -26,9 +26,9 @@ def per_trial_slacks(dim, trials, seed, update):
 
 class TestMonotoneSuite:
     @pytest.mark.parametrize("dim", [2, 8, 16])
-    @pytest.mark.parametrize("trials", [1, MONOTONE_CHUNK - 1, MONOTONE_CHUNK + 1])
+    @pytest.mark.parametrize("trials", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1])
     def test_batched_trials_equal_per_trial_loop(self, dim, trials):
-        slacks, _ = monotone_trial_slacks(dim, trials, 7, (monotone_update, euler_update))
+        slacks, _ = monotone_slacks(_monotone_draws(dim, trials, 7), (monotone_update, euler_update))
         mono, _ = per_trial_slacks(dim, trials, 7, monotone_update)
         euler, witness = per_trial_slacks(dim, trials, 7, euler_update)
         assert slacks[0].tobytes() == mono.tobytes()
