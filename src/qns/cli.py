@@ -3,7 +3,8 @@
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error, 3 numeric failure (divergence,
-a closed-form horizon past float64's exp range, or non-finite records).
+a rank-deficient student, a closed-form horizon past float64's exp range, or
+non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
 caps the run worker pool.
 """
@@ -18,6 +19,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,14 +36,12 @@ from .flow import (
     theory_risk_curve,
     weight_risk_curve,
 )
-from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
+from .linalg import RankDeficientError, inv_sqrt_gram, rng_stream, sample_gaussian_mat
 from .model import PowerLawSpectrum, TeacherModel, project, risk_from_gram
 from .svgplot import line_chart
 from .trainer import DivergenceError, SgdConfig, default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
 from .verify import MAX_DIM, MIN_DIM, SUITES, run_suite
-
-KINDS = ("gf-closed", "gf-rk4", "gd-population", "sgd-stiefel", "sgd-euclidean")
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
 
@@ -59,9 +60,11 @@ class NonFiniteRunError(ArithmeticError):
 
 @dataclass
 class RunConfig:
-    """Validated description of one experiment family (all seeds)."""
+    """Validated description of one experiment family (all seeds).  The
+    annotations are the one declaration of each field's type and allowed
+    strings; :meth:`validate` checks every field against them."""
 
-    kind: str
+    kind: Literal["gf-closed", "gf-rk4", "gd-population", "sgd-stiefel", "sgd-euclidean"]
     d: int
     r: int
     r_s: int
@@ -71,20 +74,19 @@ class RunConfig:
     eta_c: float = 0.5
     c_alpha: float = 0.0
     steps: int = 1000
-    horizon: float | None = None      # gf kinds: max raw time
-    grid: str = "log"                 # gf kinds: t-grid spacing
+    horizon: float | None = None              # gf kinds: max raw time
+    grid: Literal["log", "linear"] = "log"    # gf kinds: t-grid spacing
     batch: int | None = None
-    theta: str = "basis"
-    record_every: int | str = "log"
+    theta: Literal["basis", "haar"] = "basis"
+    record_every: int | Literal["log"] = "log"
     record_points: int = 200
-    tracked_j: list[int] | str = "auto"
+    tracked_j: list[int] | Literal["auto"] = "auto"
     out_dir: str = "runs"
     tag: str = ""
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        known = {f for f in RunConfig.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - _HINTS.keys()
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = RunConfig(**raw)
@@ -95,71 +97,43 @@ class RunConfig:
         def fail(fieldname, msg):
             raise ConfigError(f"config field '{fieldname}': {msg}")
 
-        if self.kind not in KINDS:
-            fail("kind", f"must be one of {KINDS}")
-        for name in ("d", "r", "r_s", "steps", "record_points"):
-            if type(getattr(self, name)) is not int:
-                fail(name, f"must be an integer, got {getattr(self, name)!r}")
-        for name in ("alpha", "eta", "eta_c", "c_alpha", "horizon"):
+        for name, hint in _HINTS.items():
             value = getattr(self, name)
-            if value is None and name in ("eta", "horizon"):
-                continue
-            if type(value) not in (int, float) or not math.isfinite(value):
-                fail(name, f"must be a finite number, got {value!r}")
-        if type(self.out_dir) is not str:
-            fail("out_dir", f"must be a string, got {self.out_dir!r}")
-        if not isinstance(self.seeds, list) or not self.seeds:
-            fail("seeds", f"need a non-empty list of seeds, got {self.seeds!r}")
-        bad = [s for s in self.seeds if type(s) is not int or s < 0]
-        if bad:
-            fail("seeds", f"must be integers >= 0, got {bad}")
-        if self.d < 2:
-            fail("d", "must be >= 2")
-        if not 1 <= self.r <= self.d:
-            fail("r", f"must satisfy 1 <= r <= d, got r={self.r}, d={self.d}")
-        if self.r_s < 1:
-            fail("r_s", "must be >= 1")
-        if self.r_s > self.d:
-            fail("r_s", f"must satisfy r_s <= d: the alignments need r_s orthonormal "
-                        f"student columns, got r_s={self.r_s}, d={self.d}")
-        if self.alpha < 0:
-            fail("alpha", "must be >= 0")
+            if not _matches(value, hint):
+                text = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+                fail(name, f"must be {text}{' (finite)' if 'float' in text else ''}, got {value!r}")
+        for name, lo in _LOWER.items():
+            values = getattr(self, name)
+            for value in values if type(values) is list else [values]:
+                if type(value) in (int, float) and (value <= lo if name in _STRICT else value < lo):
+                    fail(name, f"must be {'>' if name in _STRICT else '>='} {lo}, got {value!r}")
+        if self.r > self.d:
+            fail("r", f"must satisfy r <= d, got r={self.r}, d={self.d}")
+        if self.r_s >= self.d:
+            fail("r_s", f"must satisfy r_s < d (T_eff has a factor log(d / r_s)), "
+                        f"got r_s={self.r_s}, d={self.d}")
         if self.alpha == 0.5:
             fail("alpha", "0.5 sits on the regime boundary and is excluded")
         if float(self.r) ** -self.alpha == 0.0:
             fail("alpha", f"the coefficient r**-alpha = {self.r}**-{self.alpha:g} underflows to 0")
-        if self.eta is not None and self.eta <= 0:
-            fail("eta", "must be positive")
-        if self.eta_c <= 0:
-            fail("eta_c", "must be positive")
-        if self.steps < 1:
-            fail("steps", "must be >= 1")
-        if self.record_points < 1:
-            fail("record_points", "must be >= 1")
-        if self.kind.startswith("gf") and (self.horizon is None or self.horizon <= 0):
-            fail("horizon", "gf kinds need a positive time horizon")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            fail("seeds", f"need a non-empty list of distinct seeds, got {self.seeds}")
+        if isinstance(self.tracked_j, list) and not all(1 <= j <= self.r for j in self.tracked_j):
+            fail("tracked_j", f"indices must lie in 1..r = 1..{self.r}, got {self.tracked_j}")
+        if self.kind.startswith("gf") and (self.horizon is None or self.horizon / self.steps <= 0):
+            fail("horizon", "gf kinds need a time horizon with horizon / steps > 0")
         if self.kind == "gf-rk4":
             spectrum = PowerLawSpectrum(r=self.r, alpha=self.alpha)
             n_sub = self.horizon / _rk4_dt(FlowParams.from_spectrum(spectrum, self.d, self.r_s))
             if n_sub > MAX_RK4_SUBSTEPS:
                 fail("horizon", f"gf-rk4 would take horizon / dt = {n_sub:.3g} RK4 sub-steps, "
                                 f"past the cap of {MAX_RK4_SUBSTEPS:.0e}")
-        if self.grid not in ("log", "linear"):
-            fail("grid", "must be 'log' or 'linear'")
-        if self.batch is not None and (type(self.batch) is not int or self.batch < 1):
-            fail("batch", f"must be an integer >= 1, got {self.batch!r}")
-        if self.record_every != "log" and (type(self.record_every) is not int or self.record_every < 1):
-            fail("record_every", f"must be an integer >= 1 or 'log', got {self.record_every!r}")
-        if self.theta not in ("basis", "haar"):
-            fail("theta", "must be 'basis' or 'haar'")
-        if isinstance(self.tracked_j, list):
-            if any(type(j) is not int for j in self.tracked_j):
-                fail("tracked_j", f"indices must be integers, got {self.tracked_j}")
-            bad = [j for j in self.tracked_j if not 1 <= j <= self.r]
-            if bad:
-                fail("tracked_j", f"indices outside 1..r: {bad}")
-        elif self.tracked_j != "auto":
-            fail("tracked_j", "must be a list of indices or 'auto'")
+        try:
+            eta = self.resolved_eta()
+        except (OverflowError, ZeroDivisionError):
+            eta = math.nan
+        if not 0 < eta < math.inf:
+            fail("c_alpha", f"the scheduled eta leaves float64's positive finite range (got {eta:g})")
 
     def resolved_eta(self) -> float:
         if self.eta is not None:
@@ -183,6 +157,34 @@ class RunConfig:
         d["batch_resolved"] = self.resolved_batch()
         d["tracked_resolved"] = self.resolved_tracked()
         return d
+
+
+# resolved once: get_type_hints costs about 0.35 ms a call
+_HINTS = get_type_hints(RunConfig)
+KINDS = get_args(_HINTS["kind"])
+
+# lower bounds of the numeric fields (each seed's too); eta, eta_c and the
+# horizon must lie strictly above theirs
+_LOWER = {"d": 2, "r": 1, "r_s": 1, "alpha": 0, "seeds": 0, "eta": 0, "eta_c": 0, "steps": 1,
+          "horizon": 0, "batch": 1, "record_every": 1, "record_points": 1}
+_STRICT = ("eta", "eta_c", "horizon")
+
+
+def _matches(value, hint) -> bool:
+    """Whether ``value`` has the annotated type ``hint``: ``int`` takes int64
+    values but no ``bool``, and ``float`` ints and floats of finite float64 size."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_matches(value, a) for a in args)
+    if origin is Literal:
+        return type(value) is str and value in args
+    if origin is list:
+        return type(value) is list and all(_matches(v, args[0]) for v in value)
+    if hint is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if hint is int:
+        return type(value) is int and abs(value) <= sys.maxsize
+    return type(value) is hint
 
 
 def _teacher(cfg: RunConfig, seed: int) -> TeacherModel:
@@ -377,7 +379,7 @@ def cmd_run(args) -> int:
                 paths = list(pool.map(work, cfg.seeds))
         else:
             paths = [work(seed) for seed in cfg.seeds]
-    except (DivergenceError, FlowNumericsError, NonFiniteRunError) as exc:
+    except (DivergenceError, FlowNumericsError, NonFiniteRunError, RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     for p in paths:
@@ -395,13 +397,8 @@ def cmd_fit(args) -> int:
             return EXIT_USAGE
         mask = (data.compute > 0) & (data.risk_normalized > 0)
         try:
-            if args.window:
-                fit = fit_power_law(
-                    data.compute[mask], data.risk_normalized[mask],
-                    window=(args.window[0], args.window[1]),
-                )
-            else:
-                fit = fit_power_law(data.compute[mask], data.risk_normalized[mask])
+            window = (args.window[0], args.window[1]) if args.window else None
+            fit = fit_power_law(data.compute[mask], data.risk_normalized[mask], window=window)
         except ValueError as exc:
             print(f"error: fit failed for {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -443,15 +440,10 @@ def cmd_verify(args) -> int:
         print(f"error: --dim must be <= {MAX_DIM[args.suite]} for the {args.suite} suite, "
               f"got {args.dim}", file=sys.stderr)
         return EXIT_USAGE
-    kwargs = {"seed": args.seed}
-    if args.dim:
-        kwargs["dim"] = args.dim
-    if args.trials:
-        kwargs["trials"] = args.trials
-    if args.steps:
-        kwargs["steps"] = args.steps
-    if args.euler:
-        kwargs["euler"] = True
+    # a size of 0 (or no --euler) leaves the suite's default
+    kwargs = {name: getattr(args, name) for name in ("dim", "trials", "steps", "euler")
+              if getattr(args, name)}
+    kwargs["seed"] = args.seed
     try:
         report = run_suite(args.suite, **kwargs)
     except KeyError as exc:

@@ -366,7 +366,9 @@ def run_training(
         elif step % 1000 == 0:
             # the rank-1 step is exact, but rounding in the orthonormality
             # error compounds exponentially along the unstable radial
-            # directions; a periodic dense cleanup keeps it at 1e-14
+            # directions; a periodic dense cleanup keeps it at 1e-14, and a
+            # run that left float64 stops here rather than at its last step
+            _check_norm(float(np.linalg.norm(student.w)), step)
             student.w = inv_sqrt_gram(student.w)
         if step in record_at:
             records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))

@@ -146,6 +146,27 @@ class TestRun:
             ({"alpha": float("nan")}, EXIT_USAGE, "config field 'alpha'"),
             # used to exit 0 with RuntimeWarnings on stderr and a NaN risk column
             ({**SMALL_SGD, "eta": 1e300}, EXIT_DIVERGED, "non-finite record"),
+            # r_s = d makes log(d / r_s) = 0: each used to exit 3 with a
+            # divide-by-zero RuntimeWarning line before the error
+            ({**SMALL_SGD, "r_s": 16}, EXIT_USAGE, "config field 'r_s'"),
+            ({**SMALL_SGD, "kind": "gd-population", "r_s": 16}, EXIT_USAGE, "config field 'r_s'"),
+            ({"d": 2, "r": 2, "r_s": 2}, EXIT_USAGE, "config field 'r_s'"),
+            # horizon / steps underflows to 0: a geomspace traceback
+            ({"horizon": 5e-324, "steps": 5}, EXIT_USAGE, "config field 'horizon'"),
+            # the scheduled eta overflowed or divided by zero: tracebacks
+            ({**SMALL_SGD, "c_alpha": 1e308}, EXIT_USAGE, "config field 'c_alpha'"),
+            ({**SMALL_SGD, "c_alpha": -1e308}, EXIT_USAGE, "config field 'c_alpha'"),
+            # a numeric tag used to name 5_seed1.csv; repeated seeds wrote
+            # one CSV twice from two threads
+            ({"tag": 5}, EXIT_USAGE, "config field 'tag'"),
+            ({"seeds": [0, 0]}, EXIT_USAGE, "config field 'seeds'"),
+            # the Stiefel loop used to finish every step of a run that left
+            # float64 at step 8 before its records were refused
+            ({**SMALL_SGD, "eta": 1e300, "steps": 2000}, EXIT_DIVERGED, "divergence at step 1000"),
+            # the 1000-step cleanup of a Stiefel student that collapsed to
+            # rank < r_s used to end in a RankDeficientError traceback
+            ({**SMALL_SGD, "d": 5, "r": 1, "r_s": 4, "alpha": 0.0, "seeds": [0], "eta": 1.0,
+              "steps": 1000}, EXIT_DIVERGED, "rank deficient"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):

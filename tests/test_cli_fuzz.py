@@ -1,0 +1,125 @@
+"""Fuzz the exit-code contract of ``qns run``.
+
+Configs are drawn from ``RunConfig``'s own annotations and lower bounds, at
+small sizes, for all five kinds, with at most one field pushed to an edge:
+below its bound, NaN, inf, a huge float, or a value of the wrong type.  Each
+config goes through ``cli.main`` in-process, and must end in exit 0, 2 or 3;
+a failure prints exactly one stderr line, no warning escapes, and a success
+leaves only finite CSV cells.
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+import warnings
+from datetime import timedelta
+from itertools import count
+from types import NoneType, UnionType
+from typing import Literal, Union, get_args, get_origin
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from qns.cli import _HINTS, _LOWER, _STRICT, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, KINDS, main
+from qns.model import PowerLawSpectrum
+
+# how far above its lower bound an integer field is drawn: small, fast runs
+# (steps reach past 1000, where the Stiefel loop checks its norm)
+SPAN = {"d": 8, "r": 9, "r_s": 9, "seeds": 3, "steps": 1100, "batch": 3,
+        "record_every": 40, "record_points": 40}
+EDGE_FLOATS = [0.0, -1.0, 0.5, 5e-324, 1e300, -1e308, 1e308, math.nan, math.inf, -math.inf]
+WRONG_TYPES = ["x", True, 2.5, [1], {"a": 1}, None, 10**400]
+EXP_LIMIT = math.log(sys.float_info.max)  # expm1 overflows past ~709.78
+EXAMPLE = count()  # numbers each example's directory under tmp_path
+
+
+def values(name, hint):
+    """Ordinary values of the annotated type ``hint`` for field ``name``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return st.one_of([values(name, a) for a in args])
+    if origin is Literal:
+        return st.sampled_from(args)
+    if origin is list:
+        return st.lists(values(name, args[0]), min_size=1, max_size=3)
+    lo = _LOWER.get(name, 1)
+    if hint is int:
+        return st.integers(lo, lo + SPAN.get(name, 8))
+    if hint is float:
+        return st.floats(lo, lo + 3, exclude_min=name in _STRICT)
+    if hint is NoneType:
+        return st.none()
+    return st.sampled_from(["", "t"])
+
+
+def edges(name):
+    """Values of field ``name`` at or past the edge of what it accepts, bare
+    or as the one entry of a list."""
+    edge = st.sampled_from([_LOWER.get(name, 1) - 1, *EDGE_FLOATS, *WRONG_TYPES])
+    return edge | edge.map(lambda v: [v])
+
+
+def limit_horizon(r, r_s, alpha):
+    """The horizon whose fastest closed-form exponent reaches EXP_LIMIT."""
+    lam = PowerLawSpectrum(r=r, alpha=alpha).lambdas
+    return EXP_LIMIT * math.sqrt(r_s) * math.sqrt(float(lam @ lam)) / lam[0]
+
+
+@st.composite
+def configs(draw):
+    cfg = {name: draw(values(name, hint)) for name, hint in _HINTS.items()}
+    d = cfg["d"]
+    cfg["kind"] = kind = draw(st.sampled_from(KINDS))
+    cfg["r"] = r = draw(st.integers(1, d + 1))      # r = d and r = d + 1
+    cfg["r_s"] = draw(st.integers(1, d))             # r_s = 1 and r_s = d
+    cfg["tracked_j"] = draw(st.one_of(st.just("auto"), st.lists(st.integers(1, r), max_size=3)))
+    cfg["seeds"] = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    if kind.startswith("gf"):
+        horizons = [st.floats(0, 30, exclude_min=True)]
+        if kind == "gf-closed" and r <= d and cfg["alpha"] != 0.5:
+            limit = limit_horizon(r, cfg["r_s"], cfg["alpha"])
+            horizons.append(st.sampled_from([limit * (1 - 1e-9), limit * (1 + 1e-9)]))
+        cfg["horizon"] = draw(st.one_of(horizons))
+    edge = draw(st.none() | st.sampled_from(list(_HINTS)))  # half the configs keep every field
+    if edge is not None:
+        cfg[edge] = draw(edges(edge))
+    return cfg
+
+
+def csv_cells_finite(path):
+    with open(path) as fh:
+        next(fh)
+        return all(math.isfinite(float(cell)) for line in fh for cell in line.split(","))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(cfg=configs())
+# the scheduled eta used to overflow into a traceback
+@example(cfg={"kind": "sgd-stiefel", "d": 8, "r": 2, "r_s": 2, "alpha": 1.0, "steps": 20,
+              "c_alpha": 1e308, "out_dir": ""})
+def test_run_exit_code_contract(cfg, tmp_path, monkeypatch):
+    monkeypatch.delenv("QNS_SEED", raising=False)
+    monkeypatch.delenv("QNS_THREADS", raising=False)
+    run_dir = tmp_path / f"ex{next(EXAMPLE)}"
+    run_dir.mkdir()
+    if type(cfg["out_dir"]) is str:
+        cfg["out_dir"] = str(run_dir / "runs")
+    path = run_dir / "config.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if code == EXIT_OK:
+        written = list(run_dir.glob("runs/*.csv"))
+        assert len(written) == len(cfg["seeds"])
+        assert all(csv_cells_finite(p) for p in written)
+    else:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+

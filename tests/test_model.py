@@ -144,6 +144,12 @@ class TestLossAndRisk:
             population_risk(basis, StudentState(w)), rel=1e-10
         )
 
+    def test_haar_teacher_square_draw_orthonormal(self):
+        # at r = d the Gaussian draw of seed 1 has cond(Z)^2 near 9e6: one
+        # polar pass left an error of 7e-10 and the teacher was refused
+        t = TeacherModel.haar(9, PowerLawSpectrum(r=9, alpha=0.0), seed=1)
+        assert np.abs(t.theta.T @ t.theta - np.eye(9)).max() < 1e-14
+
 
 class TestProject:
     def test_basis_teacher_materializes_nothing(self):
