@@ -22,11 +22,10 @@ lam = np.array([1.0, 0.6, 0.35, 0.2])
 params = FlowParams(lambdas=lam, d=64, r_s=3)
 f = rng.standard_normal((4, 3)) * 0.2
 g0 = f @ f.T
-traj = integrate_rk4(lambda g: gram_rhs_align(g, params), g0, t_end=8.0, dt=1e-3,
-                     record_every=2000)
+ts = np.array([2.0, 4.0, 6.0, 8.0])
 worst = max(
     np.abs(closed_form_align_gram(g0, float(t), params) - gm).max()
-    for t, gm in zip(traj.ts, traj.grams)
+    for t, gm in zip(ts, integrate_rk4(lambda g: gram_rhs_align(g, params), g0, ts, 1e-3))
 )
 print(f"closed form vs RK4 (dt=1e-3), max abs deviation: {worst:.2e}")
 

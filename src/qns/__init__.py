@@ -5,7 +5,6 @@ from .finetune import FineTuneBatch, FineTuneResult, collect_batch, finetune, ri
 from .flow import (
     EffectiveScales,
     FlowParams,
-    GramTrajectory,
     align_curves,
     closed_form_align_gram,
     closed_form_weight_gram,

@@ -1,10 +1,12 @@
 """Trajectory post-processing: exponent fits and transition times.
 
-The exponent fit is ordinary least squares on (log x, log y); the automatic
-window search replaces eyeballing the linear range with a reproducible rule:
-from each starting point take the shortest contiguous window spanning at
-least one decade of the x axis with at least eight points, and of those
-windows keep the one maximizing r^2.
+``fit_power_law(xs, ys, window=None)`` is ordinary least squares on
+(log x, log y); without a window, the automatic search replaces eyeballing
+the linear range with a fixed, reproducible rule: from each starting point
+take the shortest contiguous window spanning at least one decade of the x
+axis with at least eight points, and of those windows keep the one
+maximizing r^2.  ``extract_transitions(times_rescaled, alignments, js,
+lambdas, kappa_eff)`` locates the 0.5-crossings of alignment curves.
 """
 
 from __future__ import annotations
@@ -68,19 +70,20 @@ def _ols_loglog(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
+# the automatic window spans at least one decade of x with at least this
+# many points
+_MIN_POINTS = 8
+
+
 def fit_power_law(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    window: tuple[float, float] | None = None,
-    min_decades: float = 1.0,
-    min_points: int = 8,
+    xs: np.ndarray, ys: np.ndarray, window: tuple[float, float] | None = None
 ) -> FitResult:
     """Least-squares power-law fit ``y ~ x^e`` on log-log axes.
 
     With an explicit ``window = (lo, hi)`` only points with lo <= x <= hi are
     used (at least 5 required).  Otherwise, for each starting point only the
-    shortest contiguous window spanning ``min_decades`` of x with at least
-    ``min_points`` points is scored, and the highest r^2 among those wins
+    shortest contiguous window spanning one decade of x with at least eight
+    points is scored, and the highest r^2 among those wins
     (ties: wider, then earlier).  The reported window is the first and last
     x of the chosen points, so refitting with it selects the same points.
     """
@@ -102,7 +105,7 @@ def fit_power_law(
         return FitResult(slope, intercept, r2, (lo, hi), int(mask.sum()))
 
     n = len(lx)
-    span = np.log(10.0) * min_decades
+    span = np.log(10.0)
     best = None
     # prefix sums make each candidate window O(1)
     c1 = np.concatenate([[0.0], np.cumsum(lx)])
@@ -111,7 +114,7 @@ def fit_power_law(
     cxy = np.concatenate([[0.0], np.cumsum(lx * ly)])
     cyy = np.concatenate([[0.0], np.cumsum(ly * ly)])
     for i in range(n):
-        for j in range(i + min_points - 1, n):
+        for j in range(i + _MIN_POINTS - 1, n):
             if lx[j] - lx[i] < span:
                 continue
             m = j - i + 1
@@ -129,9 +132,7 @@ def fit_power_law(
                 best = (key, i, j, slope, sy / m - slope * sx / m, r2)
             break  # windows starting at i: the shortest admissible is scored
     if best is None:
-        raise ValueError(
-            f"no window with {min_points} points spanning {min_decades} decades"
-        )
+        raise ValueError(f"no window with {_MIN_POINTS} points spanning one decade")
     _, i, j, slope, intercept, r2 = best
     return FitResult(
         exponent=slope,
@@ -147,15 +148,14 @@ def extract_transitions(
     alignments: np.ndarray,
     js: list[int],
     lambdas: np.ndarray,
-    kappa_eff: float = 1.0,
-    threshold: float = 0.5,
+    kappa_eff: float,
 ) -> TransitionReport:
     """Locate the 0.5-crossings of recorded alignment curves.
 
     ``times_rescaled`` is the trajectory clock divided by kappa_eff * T_eff,
     so the predicted crossing of direction j sits at ``1/(lambda_j kappa_eff)``.
-    Crossings are linearly interpolated; directions that never reach the
-    threshold inside the horizon are reported censored, never extrapolated.
+    Crossings are linearly interpolated; directions that never reach 0.5
+    inside the horizon are reported censored, never extrapolated.
     """
     t = np.asarray(times_rescaled, dtype=float)
     a = np.asarray(alignments, dtype=float)
@@ -166,14 +166,14 @@ def extract_transitions(
         lam_j = float(lambdas[j - 1])
         pred = 1.0 / (lam_j * kappa_eff)
         series = a[:, col]
-        above = np.nonzero(series >= threshold)[0]
+        above = np.nonzero(series >= 0.5)[0]
         if len(above) == 0 or above[0] == 0:
             measured = t[0] if len(above) and above[0] == 0 else None
         else:
             k = above[0]
             t0, t1 = t[k - 1], t[k]
             y0, y1 = series[k - 1], series[k]
-            measured = t0 + (threshold - y0) * (t1 - t0) / (y1 - y0)
+            measured = t0 + (0.5 - y0) * (t1 - t0) / (y1 - y0)
         rel = None if measured is None else (measured - pred) / pred
         out.append(Transition(j=j, predicted=pred, measured=measured, relative_error=rel))
     return TransitionReport(transitions=out)

@@ -2,9 +2,10 @@
 
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
-1 verification failure, 2 usage/config error, 3 numeric failure (divergence,
-a rank-deficient student, a closed-form horizon past float64's exp range, or
-non-finite records).
+1 verification failure, 2 usage/config error (a config that is not a JSON
+object, or one whose run needs more memory than is available, among them),
+3 numeric failure (divergence, a rank-deficient student, a closed-form
+horizon past float64's exp range, or non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
 caps the run worker pool.
 """
@@ -30,9 +31,9 @@ from .flow import (
     FlowParams,
     _reduce,
     _rk4_dt,
-    _rk4_step,
     align_curves,
     effective_scales,
+    integrate_rk4,
     theory_risk_curve,
     weight_risk_curve,
 )
@@ -248,16 +249,8 @@ def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
 
     ts = _time_grid(cfg)
     tracked = [j - 1 for j in cfg.resolved_tracked()]
-    dt = _rk4_dt(params)
     risk_n, aligns = np.empty(len(ts)), np.empty((len(ts), len(tracked)))
-    t_now, step = 0.0, 0
-    for i, t_target in enumerate(ts):
-        n_sub = max(int(np.ceil((t_target - t_now) / dt)), 1)
-        h = (t_target - t_now) / n_sub
-        for _ in range(n_sub):
-            step += 1
-            s = _rk4_step(s_rhs, s, h, step)
-        t_now = t_target
+    for i, s in enumerate(integrate_rk4(s_rhs, s, ts, _rk4_dt(params))):
         risk_n[i] = risk_from_gram(spectrum, s.T @ s, s[: cfg.r], normalized=True)
         aligns[i] = np.sum(inv_sqrt_gram(s)[tracked] ** 2, axis=1)
     return _flow_data(cfg, ts, risk_n, aligns)
@@ -341,6 +334,9 @@ def cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if type(raw) is not dict:
+        print(f"error: the config must be a JSON object, got {type(raw).__name__}", file=sys.stderr)
+        return EXIT_USAGE
     for override in args.override or []:
         if "=" not in override:
             print(f"error: override {override!r} is not key=value", file=sys.stderr)
@@ -382,6 +378,9 @@ def cmd_run(args) -> int:
     except (DivergenceError, FlowNumericsError, NonFiniteRunError, RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError:
+        print("error: the config needs more memory than is available", file=sys.stderr)
+        return EXIT_USAGE
     for p in paths:
         print(p)
     return EXIT_OK

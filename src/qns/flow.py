@@ -20,9 +20,12 @@ naive inverse is hopeless.  The d - r zero modes of the weight target share
 one scaling, so one thin QR of the rows of ``w0`` off the teacher span
 reduces the weight closed form to the (r + min(d - r, r_s)) x r_s factor
 ``S = [Theta.T w0; R]`` with the same singular values; grids run as chunks of
-stacked QRs whose ``[X; I]`` is no larger than one d x r_s matrix.  The RK4
-integrator is an independent oracle: it integrates the ODE, on the Gram or,
-from the command line, on the reduced factor ``S``.
+stacked QRs whose ``[X; I]`` is no larger than one d x r_s matrix;
+``closed_form_weight_gram(w0, t, params)`` takes that factor, never the
+d x d Gram.  The RK4 integrator is an independent oracle:
+``integrate_rk4(rhs, y0, ts, dt)`` yields the state at each time of ``ts``,
+and integrates the ODE on the Gram or, from the command line, on the
+reduced factor ``S``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "FlowNumericsError",
     "FlowParams",
     "EffectiveScales",
-    "GramTrajectory",
     "gram_rhs_weight",
     "gram_rhs_align",
     "closed_form_align_gram",
@@ -102,12 +104,6 @@ class EffectiveScales:
     r_eff: int
 
 
-@dataclass(frozen=True)
-class GramTrajectory:
-    ts: np.ndarray       # (n,)
-    grams: np.ndarray    # (n, r, r)
-
-
 # ---------------------------------------------------------------------------
 # Riccati right-hand sides
 
@@ -147,15 +143,16 @@ def gram_rhs_weight(g: np.ndarray, params: FlowParams) -> np.ndarray:
 # Closed forms
 
 
-def _factor_psd(g0: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Factor ``g0 = F F.T`` (columns may be fewer than n for low rank)."""
+def _factor_psd(g0: np.ndarray) -> np.ndarray:
+    """Factor ``g0 = F F.T``, keeping the eigenvalues above 1e-12 of the
+    largest (columns may be fewer than n for low rank)."""
     g0 = check_symmetric(g0)
     w, v = np.linalg.eigh(g0)
     scale = max(abs(w[-1]), 1.0)
     if w[0] < -1e-10 * scale:
         raise ValueError(f"initialization is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.maximum(w, 0.0)
-    keep = w > tol * scale
+    keep = w > 1e-12 * scale
     if not np.any(keep):
         return np.zeros((g0.shape[0], 1))
     return v[:, keep] * np.sqrt(w[keep])
@@ -322,27 +319,16 @@ def _gram_diag(cores, ts, diag0: np.ndarray) -> np.ndarray:
     return out
 
 
-def closed_form_weight_gram(
-    g0: np.ndarray | None, t: float, params: FlowParams, w0: np.ndarray | None = None
-) -> np.ndarray:
-    """Weight-Gram flow solution at time ``t`` (teacher eigenbasis).
-
-    Supply either the full d x d PSD ``g0`` or, preferably, the d x r_s
-    factor ``w0`` with ``g0 = w0 w0.T``; the factored route costs
-    O(d r_s^2).
-    """
+def closed_form_weight_gram(w0: np.ndarray, t: float, params: FlowParams) -> np.ndarray:
+    """Weight-Gram flow solution ``G_W(t)`` (teacher eigenbasis) from the
+    d x r_s factor ``w0`` of ``G_W(0) = w0 w0.T``; costs O(d r_s^2)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if w0 is None:
-        if g0 is None:
-            raise ValueError("need g0 or w0")
-        f = _factor_psd(g0)
-    else:
-        f = np.asarray(w0, dtype=float)
+    f = np.asarray(w0, dtype=float)
     if f.shape[0] != params.d:
         raise ValueError(f"weight factor must have {params.d} rows")
     if t == 0.0:
-        return f @ f.T if g0 is None else check_symmetric(g0).copy()
+        return f @ f.T
     s, q = _reduce(f, params.r, with_q=True)
     [(_, dy)] = _weight_core(s, [t], params)
     return _sym_outer(_expand(dy[0], q, params.r), t, "weight")
@@ -391,55 +377,35 @@ def weight_risk_curve(
 
 
 def _rk4_dt(params: FlowParams) -> float:
-    """Default RK4 step, stable for the stiffest mode."""
+    """The RK4 step of gf-rk4 runs, stable for the stiffest mode."""
     return min(0.01, 0.1 * params.t_u / float(params.lambdas[0]))
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float, step: int) -> np.ndarray:
-    """One classical RK4 step of ``dy/dt = rhs(y)``; aborts with the step index
-    on non-finite state."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(y).all():
-        raise FlowNumericsError(f"RK4 state became non-finite at step {step}")
-    return y
+def integrate_rk4(rhs, y0: np.ndarray, ts, dt: float):
+    """Classical RK4 on ``dy/dt = rhs(y)`` from ``y(0) = y0``: yields ``y(t)``
+    at each time of the non-decreasing grid ``ts``.
 
-
-def integrate_rk4(
-    rhs,
-    g0: np.ndarray,
-    t_end: float,
-    dt: float | None = None,
-    record_every: int = 1,
-    params: FlowParams | None = None,
-) -> GramTrajectory:
-    """Classical RK4 on ``dG/dt = rhs(G)``, recording every k-th step.
-
-    The default step is ``min(0.01, 0.1 * T_U / lambda_1)`` when ``params``
-    is given (stability for the stiffest mode).  Aborts with the step index
-    on non-finite state.
+    Each gap between grid times is cut into ``max(ceil(gap / dt), 1)`` equal
+    sub-steps.  A non-finite state aborts with the index of its sub-step,
+    counted over the whole run.
     """
-    if dt is None:
-        if params is None:
-            raise ValueError("need dt or params to choose a step size")
-        dt = _rk4_dt(params)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    g = check_symmetric(g0).copy()
-    n_steps = max(int(round(t_end / dt)), 1)
-    h = t_end / n_steps  # uniform step landing exactly on t_end
-    ts = [0.0]
-    grams = [g.copy()]
-    for step in range(1, n_steps + 1):
-        g = _rk4_step(rhs, g, h, step)
-        g = 0.5 * (g + g.T)
-        if step % record_every == 0 or step == n_steps:
-            ts.append(step * h)
-            grams.append(g.copy())
-    return GramTrajectory(ts=np.array(ts), grams=np.array(grams))
+    y, t_now, step = y0, 0.0, 0
+    for t in ts:
+        n_sub = max(int(np.ceil((t - t_now) / dt)), 1)
+        h = (t - t_now) / n_sub
+        for _ in range(n_sub):
+            step += 1
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise FlowNumericsError(f"RK4 state became non-finite at step {step}")
+        t_now = t
+        yield y
 
 
 # ---------------------------------------------------------------------------

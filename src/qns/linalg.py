@@ -83,14 +83,14 @@ def sym_eigen(m: np.ndarray) -> EigenPair:
     return EigenPair(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
 
 
-def psd_sqrt(m: np.ndarray, clip_tol: float = 0.0) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root with eigenvalue clipping.
 
-    Eigenvalues below ``clip_tol`` are treated as exactly zero, so slightly
-    indefinite inputs (rounding noise) are absorbed instead of raising.
+    Negative eigenvalues are treated as exactly zero, so slightly indefinite
+    inputs (rounding noise) are absorbed instead of raising.
     """
     w, v = sym_eigen(m)
-    w = np.where(w < clip_tol, 0.0, w)
+    w = np.maximum(w, 0.0)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 

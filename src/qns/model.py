@@ -100,43 +100,21 @@ def project(m: np.ndarray, r: int, theta: np.ndarray | None) -> np.ndarray:
 
 
 class StudentState:
-    """Student weight matrix with lazily cached polar factors.
-
-    ``W = U Q^{1/2}`` with ``Q = W.T W`` and ``U.T U = I``; the cache is
-    invalidated on any assignment to ``w``.
-    """
+    """Student weight matrix ``W`` (d x r_s), updated in place or reassigned
+    by the training loops."""
 
     def __init__(self, w: np.ndarray):
-        self._w = np.array(w, dtype=float)
-        if self._w.ndim != 2:
+        self.w = np.array(w, dtype=float)
+        if self.w.ndim != 2:
             raise ValueError("W must be a matrix")
-        self._u: np.ndarray | None = None
-        self._q: np.ndarray | None = None
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._w
-
-    @w.setter
-    def w(self, value: np.ndarray):
-        self._w = np.asarray(value, dtype=float)
-        self._u = None
-        self._q = None
 
     @property
     def d(self) -> int:
-        return self._w.shape[0]
+        return self.w.shape[0]
 
     @property
     def r_s(self) -> int:
-        return self._w.shape[1]
-
-    def polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(U, Q)``; raises on rank-deficient ``W``."""
-        if self._u is None:
-            self._q = self._w.T @ self._w
-            self._u = inv_sqrt_gram(self._w)
-        return self._u, self._q
+        return self.w.shape[1]
 
     @staticmethod
     def gaussian_init(d: int, r_s: int, seed: int = 0) -> "StudentState":
@@ -226,9 +204,9 @@ def risk_from_gram(
 
 
 def alignment_gram(teacher: TeacherModel, student: StudentState) -> np.ndarray:
-    """Alignment Gram ``Theta.T U U.T Theta`` (r x r) from the polar factor."""
-    u, _ = student.polar()
-    f = project(u, teacher.r, teacher.theta)
+    """Alignment Gram ``Theta.T U U.T Theta`` (r x r) from the polar factor
+    ``U = W (W.T W)^{-1/2}``."""
+    f = project(inv_sqrt_gram(student.w), teacher.r, teacher.theta)
     return f @ f.T
 
 
@@ -241,12 +219,11 @@ def alignment(teacher: TeacherModel, student: StudentState, j: int) -> float:
     """
     if not 1 <= j <= teacher.r:
         raise ValueError(f"direction index j={j} outside 1..{teacher.r}")
-    u, _ = student.polar()
     if teacher.spectrum.alpha == 0.0:
         g = alignment_gram(teacher, student)
         eigs = np.linalg.eigvalsh(g)[::-1]
         return float(np.clip(eigs[j - 1], 0.0, 1.0))
-    th_j = project(u, teacher.r, teacher.theta)[j - 1]
+    th_j = project(inv_sqrt_gram(student.w), teacher.r, teacher.theta)[j - 1]
     return float(np.clip(np.sum(th_j**2), 0.0, 1.0))
 
 

@@ -12,17 +12,21 @@ change of variables ``V = 2 L^{1/2} G L^{1/2} - L`` turns it into
 
 which is linearized by a 2 x 2 block companion matrix.  Per mode that matrix
 has determinant 1, so its powers have an exact eigen closed form, evaluated
-in a scaled representation that cannot overflow.  A deterministic
-reference/bounding recursion harness built on the same map sandwiches noisy
-iterates between decoupled systems.
+in a scaled representation that cannot overflow;
+``closed_form_discrete_gram(g0, lam, eta, t)`` maps t steps of the V
+recursion of the one spectrum ``lam`` back to G.  Spectra are vectors
+throughout, one per matrix of a stack.  A deterministic reference/bounding
+recursion harness built on the same map sandwiches iterates between
+decoupled systems.
 
 The maps take stacks of matrices ``(..., r, r)`` and solve them with one
 LAPACK call, giving each matrix the floats of a 2-D call.  ``bounding_run``
 runs the noise-free sandwich as one loop: the step's constants are computed
 once, and each step solves the lower and upper iterates and the exact Gram
 iterate as one ``(3, r, r)`` stack, through the same private step kernel as
-``bounding_step``.  ``riccati_blocks`` broadcasts array-valued ``eta`` and
-``t`` against a stack of spectra, so many trials are one call.
+``bounding_step(state)``, whose state carries every constant a step reads.
+``riccati_blocks`` broadcasts array-valued ``eta`` and ``t`` against a
+stack of spectra, so many trials are one call.
 """
 
 from __future__ import annotations
@@ -52,26 +56,16 @@ __all__ = [
 ]
 
 
-def _as_diag_vector(lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 2:
-        off = lam - np.diag(np.diag(lam))
-        if np.abs(off).max() > 0:
-            raise ValueError("expected a diagonal matrix or a vector")
-        lam = np.diag(lam)
-    return lam
-
-
 def _checked_stack(g, lam, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate G (one matrix or a stack) once; shape ``lam`` and ``eta`` to it.
+    """Validate G (one matrix or a stack) once; check ``lam`` against it.
 
-    A single G still takes a diagonal matrix for ``lam``.  An array ``eta``
-    comes back with two trailing unit axes so it scales each matrix of the
-    stack; a scalar stays a scalar.
+    ``lam`` holds one spectrum per matrix, shape ``g.shape[:-1]``.  An array
+    ``eta`` comes back with two trailing unit axes so it scales each matrix
+    of the stack; a scalar stays a scalar.
     """
     g = check_symmetric(g)
-    lam = _as_diag_vector(lam) if g.ndim == 2 else np.asarray(lam, dtype=float)
-    if lam.shape[-1:] != g.shape[-1:]:
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != g.shape[:-1]:
         raise ValueError("dimension mismatch between G and the spectrum")
     if np.ndim(eta):
         eta = np.asarray(eta, dtype=float)[..., None, None]
@@ -146,8 +140,10 @@ def euler_update(g: np.ndarray, lam, eta) -> np.ndarray:
 def v_update(v: np.ndarray, lam_hat, eta: float) -> np.ndarray:
     """Shifted-variable step ``V - eta V^2 (I + eta V)^{-1} + eta Lhat^2``."""
     v = check_symmetric(v)
-    lam_hat = _as_diag_vector(lam_hat)
+    lam_hat = np.asarray(lam_hat, dtype=float)
     r = v.shape[0]
+    if lam_hat.shape != (r,):
+        raise ValueError("dimension mismatch between V and the spectrum")
     resolvent = np.eye(r) + eta * v
     try:
         corr = _solve_right(resolvent, v @ v)
@@ -257,7 +253,7 @@ def antisym_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam_hat = _as_diag_vector(lam_hat)
+    lam_hat = np.asarray(lam_hat, dtype=float)
     if np.any(np.abs(eta * lam_hat) >= 1.0):
         raise ValueError("closed form requires |eta lambda| < 1")
     log_plus = t * np.log1p(eta * lam_hat)
@@ -271,47 +267,31 @@ def antisym_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
     )
 
 
-def closed_form_discrete_gram(
-    g0: np.ndarray,
-    lambda1,
-    lambda2,
-    lambda_hat,
-    eta: float,
-    t: int,
-) -> np.ndarray:
+def closed_form_discrete_gram(g0: np.ndarray, lam, eta: float, t: int) -> np.ndarray:
     """Closed form for t steps of the V recursion, mapped back to G.
 
-    Works for mutually diagonalizable coefficient triples (enforced: all
-    diagonal).  Equivalent to iterating :func:`v_update` from
-    ``V0 = 2 L2^{1/2} G0 L2^{1/2} - L1`` and mapping back through the same
-    change of variables.
+    Equivalent to iterating :func:`v_update` with spectrum ``lam`` from
+    ``V0 = 2 L^{1/2} G0 L^{1/2} - L`` and mapping back through the same
+    change of variables: ``G(t) = (I + A22 A12^{-1}) / 2 - A12^{-1}
+    (G0 + (A11 A12^{-1} - I) / 2)^{-1} A12^{-1} / 4`` with the blocks of
+    :func:`riccati_blocks`.
     """
     g0 = check_symmetric(g0)
-    l1 = _as_diag_vector(lambda1)
-    l2 = _as_diag_vector(lambda2)
-    lh = _as_diag_vector(lambda_hat)
-    r = g0.shape[0]
-    if not (l1.size == l2.size == lh.size == r):
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != g0.shape[:1]:
         raise ValueError("dimension mismatch")
-    if np.any(l2 <= 0):
-        raise ValueError("lambda2 must be positive (it scales the change of variables)")
     if t == 0:
         return g0.copy()
-    blocks = riccati_blocks(lh, eta, t)
-    ratio_11_12 = blocks.ratio_11_12()
-    ratio_22_12 = blocks.ratio_22_12()
-    inv_a12 = blocks.inv_a12()
-    diag_term = (l1 / l2 + ratio_22_12 * lh / l2) / 2.0
-    b = inv_a12 * lh / l2
-    inner_diag = (lh / l2 * ratio_11_12 - l1 / l2) / 2.0
-    inner = g0 + np.diag(inner_diag)
+    blocks = riccati_blocks(lam, eta, t)
+    b = blocks.inv_a12()
+    inner = g0 + np.diag((blocks.ratio_11_12() - 1.0) / 2.0)
     try:
         solved = np.linalg.solve(inner, np.diag(b))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             f"inner matrix singular in discrete closed form at step t={t}"
         )
-    out = np.diag(diag_term) - 0.25 * (b[:, None] * solved)
+    out = np.diag((1.0 + blocks.ratio_22_12()) / 2.0) - 0.25 * (b[:, None] * solved)
     return 0.5 * (out + out.T)
 
 
@@ -329,21 +309,20 @@ def default_kappa_d(d: int, r: int, alpha: float) -> float:
     return float(1.0 / (r_u * ld**2.5))
 
 
+# constants of the sandwich: C > 1 multiplying the spectrum widening, and
+# the order-one constant of the second-order term
+_C_DRIFT = 2.0
+_C_TILDE = 2.0
+
+
 @dataclass(frozen=True)
 class BoundingConfig:
-    """Knobs of the deterministic sandwich harness."""
+    """Dimensions and raw SGD step size of the deterministic sandwich harness;
+    the floor constant is :func:`default_kappa_d` of its regime."""
 
     d: int
     r_s: int
-    eta: float                      # raw SGD step size
-    kappa_d: float | None = None    # floor constant, defaulted per regime
-    c_drift: float = 2.0            # C > 1 multiplying the spectrum widening
-    c_tilde: float = 2.0            # second-order term constant (order one)
-
-    def resolved_kappa(self, spectrum: PowerLawSpectrum) -> float:
-        if self.kappa_d is not None:
-            return self.kappa_d
-        return default_kappa_d(self.d, spectrum.r, spectrum.alpha)
+    eta: float
 
 
 @dataclass(frozen=True)
@@ -363,7 +342,6 @@ class BoundingState:
     lam_lo: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     lam_up: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     lam: np.ndarray = field(repr=False, default=None)     # type: ignore[assignment]
-    c_tilde: float = 2.0
     r_s: int = 1
     step: int = 0
 
@@ -401,7 +379,7 @@ class BoundingState:
 
 def _widened_spectra(spectrum: PowerLawSpectrum, cfg: BoundingConfig):
     lam = spectrum.lambdas
-    shift = cfg.c_drift * spectrum.frob * cfg.eta * cfg.d / np.sqrt(cfg.r_s)
+    shift = _C_DRIFT * spectrum.frob * cfg.eta * cfg.d / np.sqrt(cfg.r_s)
     lam_lo = lam - shift
     lam_up = lam + shift
     if np.any(lam_lo <= 0):
@@ -424,7 +402,7 @@ def init_bounding(
     r = spectrum.r
     if g0.shape[0] != r:
         raise ValueError(f"Gram must be {r} x {r}")
-    kappa = cfg.resolved_kappa(spectrum)
+    kappa = default_kappa_d(cfg.d, r, spectrum.alpha)
     lam_lo, lam_up = _widened_spectra(spectrum, cfg)
     eta_eff = cfg.eta / (2.0 * np.sqrt(cfg.r_s) * spectrum.frob)
     t0 = (kappa * cfg.r_s / cfg.d) * np.eye(r)
@@ -443,7 +421,6 @@ def init_bounding(
         lam_lo=lam_lo,
         lam_up=lam_up,
         lam=lam.copy(),
-        c_tilde=cfg.c_tilde,
         r_s=cfg.r_s,
         step=0,
     )
@@ -475,11 +452,11 @@ def _step_constants(state: BoundingState) -> _StepConstants:
     a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
     add_lo = a_lo * (
         state.lam_lo**2 / (1.0 + 2.0 * kappa) ** 2
-        - state.c_tilde * ue * frob_sq * state.r_s * state.lam_lo
+        - _C_TILDE * ue * frob_sq * state.r_s * state.lam_lo
     )
     add_up = a_up * (
         state.lam_up**2 / (1.0 - 2.0 * kappa) ** 2
-        + state.c_tilde * ue * frob_sq * state.r_s * state.lam_up
+        + _C_TILDE * ue * frob_sq * state.r_s * state.lam_up
     )
     eye = np.eye(state.lam.size)
     half_eta, drift = _monotone_drift(state.lam, state.eta_eff, eye)
@@ -518,25 +495,12 @@ def _harness_step(c: _StepConstants, t_ref: np.ndarray, bounds: np.ndarray, g=No
     return _sym(t_ref), _sym(solved[:2] + c.add), g
 
 
-def bounding_step(
-    state: BoundingState,
-    spectrum: PowerLawSpectrum,
-    cfg: BoundingConfig,
-    noise: np.ndarray | None = None,
-) -> BoundingState:
-    """Advance the reference sequence and both bounding recursions one step.
-
-    ``noise`` (optional symmetric increment, e.g. recorded SGD noise) is added
-    to both bounding iterates, mirroring how the common noise term enters the
-    sandwich; the default run is noise-free and fully deterministic.
-    """
+def bounding_step(state: BoundingState) -> BoundingState:
+    """Advance the reference sequence and both bounding recursions one
+    noise-free step; the state carries every constant the step reads."""
     t_ref, (lower, upper), _ = _harness_step(
         _step_constants(state), state.t_ref, np.stack([state.lower, state.upper])
     )
-    if noise is not None:
-        noise = check_symmetric(noise)
-        lower = lower + noise
-        upper = upper + noise
     return replace(
         state, t_ref=t_ref, lower=lower, upper=upper, step=state.step + 1
     )

@@ -372,7 +372,6 @@ def run_training(
             student.w = inv_sqrt_gram(student.w)
         if step in record_at:
             records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))
-    student.w = student.w  # in-place steps bypass the setter: drop the polar cache
     return TrainResult(records=records, student=student, samples_used=samples, config=cfg)
 
 

@@ -24,6 +24,7 @@ from .riccati import (
     antisym_blocks,
     bounding_run,
     closed_form_discrete_gram,
+    default_kappa_d,
     euler_update,
     monotone_update,
     riccati_blocks,
@@ -58,8 +59,8 @@ def _check(name: str, residual: float, tol: float, **detail) -> dict:
     }
 
 
-def _rand_psd(rng, dim: int, scale: float = 1.0, rank: int | None = None) -> np.ndarray:
-    b = rng.standard_normal((dim, rank or dim))
+def _rand_psd(rng, dim: int, scale: float) -> np.ndarray:
+    b = rng.standard_normal((dim, dim))
     return scale * (b @ b.T) / dim
 
 
@@ -88,14 +89,14 @@ def block_identity_residuals(lam, eta, t) -> tuple[float, float]:
 
 def closed_form_residual(g0: np.ndarray, lam: np.ndarray, eta: float, t_max: int) -> float:
     """Worst entry gap, over t = 1..t_max, between :func:`closed_form_discrete_gram`
-    (with ``lam`` as all three coefficients) and ``g0`` pushed t times through
-    :func:`v_update` and mapped back to Gram coordinates."""
+    and ``g0`` pushed t times through :func:`v_update` and mapped back to Gram
+    coordinates."""
     sq = np.sqrt(lam)
     v = 2.0 * (sq[:, None] * g0 * sq[None, :]) - np.diag(lam)
     worst = 0.0
     for t in range(1, t_max + 1):
         v = v_update(v, lam, eta)
-        g_cf = closed_form_discrete_gram(g0, lam, lam, lam, eta, t)
+        g_cf = closed_form_discrete_gram(g0, lam, eta, t)
         g_it = (v + np.diag(lam)) / (2.0 * np.outer(sq, sq))
         worst = max(worst, float(np.abs(g_cf - g_it).max()))
     return worst
@@ -321,7 +322,7 @@ def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0) -> list[dict]
         worst_sa = max(worst_sa, abs(lhs - rhs))
     checks.append(_check("operator_self_adjoint", worst_sa, 1e-10))
 
-    s_star = erm_minimize(batch, iters=600, step=0.4)
+    s_star = erm_minimize(batch, 600)
     s_hat = psd_project(s_glob_estimate(batch))
     gap = l_operator_gap(batch)
     lhs = float(np.linalg.norm(s_star - s_hat))
@@ -332,12 +333,11 @@ def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0) -> list[dict]
     return checks
 
 
-def suite_bounds(
-    dim: int = 8, steps: int = 10000, seed: int = 0, alpha: float = 0.25
-) -> list[dict]:
-    """Noise-free sandwich and reference-sequence floor over many steps."""
+def suite_bounds(dim: int = 8, steps: int = 10000, seed: int = 0) -> list[dict]:
+    """Noise-free sandwich and reference-sequence floor over many steps, for
+    the heavy-tailed teacher ``alpha = 0.25``."""
     d, r_s = 1000, 4
-    spec = PowerLawSpectrum(r=dim, alpha=alpha)
+    spec = PowerLawSpectrum(r=dim, alpha=0.25)
     cfg = BoundingConfig(d=d, r_s=r_s, eta=1e-4)
     rng = rng_stream(seed, 37)
     z = rng.standard_normal((d, r_s)) / np.sqrt(d)
@@ -357,7 +357,7 @@ def suite_bounds(
             "passed": bool(floor_ok),
             "residual": 0.0 if floor_ok else 1.0,
             "tolerance": 0.0,
-            "detail": {"floor": cfg.resolved_kappa(spec) * r_s / d},
+            "detail": {"floor": default_kappa_d(d, dim, spec.alpha) * r_s / d},
         },
     ]
 

@@ -46,11 +46,9 @@ def test_criterion_01_closed_form_vs_rk4():
     w0 = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(1, 1))
     f0 = inv_sqrt_gram(w0)[:r]
     g0 = f0 @ f0.T
-    traj = integrate_rk4(
-        lambda g: gram_rhs_align(g, params), g0, t_end=10.0, dt=1e-3, record_every=500
-    )
+    ts = np.linspace(0.5, 10.0, 20)
     worst = 0.0
-    for t, gm in zip(traj.ts, traj.grams):
+    for t, gm in zip(ts, integrate_rk4(lambda g: gram_rhs_align(g, params), g0, ts, 1e-3)):
         cf = closed_form_align_gram(g0, float(t), params)
         worst = max(worst, np.abs(cf - gm).max() / np.abs(cf).max())
     elapsed = time.perf_counter() - start
@@ -307,7 +305,7 @@ def test_criterion_09_finetuning():
     from qns.linalg import psd_project
 
     batch = collect_batch(teacher, StudentState(w), 4000, rng_stream(9, 6))
-    s_star = erm_minimize(batch, iters=800, step=0.4)
+    s_star = erm_minimize(batch, 800)
     s_hat = psd_project(s_glob_estimate(batch))
     gap = l_operator_gap(batch)
     ok_erm = float(np.linalg.norm(s_star - s_hat)) <= 2 * gap / (1 - gap) * float(

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -167,17 +168,33 @@ class TestRun:
             # rank < r_s used to end in a RankDeficientError traceback
             ({**SMALL_SGD, "d": 5, "r": 1, "r_s": 4, "alpha": 0.0, "seeds": [0], "eta": 1.0,
               "steps": 1000}, EXIT_DIVERGED, "rank deficient"),
+            # -O on a config that is not an object used to end in a TypeError traceback
+            ({"CONFIG": [1], "-O": "steps=3"}, EXIT_USAGE, "must be a JSON object"),
+            # a 2**40-point time grid (8 TiB) used to end in a MemoryError
+            # traceback; the 16 GiB address-space limit makes the allocation
+            # fail whatever the host's overcommit policy
+            ({"RLIMIT_AS": 2**34, "steps": 2**40}, EXIT_USAGE, "more memory"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
-        # keys named QNS_* set environment variables, the rest config fields
+        # keys named QNS_* set environment variables, CONFIG replaces the whole
+        # config, -O passes one override, RLIMIT_AS caps the run's address
+        # space; the rest are config fields
+        special = {k: overrides[k] for k in ("CONFIG", "-O", "RLIMIT_AS") if k in overrides}
         env = {k: v for k, v in overrides.items() if k.startswith("QNS_")}
-        path, _ = base_config(tmp_path, **{k: v for k, v in overrides.items() if k not in env})
+        path, _ = base_config(tmp_path, **{k: v for k, v in overrides.items()
+                                           if k not in env and k not in special})
+        if "CONFIG" in special:
+            (tmp_path / "config.json").write_text(json.dumps(special["CONFIG"]))
+        argv = ["-O", special["-O"]] if "-O" in special else []
+        limit = special.get("RLIMIT_AS")
         src = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-m", "qns.cli", "run", path],
+            [sys.executable, "-m", "qns.cli", "run", path, *argv],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src, **env),
+            preexec_fn=None if limit is None else lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)),
         )
         assert proc.returncode == code
         lines = proc.stderr.strip().splitlines()
@@ -272,7 +289,7 @@ class TestRun:
     def test_rk4_reduced_factor_matches_dense_w(self, tmp_path):
         # the run integrates the (r + k) x r_s factor S; RK4 on the dense
         # d x r_s W with the same sub-steps must give the same records
-        from qns.flow import FlowParams, _rk4_dt, _rk4_step
+        from qns.flow import FlowParams, _rk4_dt, integrate_rk4
         from qns.linalg import rng_stream, sample_gaussian_mat
         from qns.model import PowerLawSpectrum, StudentState, TeacherModel, alignment_gram, population_risk
 
@@ -289,14 +306,10 @@ class TestRun:
             mw = th @ (lam[:, None] * (th.T @ w))
             return (mw - (frob / np.sqrt(r_s)) * (w @ (w.T @ w))) / (2.0 * np.sqrt(r_s) * frob)
 
-        w = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(seed, 1))
+        w0 = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(seed, 1))
         dt = _rk4_dt(FlowParams.from_spectrum(spec, d, r_s))
-        risk, aligns, t_now = [], [], 0.0
-        for t in data.time_raw:
-            n_sub = max(int(np.ceil((t - t_now) / dt)), 1)
-            for _ in range(n_sub):
-                w = _rk4_step(w_rhs, w, (t - t_now) / n_sub, 0)
-            t_now = t
+        risk, aligns = [], []
+        for w in integrate_rk4(w_rhs, w0, data.time_raw, dt):
             student = StudentState(w)
             risk.append(population_risk(teacher, student, normalized=True))
             aligns.append(np.diag(alignment_gram(teacher, student))[[0, 1, 4]])
@@ -330,8 +343,10 @@ class TestFitCommand:
 
 
 class TestVerifyCommand:
-    def test_passing_suite_exit_zero(self, capsys):
-        assert main(["verify", "riccati", "--trials", "5"]) == EXIT_OK
+    @pytest.mark.parametrize("suite", ["riccati", "monotone", "retraction", "finetune", "bounds"])
+    def test_passing_suite_exit_zero(self, suite, capsys):
+        # every suite at its default sizes
+        assert main(["verify", suite]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert all("residual" in c for c in report["checks"])

@@ -190,7 +190,7 @@ class TestIdentityAndOracle:
     def test_erm_pythagoras_bound(self):
         t, s = teacher(), stiefel_student()
         b = collect_batch(t, s, 3000, rng_stream(12, 0))
-        s_star = erm_minimize(b, iters=800, step=0.4)
+        s_star = erm_minimize(b, 800)
         s_hat = psd_project(s_glob_estimate(b))
         gap = l_operator_gap(b)
         assert gap < 1.0
@@ -201,6 +201,6 @@ class TestIdentityAndOracle:
     def test_erm_agrees_with_closed_form_at_large_n(self):
         t, s = teacher(), stiefel_student()
         b = collect_batch(t, s, 40_000, rng_stream(13, 0))
-        s_star = erm_minimize(b, iters=400, step=0.4)
+        s_star = erm_minimize(b, 400)
         s_hat = psd_project(s_glob_estimate(b))
         assert np.abs(s_star - s_hat).max() <= 0.1

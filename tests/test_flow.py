@@ -65,8 +65,8 @@ class TestClosedFormAlign:
         lam = np.sort(rng.uniform(0.3, 2.0, 5))[::-1]
         p = FlowParams(lambdas=lam, d=32, r_s=4)
         g0 = rand_psd(rng, 5, scale=0.5, rank=3)
-        traj = integrate_rk4(lambda g: gram_rhs_align(g, p), g0, t_end=6.0, dt=1e-3, record_every=1500)
-        for t, gm in zip(traj.ts, traj.grams):
+        ts = np.array([1.5, 3.0, 4.5, 6.0])
+        for t, gm in zip(ts, integrate_rk4(lambda g: gram_rhs_align(g, p), g0, ts, 1e-3)):
             cf = closed_form_align_gram(g0, t, p)
             assert np.abs(cf - gm).max() <= 1e-8 * max(np.abs(gm).max(), 1e-12)
 
@@ -107,11 +107,9 @@ class TestClosedFormWeight:
         d, r_s = 12, 3
         p = FlowParams(lambdas=np.array([1.0, 0.6, 0.4]), d=d, r_s=r_s)
         w0 = rng.standard_normal((d, r_s)) / np.sqrt(d)
-        traj = integrate_rk4(
-            lambda g: gram_rhs_weight(g, p), w0 @ w0.T, t_end=8.0, dt=1e-3, record_every=2000
-        )
-        for t, gm in zip(traj.ts, traj.grams):
-            cf = closed_form_weight_gram(None, t, p, w0=w0)
+        ts = np.array([2.0, 4.0, 6.0, 8.0])
+        for t, gm in zip(ts, integrate_rk4(lambda g: gram_rhs_weight(g, p), w0 @ w0.T, ts, 1e-3)):
+            cf = closed_form_weight_gram(w0, t, p)
             assert np.abs(cf - gm).max() <= 1e-8 * max(np.abs(gm).max(), 1e-12)
 
     def test_risk_curve_matches_dense_gram(self, rng):
@@ -123,7 +121,7 @@ class TestClosedFormWeight:
         ts = np.array([0.0, 1.0, 6.0, 40.0])
         rc = weight_risk_curve(w0, ts, p)
         for t, r in zip(ts, rc):
-            gw = closed_form_weight_gram(None, t, p, w0=w0)
+            gw = closed_form_weight_gram(w0, t, p)
             ref = np.linalg.norm(np.diag(lam_e) - p.frob / np.sqrt(r_s) * gw) ** 2 / p.frob**2
             assert r == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
@@ -179,7 +177,7 @@ class TestReducedWeightFlow:
             assert abs(risk[i] - ref_risk) <= 1e-13
             np.testing.assert_allclose(diag[i], np.diag(ref)[idx], rtol=0, atol=1e-13)
             if i % 10 == 0:  # every Gram entry, the zero modes' block included
-                gram = closed_form_weight_gram(None, t, p, w0=w0)
+                gram = closed_form_weight_gram(w0, t, p)
                 np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-13)
 
     def test_teacher_directions_match_rotation(self, rng):
@@ -260,7 +258,7 @@ class TestClosedFormOverflow:
         g0 = w0[:3] @ w0[:3].T
         calls = [
             lambda: weight_risk_curve(w0, np.array([1.0, t]), p),
-            lambda: closed_form_weight_gram(None, t, p, w0=w0),
+            lambda: closed_form_weight_gram(w0, t, p),
             lambda: align_curves(g0, np.array([1.0, t]), p),
             lambda: closed_form_align_gram(g0, t, p),
         ]
@@ -278,14 +276,14 @@ class TestClosedFormOverflow:
 
 class TestRk4:
     def test_zero_rhs_constant(self):
-        traj = integrate_rk4(lambda g: np.zeros_like(g), np.eye(3) * 0.2, t_end=1.0, dt=0.1)
-        for gm in traj.grams:
-            np.testing.assert_array_equal(gm, traj.grams[0])
+        g0 = np.eye(3) * 0.2
+        for gm in integrate_rk4(lambda g: np.zeros_like(g), g0, np.linspace(0.1, 1.0, 10), 0.1):
+            np.testing.assert_array_equal(gm, g0)
 
     def test_scalar_logistic_accuracy(self):
         p = scalar_params()
-        traj = integrate_rk4(lambda g: gram_rhs_align(g, p), np.array([[0.5]]), np.log(3.0), dt=1e-3)
-        assert abs(traj.grams[-1][0, 0] - 0.75) <= 1e-8
+        [g] = integrate_rk4(lambda g: gram_rhs_align(g, p), np.array([[0.5]]), [np.log(3.0)], 1e-3)
+        assert abs(g[0, 0] - 0.75) <= 1e-8
 
     def test_fourth_order_richardson(self):
         p = scalar_params()
@@ -293,8 +291,8 @@ class TestRk4:
         exact = closed_form_align_gram(g0, 2.0, p)[0, 0]
         errs = []
         for dt in (0.02, 0.01):
-            traj = integrate_rk4(lambda g: gram_rhs_align(g, p), g0, 2.0, dt=dt)
-            errs.append(abs(traj.grams[-1][0, 0] - exact))
+            [g] = integrate_rk4(lambda g: gram_rhs_align(g, p), g0, [2.0], dt)
+            errs.append(abs(g[0, 0] - exact))
         ratio = errs[0] / errs[1]
         assert 10 <= ratio <= 24  # nominal 16 for order 4
 
@@ -302,7 +300,7 @@ class TestRk4:
         from qns.flow import FlowNumericsError
 
         with np.errstate(over="ignore"), pytest.raises(FlowNumericsError, match="step"):
-            integrate_rk4(lambda g: g**2 * 1e8 + 1e8, np.array([[1.0]]), 10.0, dt=0.5)
+            list(integrate_rk4(lambda g: g**2 * 1e8 + 1e8, np.array([[1.0]]), [10.0], 0.5))
 
 
 class TestTheoryCurves:

@@ -59,7 +59,7 @@ class TestPsdSqrt:
         np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_clip_forces_zero(self):
-        root = psd_sqrt(np.diag([1.0, -1e-14]), clip_tol=1e-12)
+        root = psd_sqrt(np.diag([1.0, -1e-14]))
         np.testing.assert_allclose(root, np.diag([1.0, 0.0]))
 
     def test_hand_eigendecomposition(self):
