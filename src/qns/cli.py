@@ -278,6 +278,9 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
     )
     result = run_training(teacher, sgd_cfg, r_s=cfg.r_s)
     recs = result.records
+    meta = {"kind": cfg.kind, "samples_used": result.samples_used}
+    if result.ortho_drift is not None:  # sidecar only: no CSV byte, no config_hash
+        meta["edges"] = {"ortho_drift": result.ortho_drift}
     time_raw = np.array([rec.step * eta for rec in recs])
     return TrajectoryData(
         steps=np.array([rec.step for rec in recs]),
@@ -288,7 +291,7 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
         risk_normalized=np.array([rec.risk_normalized for rec in recs]),
         alignments=np.array([rec.alignments for rec in recs]),
         tracked_js=tracked,
-        meta={"kind": cfg.kind, "samples_used": result.samples_used},
+        meta=meta,
     )
 
 

@@ -4,18 +4,19 @@ One-pass training: every step consumes fresh samples from the teacher.  The
 Stiefel mode keeps ``W.T W = I`` via the polar retraction
 ``W <- Wt (Wt.T Wt)^{-1/2}``.  For a single-sample step the gradient is the
 rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation is rank
-one too, so the gradient step and its exact retraction fuse into one in-place
-rank-1 update ``W += u v.T``; ``run_training`` drives it on samples drawn in
-small blocks, the same stream as one draw per step.  The step writes every
-intermediate into scratch arrays owned by one run and forms ``u v.T`` as a
-GEMM with inner dimension 1, whose entries are single rounded products: the
-floats of numpy's broadcast ``u[:, None] * v``, without allocating.  The
-Euclidean population mode is plain constant-step gradient descent on the
-population risk; it acts on the rows of ``W`` off the teacher span only
-through the right factor ``I - c2 W.T W``, so it runs on the
-(r + min(d - r, r_s)) x r_s reduction ``S = [Theta.T W; R]``
-(``S.T S = W.T W``), which the records and the divergence guard read.  Both
-Euclidean modes stop on divergence.
+one too, so the gradient step and its exact retraction fuse into one rank-1
+update ``W += u v.T``.  Over a segment of consecutive samples ``X`` these
+updates keep ``W = [W0, X.T] C``, so the segment kernel steps the small
+matrix ``C`` against the Gram of ``[W0, X.T]`` and forms ``W`` once, at the
+segment's end: no step touches a d-sized array.  ``run_training`` feeds it
+64-row sample blocks (the same stream as one draw per step) in segments of
+at most 32 rows that end early at a record step or a 1000-step cleanup;
+``sgd_step`` feeds it its one row.  The Euclidean population mode is plain
+constant-step gradient descent on the population risk; it acts on the rows
+of ``W`` off the teacher span only through the right factor
+``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x r_s reduction
+``S = [Theta.T W; R]`` (``S.T S = W.T W``), which the records and the
+divergence guard read.  Both Euclidean modes stop on divergence.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ DIVERGENCE_NORM = 1e3
 # to amortize the draw, small enough that the block adds well under 1 MB at
 # d = 512 (1000 rows would add about 8 MB of peak memory)
 _SAMPLE_BLOCK = 64
+_SEGMENT = 32  # most rows per segment-kernel call: 64 ran no faster, with more memory
 
 
 class DivergenceError(RuntimeError):
@@ -112,6 +114,7 @@ class TrainResult:
     student: StudentState
     samples_used: int
     config: SgdConfig
+    ortho_drift: float | None = None  # Stiefel: worst max|W.T W - I| seen
 
 
 def euclidean_grad(
@@ -134,6 +137,10 @@ def euclidean_grad(
     return -grad / (4.0 * np.sqrt(student.r_s) * len(yb))
 
 
+def _ortho_error(w: np.ndarray) -> float:
+    return float(np.abs(w.T @ w - np.eye(w.shape[1])).max())
+
+
 def stiefel_grad(
     student: StudentState, x: np.ndarray, y: np.ndarray | float
 ) -> np.ndarray:
@@ -143,7 +150,7 @@ def stiefel_grad(
     ``W`` is not orthonormal to 1e-8.
     """
     w = student.w
-    ortho_err = np.abs(w.T @ w - np.eye(student.r_s)).max()
+    ortho_err = _ortho_error(w)
     if ortho_err > 1e-8:
         raise ValueError(f"W is not orthonormal: ||W.T W - I||_max = {ortho_err:.2e}")
     g = euclidean_grad(student, x, y)
@@ -151,46 +158,51 @@ def stiefel_grad(
     return g - 0.5 * w @ (wg + wg.T)
 
 
-def _rank1_scratch(d: int, r_s: int) -> tuple[np.ndarray, ...]:
-    """Work arrays of :func:`_stiefel_rank1_step`: ``v`` (r_s), ``wv``, ``px``,
-    ``u`` (d each) and the d x r_s update ``buf``.  Each run owns its own set:
-    seeds run on threads, so a shared set would mix their steps."""
-    return np.empty(r_s), np.empty(d), np.empty(d), np.empty(d), np.empty((d, r_s))
-
-
-def _stiefel_rank1_step(
-    w: np.ndarray, x: np.ndarray, y: float, eta: float, scratch: tuple[np.ndarray, ...]
-) -> None:
-    """One single-sample Stiefel step with its exact polar retraction, in place.
+def _stiefel_segment(w: np.ndarray, xs: np.ndarray, ys: list[float], eta: float) -> np.ndarray:
+    """Single-sample Stiefel steps with their exact polar retraction, one per
+    row of ``xs``; returns the new ``W`` (``w`` itself is not written).
 
     With ``v = W.T x``, ``px = x - W v`` and ``c = eta c0`` the Stiefel
     gradient step is ``Wt = W - c px v.T``, and for orthonormal ``W`` its Gram
     is ``I + a v v.T`` with ``a = c^2 |px|^2``.  Applying the exact
     ``(I + a v v.T)^{-1/2}`` on the right makes the whole step the rank-1
-    update ``W += u v.T`` with ``u = -c (1 + coef |v|^2) px + coef W v`` and
-    ``coef = ((1 + a |v|^2)^{-1/2} - 1) / |v|^2``.
+    update ``W += u v.T``, ``u = alpha px + coef W v``, with ``alpha = -c (1 +
+    coef |v|^2)`` and ``coef = ((1 + a |v|^2)^{-1/2} - 1) / |v|^2``.
 
-    Every intermediate is written into ``scratch`` (from :func:`_rank1_scratch`),
-    so a step allocates nothing.  The outer product ``u v.T`` is a GEMM with
-    inner dimension 1 into ``buf``: each entry is one rounded product, the
-    same float as the broadcast ``u[:, None] * v``, at a fraction of its cost.
+    So ``W = [W0, X.T] C`` throughout, from ``C = [I; 0]``, and a step reads
+    only ``C`` and the Gram ``K`` of ``[W0, X.T]``: ``v = C.T K e_j``,
+    ``|px|^2 = |x|^2 - 2 |v|^2 + cv.T K cv`` with ``cv = C v`` (exact for any
+    ``W``, orthonormal or not), and ``C += ((coef - alpha) cv + alpha e_j)
+    v.T``.  ``||W||_F^2``, which the label residual reads, follows the same
+    update exactly.  ``K`` and the final ``W`` are the only d-sized work.
     """
-    v, wv, px, u, buf = scratch
-    np.dot(x, w, out=v)
-    np.dot(w, v, out=wv)
-    np.subtract(x, wv, out=px)
-    vsq = float(v @ v)
-    if vsq == 0.0:
-        return  # x is orthogonal to span(W): the gradient vanishes
-    r_s = w.shape[1]
-    resid = y - (vsq - float(np.vdot(w, w))) / math.sqrt(r_s)
-    c = eta * -resid / (4.0 * math.sqrt(r_s))
-    a = c * c * float(px @ px)
-    coef = (1.0 / math.sqrt(1.0 + a * vsq) - 1.0) / vsq
-    np.multiply(px, -c * (1.0 + coef * vsq), out=u)
-    u += np.multiply(wv, coef, out=wv)
-    np.dot(u[:, None], v[None, :], out=buf)
-    w += buf
+    n, r_s = xs.shape[0], w.shape[1]
+    xw = xs @ w
+    k = np.block([[w.T @ w, xw.T], [xw, xs @ xs.T]])
+    xsq = k.diagonal().tolist()
+    c, buf = np.eye(r_s + n, r_s), np.empty((r_s + n, r_s))
+    fro2, root = float(np.vdot(w, w)), math.sqrt(r_s)
+    for j, y in enumerate(ys, r_s):
+        # ndarray.dot: the small products cost about half of ``@`` here
+        v = k[j].dot(c)  # K is symmetric: its row j is its column j
+        vsq = float(v.dot(v))
+        if vsq == 0.0:
+            continue  # x is orthogonal to span(W): the gradient vanishes
+        cv = c.dot(v)
+        wvsq = float(cv.dot(k.dot(cv)))  # |W v|^2
+        cg = eta * -(y - (vsq - fro2) / root) / (4.0 * root)
+        a = cg * cg * (xsq[j] - 2.0 * vsq + wvsq)
+        coef = (1.0 / math.sqrt(1.0 + a * vsq) - 1.0) / vsq
+        alpha = -cg * (1.0 + coef * vsq)
+        g = coef - alpha
+        # |W + u v.T|^2 = |W|^2 + 2 v.T W.T u + |u|^2 |v|^2
+        fro2 += 2.0 * (g * wvsq + alpha * vsq) + vsq * (
+            g * g * wvsq + 2.0 * g * alpha * vsq + alpha * alpha * xsq[j])
+        cv *= g
+        cv[j] += alpha
+        np.dot(cv[:, None], v[None, :], out=buf)
+        c += buf
+    return w @ c[:r_s] + xs.T @ c[r_s:]
 
 
 def sgd_step(
@@ -204,8 +216,8 @@ def sgd_step(
     """One online step on fresh samples; returns the number of samples used.
 
     Stiefel mode: gradient step in the tangent space followed by the polar
-    retraction (the fused rank-1 update when batch == 1).  Euclidean mode:
-    plain gradient step, no constraint.
+    retraction (the segment kernel on one row when batch == 1).  Euclidean
+    mode: plain gradient step, no constraint.
     """
     x, y = draw_samples(teacher, batch, rng)
     if mode == "euclidean-online":
@@ -214,9 +226,7 @@ def sgd_step(
     if mode != "stiefel-online":
         raise ValueError(f"sgd_step handles online modes, not {mode!r}")
     if batch == 1:
-        w = student.w.copy()
-        _stiefel_rank1_step(w, x[0], float(y[0]), eta, _rank1_scratch(*w.shape))
-        student.w = w
+        student.w = _stiefel_segment(student.w, x, y.tolist(), eta)
         return 1
     g = stiefel_grad(student, x, y)
     student.w = inv_sqrt_gram(student.w - eta * g)
@@ -329,7 +339,9 @@ def run_training(
 
     Deterministic given ``cfg.seed``: initialization and the sample stream
     are drawn from separate substreams of the seed.  ``steps = 0`` records
-    just the initialization.
+    just the initialization.  Single-sample Stiefel SGD runs the segment
+    kernel on at most 32 rows at a time, ending early at each record step and
+    cleanup.  ``ortho_drift``: the worst ``max |W.T W - I|`` of a Stiefel run.
     """
     if w0 is not None:
         student = StudentState(w0)
@@ -340,26 +352,30 @@ def run_training(
             student = StudentState.stiefel_init(teacher.d, r_s, rng_stream(cfg.seed, 1))
         else:
             student = StudentState.gaussian_init(teacher.d, r_s, rng_stream(cfg.seed, 1))
-    record_at = set(int(s) for s in _record_steps(cfg))
+    record_at = [int(s) for s in _record_steps(cfg)]
     if cfg.mode == "euclidean-population":
-        records = _run_population(teacher, student, cfg, record_at)
+        records = _run_population(teacher, student, cfg, set(record_at))
         return TrainResult(records=records, student=student, samples_used=0, config=cfg)
     rng = rng_stream(cfg.seed, 2)
     spec, theta = teacher.spectrum, teacher.theta
     records = [_snapshot(spec, student.w, theta, cfg, 0, teacher.d)]
     fused = cfg.mode == "stiefel-online" and cfg.batch == 1
-    scratch = _rank1_scratch(*student.w.shape) if fused else None
-    samples = 0
-    for step in range(1, cfg.steps + 1):
+    stops = record_at + [cfg.steps + 1]
+    samples, step, k, drift = 0, 0, 0, 0.0
+    while step < cfg.steps:
         if fused:
-            # a block of n rows is the same stream as n one-row draws
-            i = (step - 1) % _SAMPLE_BLOCK
+            # a block of n rows is the same stream as n one-row draws; a
+            # segment ends at the block's end, a cleanup or a record step
+            i = step % _SAMPLE_BLOCK
             if i == 0:
-                xs, ys = draw_samples(teacher, min(_SAMPLE_BLOCK, cfg.steps - step + 1), rng)
+                xs, ys = draw_samples(teacher, min(_SAMPLE_BLOCK, cfg.steps - step), rng)
                 ys = ys.tolist()
                 samples += len(ys)
-            _stiefel_rank1_step(student.w, xs[i], ys[i], cfg.eta, scratch)
+            n = min(_SEGMENT, len(ys) - i, 1000 - step % 1000, stops[k] - step)
+            student.w = _stiefel_segment(student.w, xs[i : i + n], ys[i : i + n], cfg.eta)
+            step += n
         else:
+            step += 1
             samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
         if cfg.mode == "euclidean-online":
             _check_norm(float(np.linalg.norm(student.w)), step)
@@ -368,11 +384,14 @@ def run_training(
             # error compounds exponentially along the unstable radial
             # directions; a periodic dense cleanup keeps it at 1e-14, and a
             # run that left float64 stops here rather than at its last step
+            drift = max(drift, _ortho_error(student.w))
             _check_norm(float(np.linalg.norm(student.w)), step)
             student.w = inv_sqrt_gram(student.w)
-        if step in record_at:
+        if step == stops[k]:
             records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))
-    return TrainResult(records=records, student=student, samples_used=samples, config=cfg)
+            k += 1
+    drift = max(drift, _ortho_error(student.w)) if cfg.mode == "stiefel-online" else None
+    return TrainResult(records, student, samples, cfg, drift)
 
 
 def _run_population(

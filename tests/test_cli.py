@@ -241,6 +241,19 @@ class TestRun:
         assert data.tracked_js == [1, 2]
         assert data.meta["samples_used"] == 200
 
+    def test_sgd_stiefel_sidecar_records_ortho_drift(self, tmp_path):
+        # max|W.T W - I| before each 1000-step cleanup and at the last step;
+        # an edge of the run, kept out of the config and its hash
+        path, _ = base_config(
+            tmp_path, kind="sgd-stiefel", eta=0.01, steps=2500, d=64, r=4, r_s=4,
+            horizon=None, record_every=500,
+        )
+        assert main(["run", path]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "runs" / "sgd-stiefel_seed1.csv.json").read_text())
+        assert 0.0 < sidecar["edges"]["ortho_drift"] < 1e-12
+        assert "edges" not in sidecar["config"]
+        assert sidecar["config_hash"] == config_hash(sidecar["config"])
+
     def test_haar_teacher_runs(self, tmp_path):
         path, _ = base_config(tmp_path, theta="haar", steps=12)
         assert main(["run", path]) == EXIT_OK

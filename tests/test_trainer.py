@@ -17,8 +17,8 @@ from qns.model import (
 )
 from qns.trainer import (
     _SAMPLE_BLOCK,
-    _rank1_scratch,
-    _stiefel_rank1_step,
+    _SEGMENT,
+    _stiefel_segment,
     DivergenceError,
     SgdConfig,
     default_tracked_js,
@@ -242,49 +242,68 @@ def broadcast_rank1_step(w, x, y, eta):
     w += u[:, None] * v
 
 
+def broadcast_run(t, r_s, eta, steps, seed, record_every):
+    """``run_training``'s Stiefel loop, one broadcast step per sample: the
+    final W and the risk at each record step."""
+    w = StudentState.stiefel_init(t.d, r_s, rng_stream(seed, 1)).w
+    rng = rng_stream(seed, 2)
+    risks = {}
+    for start in range(0, steps, _SAMPLE_BLOCK):
+        xs, ys = draw_samples(t, min(_SAMPLE_BLOCK, steps - start), rng)
+        for i, y in enumerate(ys.tolist()):
+            broadcast_rank1_step(w, xs[i], y, eta)
+            step = start + i + 1
+            if step % 1000 == 0:
+                w = inv_sqrt_gram(w)
+            if step % record_every == 0 or step == steps:
+                risks[step] = population_risk(t, StudentState(w))
+    return w, risks
+
+
 class TestScratchRank1Step:
-    """The in-place kernel must give the broadcast formula's floats, bit for bit."""
+    """The segment kernel is the broadcast step written in the coordinates of
+    ``[W0, X.T]``: the same update, equal to rounding but not bit for bit."""
 
     @pytest.mark.parametrize("d, r_s", [(512, 16), (512, 1), (16, 16), (7, 3)])
-    def test_bitwise_equal_to_broadcast(self, d, r_s):
+    def test_segment_matches_broadcast(self, d, r_s):
         rng = np.random.default_rng(d + r_s)
-        scratch = _rank1_scratch(d, r_s)
         for _ in range(40):
             w = sample_stiefel(d, r_s, rng)
-            xs = rng.standard_normal((3, d))
-            y, eta = float(rng.standard_normal()), 10.0 ** rng.uniform(-4, 0)
-            ref, out = w.copy(), w.copy()
-            broadcast_rank1_step(ref, xs[1], y, eta)
-            _stiefel_rank1_step(out, xs[1], y, eta, scratch)  # reused scratch
-            np.testing.assert_array_equal(out, ref)
+            xs = rng.standard_normal((_SEGMENT, d))
+            ys, eta = rng.standard_normal(_SEGMENT).tolist(), 10.0 ** rng.uniform(-4, 0)
+            ref = w.copy()
+            for x, y in zip(xs, ys):
+                broadcast_rank1_step(ref, x, y, eta)
+            out = _stiefel_segment(w, xs, ys, eta)
+            assert np.abs(out - ref).max() <= 1e-12
             # at d == r_s, px is rounding noise: the step may move nothing
             assert d == r_s or not np.array_equal(out, w)
 
     def test_orthogonal_sample_leaves_w(self):
-        # v = W.T x is exactly zero: the early return, no update
+        # v = W.T x is exactly zero: no update
         w = np.eye(10, 3)
         x = np.concatenate([np.zeros(3), np.arange(1.0, 8.0)])
-        out = w.copy()
-        _stiefel_rank1_step(out, x, 0.7, 0.1, _rank1_scratch(10, 3))
-        np.testing.assert_array_equal(out, w)
+        np.testing.assert_array_equal(_stiefel_segment(w, x[None, :], [0.7], 0.1), w)
 
-    def test_run_training_bitwise_equal_to_broadcast_loop(self):
-        # 2100 steps: 32 full sample blocks, a partial one of 52 rows and the
-        # dense cleanups at steps 1000 and 2000
-        d, r_s, eta, steps, seed = 40, 4, 0.05, 2100, 6
-        t = small_teacher(d=d)
-        cfg = SgdConfig(eta=eta, steps=steps, mode="stiefel-online", seed=seed,
-                        tracked_js=(1,), record_every=700)
+    @pytest.mark.parametrize("d, r, r_s, eta, steps, record_every, tol", [
+        # 32 full sample blocks, a partial one of 52 rows, cleanups at 1000 and 2000
+        (40, 4, 4, 0.05, 2100, 700, 1e-11),
+        # records and cleanups in the middle of segments and blocks
+        (40, 4, 4, 0.05, 2100, 7, 1e-11),
+        # the sgd_online benchmark's shape
+        (512, 8, 16, 0.1 / 512, 20000, 500, 1e-13),
+    ], ids=["blocks", "mid_segment", "benchmark_shape"])
+    def test_run_training_matches_broadcast_loop(self, d, r, r_s, eta, steps, record_every, tol):
+        t = small_teacher(d=d, r=r)
+        cfg = SgdConfig(eta=eta, steps=steps, mode="stiefel-online", seed=6,
+                        tracked_js=(1,), record_every=record_every)
         res = run_training(t, cfg, r_s=r_s)
-        w = StudentState.stiefel_init(d, r_s, rng_stream(seed, 1)).w
-        rng = rng_stream(seed, 2)
-        for start in range(0, steps, _SAMPLE_BLOCK):
-            xs, ys = draw_samples(t, min(_SAMPLE_BLOCK, steps - start), rng)
-            for i, y in enumerate(ys.tolist()):
-                broadcast_rank1_step(w, xs[i], y, eta)
-                if (start + i + 1) % 1000 == 0:
-                    w = inv_sqrt_gram(w)
-        np.testing.assert_array_equal(res.student.w, w)
+        w, risks = broadcast_run(t, r_s, eta, steps, 6, record_every)
+        assert np.abs(res.student.w - w).max() <= tol
+        assert res.samples_used == steps
+        assert [rec.step for rec in res.records] == [0, *risks]
+        np.testing.assert_allclose([rec.risk for rec in res.records[1:]], list(risks.values()),
+                                   rtol=tol, atol=0)
 
 
 def gd_run(teacher, w0, eta, steps, **kwargs):
@@ -470,6 +489,16 @@ class TestRunTraining:
             assert rec.gram_snapshot is not None
             assert rec.gram_snapshot.shape == (t.r, t.r)
             assert np.abs(rec.gram_snapshot - rec.gram_snapshot.T).max() <= 1e-12
+
+    def test_ortho_drift_read_before_cleanup(self):
+        # the run ends on a cleanup, so its last W is freshly orthonormalized:
+        # the drift must come from the readings taken before the cleanups
+        cfg = SgdConfig(eta=0.01, steps=2000, seed=1, tracked_js=(1,), record_every=500)
+        res = run_training(small_teacher(d=64), cfg, r_s=4)
+        last = np.abs(res.student.w.T @ res.student.w - np.eye(4)).max()
+        assert last < res.ortho_drift < 1e-12
+        cfg = SgdConfig(eta=0.01, steps=20, batch=64, mode="euclidean-population")
+        assert run_training(small_teacher(d=64), cfg, r_s=4).ortho_drift is None
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):
