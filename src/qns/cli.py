@@ -7,7 +7,8 @@ object, or one whose run needs more memory than is available, among them),
 3 numeric failure (divergence, a rank-deficient student, a closed-form
 horizon past float64's exp range, or non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
-caps the run worker pool.
+caps the run worker pool (a batch-1 sgd-stiefel run adds its own sample
+producer thread).
 """
 
 from __future__ import annotations
@@ -279,8 +280,11 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
     result = run_training(teacher, sgd_cfg, r_s=cfg.r_s)
     recs = result.records
     meta = {"kind": cfg.kind, "samples_used": result.samples_used}
-    if result.ortho_drift is not None:  # sidecar only: no CSV byte, no config_hash
+    # sidecar only: no CSV byte, no config_hash
+    if result.ortho_drift is not None:
         meta["edges"] = {"ortho_drift": result.ortho_drift}
+    if result.timing is not None:
+        meta["timing"] = result.timing
     time_raw = np.array([rec.step * eta for rec in recs])
     return TrajectoryData(
         steps=np.array([rec.step for rec in recs]),

@@ -10,10 +10,13 @@ updates keep ``W = [W0, X.T] C``, so the segment kernel steps the small
 matrix ``C`` against the Gram of ``[W0, X.T]`` and forms ``W`` once, at the
 segment's end: no step touches a d-sized array.  ``run_training`` feeds it
 64-row sample blocks (the same stream as one draw per step) in segments of
-at most 32 rows that end early at a record step or a 1000-step cleanup;
-``sgd_step`` feeds it its one row.  The Euclidean population mode is plain
-constant-step gradient descent on the population risk; it acts on the rows
-of ``W`` off the teacher span only through the right factor
+at most 32 rows that end early at a record step or a 1000-step cleanup.
+One producer thread draws each block one block ahead, while the kernel
+steps through the block before it; it alone reads the sample stream, in the
+same order, so every draw is the one the serial loop would make.
+``sgd_step`` feeds the kernel its one row.  The Euclidean population mode is
+plain constant-step gradient descent on the population risk; it acts on the
+rows of ``W`` off the teacher span only through the right factor
 ``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x r_s reduction
 ``S = [Theta.T W; R]`` (``S.T S = W.T W``), which the records and the
 divergence guard read.  Both Euclidean modes stop on divergence.
@@ -21,8 +24,12 @@ divergence guard read.  Both Euclidean modes stop on divergence.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 import math
+import time
 
 import numpy as np
 
@@ -60,6 +67,7 @@ DIVERGENCE_NORM = 1e3
 # d = 512 (1000 rows would add about 8 MB of peak memory)
 _SAMPLE_BLOCK = 64
 _SEGMENT = 32  # most rows per segment-kernel call: 64 ran no faster, with more memory
+_DRAWS_AHEAD = 1  # sample blocks drawn ahead of the kernel, on one producer thread
 
 
 class DivergenceError(RuntimeError):
@@ -115,6 +123,7 @@ class TrainResult:
     samples_used: int
     config: SgdConfig
     ortho_drift: float | None = None  # Stiefel: worst max|W.T W - I| seen
+    timing: dict[str, float] | None = None  # fused Stiefel: run_s, sample_wait_s
 
 
 def euclidean_grad(
@@ -158,9 +167,12 @@ def stiefel_grad(
     return g - 0.5 * w @ (wg + wg.T)
 
 
-def _stiefel_segment(w: np.ndarray, xs: np.ndarray, ys: list[float], eta: float) -> np.ndarray:
+def _stiefel_segment(
+    w: np.ndarray, xs: np.ndarray, ys: list[float], eta: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Single-sample Stiefel steps with their exact polar retraction, one per
-    row of ``xs``; returns the new ``W`` (``w`` itself is not written).
+    row of ``xs``; returns the new ``W``, written into ``out`` when given
+    (``w`` itself is not written, so ``out`` must not be ``w``).
 
     With ``v = W.T x``, ``px = x - W v`` and ``c = eta c0`` the Stiefel
     gradient step is ``Wt = W - c px v.T``, and for orthonormal ``W`` its Gram
@@ -202,7 +214,9 @@ def _stiefel_segment(w: np.ndarray, xs: np.ndarray, ys: list[float], eta: float)
         cv[j] += alpha
         np.dot(cv[:, None], v[None, :], out=buf)
         c += buf
-    return w @ c[:r_s] + xs.T @ c[r_s:]
+    out = np.matmul(w, c[:r_s], out=out)
+    out += xs.T @ c[r_s:]
+    return out
 
 
 def sgd_step(
@@ -341,8 +355,17 @@ def run_training(
     are drawn from separate substreams of the seed.  ``steps = 0`` records
     just the initialization.  Single-sample Stiefel SGD runs the segment
     kernel on at most 32 rows at a time, ending early at each record step and
-    cleanup.  ``ortho_drift``: the worst ``max |W.T W - I|`` of a Stiefel run.
+    cleanup, and writes each new ``W`` into one of two buffers in turn.  Its
+    64-row sample blocks are drawn one block ahead on one producer thread,
+    which alone reads the sample stream once it starts: the blocks, and so
+    every record, are those of a serial loop.  An error in a draw reaches the
+    caller unchanged, and the thread is shut down on every exit (a pending
+    draw cancelled, a running one waited for).  ``ortho_drift``: the worst
+    ``max |W.T W - I|`` of a Stiefel run; ``timing``: the wall seconds of a
+    single-sample Stiefel run (``run_s``) and of its waits on the producer
+    (``sample_wait_s``).
     """
+    t0 = time.perf_counter()
     if w0 is not None:
         student = StudentState(w0)
     else:
@@ -361,37 +384,53 @@ def run_training(
     records = [_snapshot(spec, student.w, theta, cfg, 0, teacher.d)]
     fused = cfg.mode == "stiefel-online" and cfg.batch == 1
     stops = record_at + [cfg.steps + 1]
-    samples, step, k, drift = 0, 0, 0, 0.0
-    while step < cfg.steps:
+    samples, step, k, drift, wait = 0, 0, 0, 0.0, 0.0
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qns-draw") if fused else None
+    try:
         if fused:
-            # a block of n rows is the same stream as n one-row draws; a
-            # segment ends at the block's end, a cleanup or a record step
-            i = step % _SAMPLE_BLOCK
-            if i == 0:
-                xs, ys = draw_samples(teacher, min(_SAMPLE_BLOCK, cfg.steps - step), rng)
-                ys = ys.tolist()
-                samples += len(ys)
-            n = min(_SEGMENT, len(ys) - i, 1000 - step % 1000, stops[k] - step)
-            student.w = _stiefel_segment(student.w, xs[i : i + n], ys[i : i + n], cfg.eta)
-            step += n
-        else:
-            step += 1
-            samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
-        if cfg.mode == "euclidean-online":
-            _check_norm(float(np.linalg.norm(student.w)), step)
-        elif step % 1000 == 0:
-            # the rank-1 step is exact, but rounding in the orthonormality
-            # error compounds exponentially along the unstable radial
-            # directions; a periodic dense cleanup keeps it at 1e-14, and a
-            # run that left float64 stops here rather than at its last step
-            drift = max(drift, _ortho_error(student.w))
-            _check_norm(float(np.linalg.norm(student.w)), step)
-            student.w = inv_sqrt_gram(student.w)
-        if step == stops[k]:
-            records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))
-            k += 1
+            # submitted lazily, in stream order, to the one producer thread
+            blocks = (pool.submit(draw_samples, teacher, min(_SAMPLE_BLOCK, cfg.steps - s), rng)
+                      for s in range(0, cfg.steps, _SAMPLE_BLOCK))
+            ahead = deque(islice(blocks, _DRAWS_AHEAD))
+            bufs = (np.empty_like(student.w), np.empty_like(student.w))
+        while step < cfg.steps:
+            if fused:
+                # a block of n rows is the same stream as n one-row draws; a
+                # segment ends at the block's end, a cleanup or a record step
+                i = step % _SAMPLE_BLOCK
+                if i == 0:
+                    t = time.perf_counter()
+                    xs, ys = ahead.popleft().result()
+                    wait += time.perf_counter() - t
+                    ahead.extend(islice(blocks, 1))  # the next block, drawn while this one runs
+                    ys = ys.tolist()
+                    samples += len(ys)
+                n = min(_SEGMENT, len(ys) - i, 1000 - step % 1000, stops[k] - step)
+                out = bufs[1] if student.w is bufs[0] else bufs[0]
+                student.w = _stiefel_segment(student.w, xs[i : i + n], ys[i : i + n], cfg.eta, out)
+                step += n
+            else:
+                step += 1
+                samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
+            if cfg.mode == "euclidean-online":
+                _check_norm(float(np.linalg.norm(student.w)), step)
+            elif step % 1000 == 0:
+                # the rank-1 step is exact, but rounding in the orthonormality
+                # error compounds exponentially along the unstable radial
+                # directions; a periodic dense cleanup keeps it at 1e-14, and a
+                # run that left float64 stops here rather than at its last step
+                drift = max(drift, _ortho_error(student.w))
+                _check_norm(float(np.linalg.norm(student.w)), step)
+                student.w = inv_sqrt_gram(student.w)
+            if step == stops[k]:
+                records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))
+                k += 1
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     drift = max(drift, _ortho_error(student.w)) if cfg.mode == "stiefel-online" else None
-    return TrainResult(records, student, samples, cfg, drift)
+    timing = {"run_s": time.perf_counter() - t0, "sample_wait_s": wait} if fused else None
+    return TrainResult(records, student, samples, cfg, drift, timing)
 
 
 def _run_population(

@@ -3,11 +3,13 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import qns
+import qns.trainer as trainer
 from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from qns.trajectory import config_hash, read_trajectory
 
@@ -253,6 +255,50 @@ class TestRun:
         assert 0.0 < sidecar["edges"]["ortho_drift"] < 1e-12
         assert "edges" not in sidecar["config"]
         assert sidecar["config_hash"] == config_hash(sidecar["config"])
+
+    def test_sgd_stiefel_sidecar_records_timing(self, tmp_path):
+        # wall seconds of the run and of its waits on the sample producer:
+        # they differ from run to run, so they stay out of the CSV and the hash
+        path, _ = base_config(
+            tmp_path, kind="sgd-stiefel", eta=0.01, steps=2500, d=64, r=4, r_s=4,
+            horizon=None, record_every=500,
+        )
+        csv_path = tmp_path / "runs" / "sgd-stiefel_seed1.csv"
+        csvs, timings = [], []
+        for _ in range(2):
+            assert main(["run", path]) == EXIT_OK
+            sidecar = json.loads((tmp_path / "runs" / "sgd-stiefel_seed1.csv.json").read_text())
+            csvs.append(csv_path.read_bytes())
+            timings.append(sidecar["timing"])
+            assert sidecar["config_hash"] == config_hash(sidecar["config"])
+        assert csvs[0] == csvs[1]
+        for timing in timings:
+            assert sorted(timing) == ["run_s", "sample_wait_s"]
+            assert all(np.isfinite(v) and v >= 0.0 for v in timing.values())
+            assert timing["sample_wait_s"] <= timing["run_s"]
+
+    def test_sample_draw_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the third block draw fails on the producer thread; `qns run` sees
+        # the MemoryError itself and refuses the run in one line
+        draw, calls = trainer.draw_samples, []
+
+        def fails_on_third_draw(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError
+            return draw(*args)
+
+        monkeypatch.setattr(trainer, "draw_samples", fails_on_third_draw)
+        path, _ = base_config(
+            tmp_path, kind="sgd-stiefel", eta=0.01, steps=500, d=64, r=4, r_s=4,
+            horizon=None, record_every=100,
+        )
+        before = threading.active_count()
+        assert main(["run", path]) == EXIT_USAGE
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "memory" in err
+        assert not (tmp_path / "runs" / "sgd-stiefel_seed1.csv").exists()
 
     def test_haar_teacher_runs(self, tmp_path):
         path, _ = base_config(tmp_path, theta="haar", steps=12)

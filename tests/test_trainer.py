@@ -1,9 +1,14 @@
+import json
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import qns.trainer as trainer
+from qns.cli import EXIT_OK, main
 from qns.flow import FlowParams, align_curves
 from qns.linalg import inv_sqrt_gram, rng_stream, sample_stiefel
 from qns.model import (
@@ -18,6 +23,7 @@ from qns.model import (
 from qns.trainer import (
     _SAMPLE_BLOCK,
     _SEGMENT,
+    _snapshot,
     _stiefel_segment,
     DivergenceError,
     SgdConfig,
@@ -28,6 +34,7 @@ from qns.trainer import (
     sgd_step,
     stiefel_grad,
 )
+from qns.trajectory import read_trajectory
 
 
 def small_teacher(d=24, r=4, alpha=1.0):
@@ -304,6 +311,123 @@ class TestScratchRank1Step:
         assert [rec.step for rec in res.records] == [0, *risks]
         np.testing.assert_allclose([rec.risk for rec in res.records[1:]], list(risks.values()),
                                    rtol=tol, atol=0)
+
+
+def serial_fused_run(t, cfg, r_s):
+    """``run_training``'s single-sample Stiefel loop with each 64-row block
+    drawn inline, cut into segments at the block's end, after 32 rows, at a
+    1000-step cleanup and at a record step: the final W and the records."""
+    w = StudentState.stiefel_init(t.d, r_s, rng_stream(cfg.seed, 1)).w
+    rng = rng_stream(cfg.seed, 2)
+    every = cfg.record_every
+    stops = sorted({*range(every, cfg.steps + 1, every), cfg.steps})
+    records = [_snapshot(t.spectrum, w, t.theta, cfg, 0, t.d)]
+    for start in range(0, cfg.steps, _SAMPLE_BLOCK):
+        xs, ys = draw_samples(t, min(_SAMPLE_BLOCK, cfg.steps - start), rng)
+        step, stop = start, start + len(ys)
+        while step < stop:
+            end = min(stop, step + _SEGMENT, (step // 1000 + 1) * 1000,
+                      next(s for s in stops if s > step))
+            w = _stiefel_segment(w, xs[step - start : end - start],
+                                 ys[step - start : end - start].tolist(), cfg.eta)
+            step = end
+            if step % 1000 == 0:
+                w = inv_sqrt_gram(w)
+            if step in stops:
+                records.append(_snapshot(t.spectrum, w, t.theta, cfg, step, t.d))
+    return w, records
+
+
+class TestSampleProducer:
+    """The single-sample Stiefel loop draws each sample block one block ahead
+    on a producer thread: the same bytes as a serial loop, and no thread left
+    behind on any exit."""
+
+    # 2,100 steps: 32 full blocks and a partial one, cleanups at 1000 and
+    # 2000, and records every 7 steps, most of them in mid-block
+    SHAPE = dict(d=64, r=4, r_s=4, eta=0.05, steps=2100, record_every=7)
+
+    def cfg(self, seed=1):
+        sh = self.SHAPE
+        return SgdConfig(eta=sh["eta"], steps=sh["steps"], seed=seed, tracked_js=(1, 2, 4),
+                         record_every=sh["record_every"])
+
+    def test_bitwise_equal_to_serial_loop(self):
+        t = small_teacher(d=self.SHAPE["d"], r=self.SHAPE["r"])
+        res = run_training(t, self.cfg(), r_s=self.SHAPE["r_s"])
+        w, records = serial_fused_run(t, self.cfg(), self.SHAPE["r_s"])
+        np.testing.assert_array_equal(res.student.w, w)
+        assert len(res.records) == len(records) == 301
+        for got, want in zip(res.records, records):
+            assert (got.step, got.compute, got.risk) == (want.step, want.compute, want.risk)
+            np.testing.assert_array_equal(got.alignments, want.alignments)
+
+    @pytest.mark.parametrize("threads, seeds", [("1", [1, 2]), ("2", [1, 2]), ("4", [1, 2, 3, 4])])
+    def test_cli_bitwise_equal_to_serial_loop(self, tmp_path, monkeypatch, threads, seeds):
+        # QNS_THREADS seeds at a time, each with its own producer, and the
+        # interpreter switching threads often: the CSV's 17 significant
+        # digits read back every float of the serial loop's records exactly
+        t = small_teacher(d=self.SHAPE["d"], r=self.SHAPE["r"])
+        cfg = {"kind": "sgd-stiefel", "alpha": 1.0, "seeds": seeds, "tracked_j": [1, 2, 4],
+               "out_dir": str(tmp_path), **self.SHAPE}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.setenv("QNS_THREADS", threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert main(["run", str(tmp_path / "cfg.json")]) == EXIT_OK
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            data = read_trajectory(str(tmp_path / f"sgd-stiefel_seed{seed}.csv"))
+            _, records = serial_fused_run(t, self.cfg(seed), self.SHAPE["r_s"])
+            np.testing.assert_array_equal(data.steps, [rec.step for rec in records])
+            np.testing.assert_array_equal(data.risk, [rec.risk for rec in records])
+            np.testing.assert_array_equal(data.alignments, [rec.alignments for rec in records])
+
+    def test_normal_run_leaves_no_thread(self):
+        before = threading.active_count()
+        res = run_training(small_teacher(d=64), self.cfg(), r_s=4)
+        assert res.samples_used == 2100
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("target, call, error", [
+        ("_stiefel_segment", 5, RuntimeError("kernel failed")),
+        ("_stiefel_segment", 5, KeyboardInterrupt()),
+        ("_check_norm", 1, DivergenceError(step=1000, norm=math.inf)),  # at the first cleanup
+    ], ids=["kernel_error", "interrupt", "divergence"])
+    def test_error_in_step_loop_leaves_no_thread(self, monkeypatch, target, call, error):
+        original, calls = getattr(trainer, target), []
+
+        def fails_on_nth_call(*args):
+            calls.append(None)
+            if len(calls) == call:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(trainer, target, fails_on_nth_call)
+        before = threading.active_count()
+        with pytest.raises(type(error)) as info:
+            run_training(small_teacher(d=64), self.cfg(), r_s=4)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_caller_unchanged(self, monkeypatch):
+        error, calls = MemoryError("no room for the block"), []
+
+        def fails_on_third_draw(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return draw_samples(*args)
+
+        monkeypatch.setattr(trainer, "draw_samples", fails_on_third_draw)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            run_training(small_teacher(d=64), self.cfg(), r_s=4)
+        assert info.value is error
+        assert threading.active_count() == before
+        assert len(calls) == 3  # nothing drawn after the failed block
 
 
 def gd_run(teacher, w0, eta, steps, **kwargs):
