@@ -2,8 +2,9 @@
 
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
-1 verification failure, 2 usage/config error (a config that is not a JSON
-object, or one whose run needs more memory than is available, among them),
+1 verification failure, 2 usage/config error (among them a config that is
+not a JSON object or needs more memory than is available, a ``fit`` or ``plot``
+input that is no trajectory CSV, and a ``plot -o`` path that cannot be written),
 3 numeric failure (divergence, a rank-deficient student, a closed-form
 horizon past float64's exp range, or non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
@@ -393,14 +394,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _read_trajectories(paths: list[str]) -> list | None:
+    """Each CSV's trajectory, or None after one stderr line on the first bad one."""
+    try:
+        return [read_trajectory(path) for path in paths]
+    except (OSError, ValueError) as exc:  # each message names the file
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_fit(args) -> int:
+    datas = _read_trajectories(args.csv)
+    if datas is None:
+        return EXIT_USAGE
     results = []
-    for path in args.csv:
-        try:
-            data = read_trajectory(path)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for path, data in zip(args.csv, datas):
         mask = (data.compute > 0) & (data.risk_normalized > 0)
         try:
             window = (args.window[0], args.window[1]) if args.window else None
@@ -460,14 +468,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    datas = _read_trajectories(args.csv)
+    if datas is None:
+        return EXIT_USAGE
     series = []
     theory_added = False
-    for path in args.csv:
-        try:
-            data = read_trajectory(path)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for path, data in zip(args.csv, datas):
         x = data.time_rescaled if args.x == "time" else data.compute
         series.append({"x": x, "y": data.risk_normalized, "label": os.path.basename(path)})
         if args.theory and not theory_added and data.meta.get("config"):
@@ -479,13 +485,12 @@ def cmd_plot(args) -> int:
             )
             series.append({"x": x, "y": theo, "label": "theory", "dashed": True})
             theory_added = True
-    warnings = line_chart(
-        series,
-        args.out,
-        loglog=args.loglog,
-        xlabel="rescaled time" if args.x == "time" else "compute",
-        ylabel="normalized risk",
-    )
+    try:
+        warnings = line_chart(series, args.out, loglog=args.loglog, ylabel="normalized risk",
+                              xlabel="rescaled time" if args.x == "time" else "compute")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(args.out)

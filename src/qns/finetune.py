@@ -142,7 +142,6 @@ def finetune(
     n_ft: int | None = None,
     rng: np.random.Generator | None = None,
     batch: FineTuneBatch | None = None,
-    estimate_gap: bool = True,
 ) -> FineTuneResult:
     """Closed-form fine-tuning: ``Omega_hat = (Pi . L(S_glob))^{1/2}``.
 
@@ -162,8 +161,7 @@ def finetune(
         batch = collect_batch(teacher, student, n_ft, rng)
     s_hat = psd_project(s_glob_estimate(batch))
     omega = psd_sqrt(s_hat)
-    gap = l_operator_gap(batch) if estimate_gap else float("nan")
-    return FineTuneResult(s_hat=s_hat, omega_hat=omega, op_gap=gap)
+    return FineTuneResult(s_hat=s_hat, omega_hat=omega, op_gap=l_operator_gap(batch))
 
 
 def erm_minimize(batch: FineTuneBatch, iters: int) -> np.ndarray:

@@ -445,50 +445,21 @@ def theory_risk_curve(
     return float(1.0 - np.sum(lam[learned] ** 2) / spectrum.frob_sq)
 
 
-def theory_limit_risk(
-    t: float,
-    alpha: float,
-    phi_or_rs: float,
-    regime: str,
-    c: float = 1.0,
-    r: int | None = None,
-) -> float:
-    """Asymptotic risk limits of the two regimes.
+def theory_limit_risk(t: float, alpha: float, phi: float) -> float:
+    """Width-limited risk of the heavy regime (0 <= alpha < 0.5) at time ``t``.
 
-    heavy (alpha < 0.5): ``(1 - c t^{(1-2a)/a})_+ v (1 - phi^{1-2a})_+`` with
-    the undetermined constant ``c`` exposed as a fit parameter (alpha = 0
-    degenerates to ``1 - min(c t, phi, 1)``).
-
-    light (alpha > 0.5): the exact partial-sum limit
-    ``1 - sum_{j <= t^{1/a} ^ r_s} j^{-2a} / Z`` where ``Z`` sums j^{-2a} to
-    ``r`` (infinity when ``r`` is None, via the zeta function).
+    ``max((1 - t^{(1-2a)/a})_+, (1 - phi^{1-2a})_+)`` with ``phi = r_s / r``:
+    the moving front meets the plateau the student's width leaves unlearned.
+    alpha = 0 degenerates to ``1 - min(t, phi, 1)``. For alpha > 0.5 the
+    limit is the staircase of :func:`theory_risk_curve`.
     """
-    if regime not in ("heavy", "light"):
-        raise ValueError("regime must be 'heavy' or 'light'")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if regime == "heavy":
-        if not 0 <= alpha < 0.5:
-            raise ValueError("heavy regime needs alpha in [0, 0.5)")
-        phi = float(phi_or_rs)
-        plateau = max(1.0 - phi ** (1.0 - 2.0 * alpha), 0.0)
-        if alpha == 0.0:
-            return 1.0 - min(c * t, phi, 1.0)
-        moving = max(1.0 - c * t ** ((1.0 - 2.0 * alpha) / alpha), 0.0)
-        return max(moving, plateau)
-    if alpha <= 0.5:
-        raise ValueError("light regime needs alpha > 0.5")
-    r_s = int(phi_or_rs)
-    if r is None:
-        from scipy.special import zeta
-
-        z = float(zeta(2.0 * alpha, 1.0))
-    else:
-        z = float(np.sum(np.arange(1, r + 1, dtype=float) ** (-2.0 * alpha)))
-    k = min(int(math.floor(t ** (1.0 / alpha))), r_s)
-    if r is not None:
-        k = min(k, r)
-    if k < 1:
-        return 1.0
-    j = np.arange(1, k + 1, dtype=float)
-    return float(1.0 - np.sum(j ** (-2.0 * alpha)) / z)
+    if not 0 <= alpha < 0.5:
+        raise ValueError("heavy regime needs alpha in [0, 0.5)")
+    phi = float(phi)
+    plateau = max(1.0 - phi ** (1.0 - 2.0 * alpha), 0.0)
+    if alpha == 0.0:
+        return 1.0 - min(t, phi, 1.0)
+    moving = max(1.0 - t ** ((1.0 - 2.0 * alpha) / alpha), 0.0)
+    return max(moving, plateau)

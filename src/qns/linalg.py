@@ -45,10 +45,10 @@ class EigenPair(NamedTuple):
     vectors: np.ndarray  # (n, n), columns are orthonormal eigenvectors
 
 
-def check_symmetric(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+def check_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate that ``m`` is square and symmetric; return its symmetric part.
 
-    The asymmetry ``max|m - m.T|`` must not exceed ``tol * max|m|``.  A stack
+    The asymmetry ``max|m - m.T|`` must not exceed ``SYM_TOL * max|m|``.  A stack
     of shape ``(..., r, r)`` is checked matrix by matrix (each against its own
     scale) and the error names the first offending one's asymmetry; each
     matrix of the result equals what a 2-D call would return.
@@ -61,11 +61,11 @@ def check_symmetric(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     if m.ndim == 2:
         mt = m.T
         asym = np.abs(m - mt).max()
-        bad = asym > tol * max(np.abs(m).max(), 1e-300)
+        bad = asym > SYM_TOL * max(np.abs(m).max(), 1e-300)
     else:
         mt = m.swapaxes(-1, -2)
         asyms = np.abs(m - mt).max(axis=(-2, -1))
-        flags = asyms > tol * np.maximum(np.abs(m).max(axis=(-2, -1)), 1e-300)
+        flags = asyms > SYM_TOL * np.maximum(np.abs(m).max(axis=(-2, -1)), 1e-300)
         bad = flags.any()
         asym = asyms[flags][0] if bad else 0.0
     if bad:

@@ -117,14 +117,12 @@ class StudentState:
         return self.w.shape[1]
 
     @staticmethod
-    def gaussian_init(d: int, r_s: int, seed: int = 0) -> "StudentState":
+    def gaussian_init(d: int, r_s: int, rng: np.random.Generator) -> "StudentState":
         """Entries iid N(0, 1/d) -- the gradient-flow initialization."""
-        rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, 1)
         return StudentState(sample_gaussian_mat(d, r_s, 1.0 / d, rng))
 
     @staticmethod
-    def stiefel_init(d: int, r_s: int, seed: int = 0) -> "StudentState":
-        rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, 1)
+    def stiefel_init(d: int, r_s: int, rng: np.random.Generator) -> "StudentState":
         z = sample_gaussian_mat(d, r_s, 1.0, rng)
         return StudentState(inv_sqrt_gram(z))
 

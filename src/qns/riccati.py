@@ -372,9 +372,9 @@ class BoundingState:
         hi = float(np.linalg.eigvalsh(self.upper_gram() - self.t_ref - g)[0])
         return min(lo, hi)
 
-    def floor_ok(self, d: int, slack: float = 1e-12) -> bool:
+    def floor_ok(self, d: int) -> bool:
         floor = self.kappa_d * self.r_s / d
-        return float(np.linalg.eigvalsh(self.t_ref)[0]) >= floor - slack
+        return float(np.linalg.eigvalsh(self.t_ref)[0]) >= floor - 1e-12
 
 
 def _widened_spectra(spectrum: PowerLawSpectrum, cfg: BoundingConfig):

@@ -93,7 +93,6 @@ class SgdConfig:
     record_points: int = 200          # number of records in "log" mode
     seed: int = 0
     tracked_js: tuple[int, ...] = (1,)
-    record_gram: bool = False
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -113,7 +112,6 @@ class StepRecord:
     risk: float
     risk_normalized: float
     alignments: np.ndarray           # one value per tracked j
-    gram_snapshot: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -327,19 +325,18 @@ def _snapshot(
     r rows are already ``Theta.T W``, so ``theta=None``): only the Gram and the
     teacher projection are read."""
     risk = risk_from_gram(spectrum, w.T @ w, project(w, spectrum.r, theta))
-    gram = None
-    if cfg.record_gram or cfg.tracked_js:
+    aligns = np.empty(0)
+    if cfg.tracked_js:
         # W is orthonormal in the Stiefel mode, so the polar factor is W itself
         f = project(w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w), spectrum.r, theta)
         gram = f @ f.T
-    aligns = np.array([gram[j - 1, j - 1] for j in cfg.tracked_js]) if gram is not None else np.empty(0)
+        aligns = np.array([gram[j - 1, j - 1] for j in cfg.tracked_js])
     return StepRecord(
         step=step,
         compute=float(step) * cfg.batch * d * w.shape[1],
         risk=risk,
         risk_normalized=8.0 * risk,
         alignments=aligns,
-        gram_snapshot=gram.copy() if cfg.record_gram and gram is not None else None,
     )
 
 

@@ -10,17 +10,21 @@ the repository version; the hash makes the determinism contract checkable
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
 __all__ = ["TrajectoryData", "write_trajectory", "read_trajectory", "config_hash"]
 
 _FMT = "%.17g"
+_COLUMNS = ["step", "time_raw", "time_rescaled", "compute", "risk", "risk_normalized"]
+_VERSION_LOCK = threading.Lock()  # seeds of a thread pool ask for the version at once
 
 
 @dataclass
@@ -41,6 +45,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@functools.cache
 def _git_describe() -> str:
     try:
         out = subprocess.run(
@@ -71,8 +76,7 @@ def _atomic_write(path: str, payload: str) -> None:
 
 def write_trajectory(path: str, data: TrajectoryData, config: dict, seed: int) -> None:
     """Write the CSV and its ``<path>.json`` sidecar atomically."""
-    cols = ["step", "time_raw", "time_rescaled", "compute", "risk", "risk_normalized"]
-    cols += [f"align_{j}" for j in data.tracked_js]
+    cols = _COLUMNS + [f"align_{j}" for j in data.tracked_js]
     lines = [",".join(cols)]
     n = len(data.steps)
     for i in range(n):
@@ -87,11 +91,13 @@ def write_trajectory(path: str, data: TrajectoryData, config: dict, seed: int) -
         row += [_FMT % v for v in data.alignments[i]]
         lines.append(",".join(row))
     _atomic_write(path, "\n".join(lines) + "\n")
+    with _VERSION_LOCK:
+        version = _git_describe()
     sidecar = {
         "config": config,
         "config_hash": config_hash(config),
         "seed": int(seed),
-        "version": _git_describe(),
+        "version": version,
         "tracked_js": [int(j) for j in data.tracked_js],
     }
     sidecar.update(data.meta)
@@ -99,17 +105,27 @@ def write_trajectory(path: str, data: TrajectoryData, config: dict, seed: int) -
 
 
 def read_trajectory(path: str) -> TrajectoryData:
-    with open(path) as fh:
+    """Read a CSV of :func:`write_trajectory` and its sidecar, if any; a file
+    that is no such CSV with at least one row, or whose sidecar is no JSON,
+    raises a ValueError naming it."""
+    with open(path, errors="replace") as fh:  # undecodable bytes fail below, by name
         header = fh.readline().strip().split(",")
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    idx = {name: k for k, name in enumerate(header)}
-    js = [int(name.split("_", 1)[1]) for name in header if name.startswith("align_")]
-    align_cols = [idx[f"align_{j}"] for j in js]
+        rows = [line for line in fh if line.strip()]
+    if not rows or not set(_COLUMNS) <= set(header):
+        raise ValueError(f"{path} is not a trajectory CSV with at least one row")
     meta = {}
-    sidecar_path = path + ".json"
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
+    try:  # a non-numeric cell, an align_<j> that is no integer, a broken sidecar
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2)
+        js = [int(name.split("_", 1)[1]) for name in header if name.startswith("align_")]
+        if os.path.exists(path + ".json"):
+            with open(path + ".json") as fh:
+                meta = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if raw.shape[1] != len(header):
+        raise ValueError(f"{path}: {raw.shape[1]} columns under a header of {len(header)}")
+    idx = {name: k for k, name in enumerate(header)}
+    align_cols = [idx[f"align_{j}"] for j in js]
     return TrajectoryData(
         steps=raw[:, idx["step"]].astype(int),
         time_raw=raw[:, idx["time_raw"]],

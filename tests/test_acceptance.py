@@ -326,7 +326,7 @@ def test_criterion_10_heavy_tail_plateau():
     spec = PowerLawSpectrum(r=r, alpha=alpha)
     sc = effective_scales(d, r_s, r, alpha)
     params = FlowParams.from_spectrum(spec, d, r_s)
-    plateau = theory_limit_risk(10.0, alpha, r_s / r, "heavy")
+    plateau = theory_limit_risk(10.0, alpha, r_s / r)
     w0 = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(3, 1))
     late = np.array([5.0, 8.0]) * sc.kappa_eff * sc.t_eff
     risk = weight_risk_curve(w0, late, params)

@@ -123,7 +123,7 @@ class TestCompareToLimit:
 
         alpha, phi = 0.25, 0.5
         taus = np.linspace(0.15, 3.0, 80)
-        lim = np.array([theory_limit_risk(t, alpha, phi, "heavy") for t in taus])
+        lim = np.array([theory_limit_risk(t, alpha, phi) for t in taus])
         gaps = []
         for d in (500, 1000, 2000):
             r = d // 10

@@ -10,6 +10,7 @@ import pytest
 
 import qns
 import qns.trainer as trainer
+import qns.trajectory as trajectory
 from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from qns.trajectory import config_hash, read_trajectory
 
@@ -300,6 +301,20 @@ class TestRun:
         assert err.count("\n") == 1 and "memory" in err
         assert not (tmp_path / "runs" / "sgd-stiefel_seed1.csv").exists()
 
+    def test_one_git_describe_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        trajectory._git_describe.cache_clear()
+        path, _ = base_config(tmp_path, seeds=[1, 2, 3])
+        assert main(["run", path]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_haar_teacher_runs(self, tmp_path):
         path, _ = base_config(tmp_path, theta="haar", steps=12)
         assert main(["run", path]) == EXIT_OK
@@ -401,6 +416,29 @@ class TestFitCommand:
         assert main(["fit", str(csv), "--window", "1e9", "1e10"]) == EXIT_USAGE
 
 
+HOSTILE_CSVS = {
+    "empty": "",
+    "header_only": "step,time_raw,time_rescaled,compute,risk,risk_normalized,align_1\n",
+    "no_trajectory_header": "a,b,c\n1,2,3\n",
+    "non_numeric_cell": "step,time_raw,time_rescaled,compute,risk,risk_normalized\n1,2,3,4,5,x\n",
+    "short_row": "step,time_raw,time_rescaled,compute,risk,risk_normalized\n1,2,3,4,5\n",
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "plot"])
+@pytest.mark.parametrize("case", sorted(HOSTILE_CSVS))
+def test_hostile_csv_exits_2_naming_the_file(tmp_path, capsys, command, case):
+    csv = tmp_path / f"{case}.csv"
+    csv.write_text(HOSTILE_CSVS[case])
+    svg = tmp_path / "out.svg"
+    argv = [command, str(csv)] + (["-o", str(svg)] if command == "plot" else [])
+    assert main(argv) == EXIT_USAGE
+    out = capsys.readouterr()
+    lines = out.err.strip().splitlines()
+    assert out.out == "" and len(lines) == 1 and str(csv) in lines[0], out.err
+    assert not svg.exists()
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["riccati", "monotone", "retraction", "finetune", "bounds"])
     def test_passing_suite_exit_zero(self, suite, capsys):
@@ -480,6 +518,18 @@ class TestPlotCommand:
         assert main(["plot", csv, "-o", out, "--theory", "--x", "time"]) == EXIT_OK
         body = open(out).read()
         assert "stroke-dasharray" in body
+
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys):
+        path, _ = base_config(tmp_path)
+        main(["run", path])
+        capsys.readouterr()
+        csv = str(tmp_path / "runs" / "gf-closed_seed1.csv")
+        svg = tmp_path / "missing_dir" / "x.svg"
+        assert main(["plot", csv, "-o", str(svg)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and str(svg) in lines[0], out.err
+        assert not svg.parent.exists()
 
     def test_roundtrip_17_digits(self, tmp_path):
         path, _ = base_config(tmp_path)

@@ -1,9 +1,12 @@
-"""Every name a module exports resolves, and the package re-exports only
-names its modules export."""
+"""Every name a module exports resolves, the package re-exports only names
+its modules export, and it depends on numpy and the standard library alone."""
 
 import ast
 import importlib
+from pathlib import Path
 import pkgutil
+import re
+import sys
 
 import pytest
 
@@ -29,3 +32,24 @@ def test_package_imports_only_exported_names():
         if alias.name not in importlib.import_module(f"qns.{node.module}").__all__
     ]
     assert stray == []
+
+
+def test_package_depends_on_numpy_alone():
+    # every import, also those inside functions, is stdlib, numpy or relative
+    root = Path(__file__).resolve().parents[1]
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = []
+    for path in sorted((root / "src" / "qns").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]

@@ -158,8 +158,8 @@ class TestFinetune:
         b = collect_batch(t, s, 500, rng_stream(10, 0))
         perm = rng_stream(10, 1).permutation(b.n_ft)
         shuffled = FineTuneBatch(a_mats=b.a_mats[perm], ys=b.ys[perm])
-        r1 = finetune(t, s, batch=b, estimate_gap=False)
-        r2 = finetune(t, s, batch=shuffled, estimate_gap=False)
+        r1 = finetune(t, s, batch=b)
+        r2 = finetune(t, s, batch=shuffled)
         np.testing.assert_allclose(r1.omega_hat, r2.omega_hat, atol=1e-12)
 
     def test_omega_factorization(self):

@@ -329,28 +329,18 @@ class TestTheoryCurves:
 
 class TestLimitRisk:
     def test_flat_heavy_is_clipped_linear(self):
-        assert theory_limit_risk(0.3, 0.0, 2.0, "heavy") == pytest.approx(0.7)
-        assert theory_limit_risk(0.9, 0.0, 0.5, "heavy") == pytest.approx(0.5)
-        assert theory_limit_risk(5.0, 0.0, 2.0, "heavy") == pytest.approx(0.0)
+        assert theory_limit_risk(0.3, 0.0, 2.0) == pytest.approx(0.7)
+        assert theory_limit_risk(0.9, 0.0, 0.5) == pytest.approx(0.5)
+        assert theory_limit_risk(5.0, 0.0, 2.0) == pytest.approx(0.0)
 
     def test_heavy_plateau_level(self):
-        assert theory_limit_risk(100.0, 0.25, 0.5, "heavy") == pytest.approx(1 - 0.5**0.5)
-
-    def test_light_consistent_with_staircase(self):
-        # finite normalizer r=4 reproduces the staircase value 5/41 at t=2.5
-        val = theory_limit_risk(2.5, 1.0, 4, "light", r=4)
-        assert val == pytest.approx(5 / 41)
-
-    def test_light_infinite_width_normalizer(self):
-        # r = None normalizes by zeta(2 alpha)
-        val = theory_limit_risk(2.5, 1.0, 4, "light")
-        assert val == pytest.approx(1 - 1.25 / (np.pi**2 / 6))
+        assert theory_limit_risk(100.0, 0.25, 0.5) == pytest.approx(1 - 0.5**0.5)
 
     def test_regime_mismatch(self):
         with pytest.raises(ValueError):
-            theory_limit_risk(1.0, 0.8, 0.5, "heavy")
+            theory_limit_risk(1.0, 0.8, 0.5)
         with pytest.raises(ValueError):
-            theory_limit_risk(1.0, 0.3, 4, "light")
+            theory_limit_risk(-1.0, 0.25, 0.5)
 
 
 class TestTimeNonMonotonicity:
