@@ -3,8 +3,10 @@
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error (among them a config that is
-not a JSON object or needs more memory than is available, a ``fit`` or ``plot``
-input that is no trajectory CSV, and a ``plot -o`` path that cannot be written),
+not a JSON object or needs more memory than is available, an ``out_dir`` that
+cannot be created, checked before any seed runs, a ``fit`` or ``plot`` input that
+is no trajectory CSV, a ``plot --theory`` sidecar whose config gives no theory
+curve, and a ``plot -o`` path that cannot be written),
 3 numeric failure (divergence, a rank-deficient student, a closed-form
 horizon past float64's exp range, or non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
@@ -231,8 +233,9 @@ def _flow_data(cfg: RunConfig, ts: np.ndarray, risk_n: np.ndarray, aligns: np.nd
 def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
     _, params, w0, theta = _flow_start(cfg, seed)
     ts = _time_grid(cfg)
-    u0 = inv_sqrt_gram(w0)
-    f0 = project(u0, cfg.r, theta)
+    # the teacher rows of the polar factor alone: no d x r_s array of it
+    # stays alive while the curves run
+    f0 = project(inv_sqrt_gram(w0), cfg.r, theta).copy()
     aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in cfg.resolved_tracked()]]
     return _flow_data(cfg, ts, weight_risk_curve(w0, ts, params, theta=theta), aligns)
 
@@ -363,6 +366,11 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    try:  # before any seed runs, not after all of them have
+        os.makedirs(os.path.dirname(os.path.abspath(_out_path(cfg, cfg.seeds[0]))), exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create out_dir {cfg.out_dir!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     runner = _RUNNERS[cfg.kind]
     config_dict = cfg.to_dict()
 
@@ -478,8 +486,13 @@ def cmd_plot(args) -> int:
         series.append({"x": x, "y": data.risk_normalized, "label": os.path.basename(path)})
         if args.theory and not theory_added and data.meta.get("config"):
             c = data.meta["config"]
-            spectrum = PowerLawSpectrum(r=c["r"], alpha=c["alpha"])
-            sc = effective_scales(c["d"], c["r_s"], c["r"], c["alpha"])
+            try:
+                spectrum = PowerLawSpectrum(r=c["r"], alpha=c["alpha"])
+                sc = effective_scales(c["d"], c["r_s"], c["r"], c["alpha"])
+            except (KeyError, TypeError, ValueError) as exc:
+                why = f"no field {exc}" if isinstance(exc, KeyError) else exc
+                print(f"error: {path}.json: its config gives no theory curve: {why}", file=sys.stderr)
+                return EXIT_USAGE
             theo = np.array(
                 [theory_risk_curve(t, sc, spectrum) for t in data.time_rescaled]
             )

@@ -20,9 +20,10 @@ naive inverse is hopeless.  The d - r zero modes of the weight target share
 one scaling, so one thin QR of the rows of ``w0`` off the teacher span
 reduces the weight closed form to the (r + min(d - r, r_s)) x r_s factor
 ``S = [Theta.T w0; R]`` with the same singular values; grids run as chunks of
-stacked QRs whose ``[X; I]`` is no larger than one d x r_s matrix;
-``closed_form_weight_gram(w0, t, params)`` takes that factor, never the
-d x d Gram.  The RK4 integrator is an independent oracle:
+stacked QRs whose ``[X; I]`` fit a fixed budget of 256 KiB (``_CHUNK_BYTES``,
+at least one matrix a chunk), and every per-point result is independent of
+the chunking; ``closed_form_weight_gram(w0, t, params)`` takes that factor,
+never the d x d Gram.  The RK4 integrator is an independent oracle:
 ``integrate_rk4(rhs, y0, ts, dt)`` yields the state at each time of ``ts``,
 and integrates the ODE on the Gram or, from the command line, on the
 reduced factor ``S``.
@@ -162,6 +163,11 @@ def _factor_psd(g0: np.ndarray) -> np.ndarray:
 # reaching past it is refused rather than pushing inf into LAPACK's QR
 _EXP_LIMIT = math.log(np.finfo(float).max)
 
+# bytes of the stacked [X; I] of one chunk: a working set the heap reuses
+# chunk after chunk, where chunks of one d x r_s matrix (1-2 MB temporaries)
+# took a heavy-tail run through 19k page faults
+_CHUNK_BYTES = 256 * 1024
+
 # rows of X below this size take DY from R^{-1} rather than from their own
 # rows of Q, whose absolute error of about 1e-16 is a relative error of
 # 1e-16 / size: every row keeps a relative 2e-13 or better
@@ -224,10 +230,11 @@ def _expand(s: np.ndarray, q: np.ndarray, r: int, theta: np.ndarray | None = Non
     return np.vstack([s[:r], bot]) if theta is None else theta @ s[:r] + bot
 
 
-def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zero: float):
+def _core(f: np.ndarray, ts: np.ndarray, rates, kappa, t_zero: float):
     """Factored closed form ``G(t) = DY DY.T`` from ``G0 = f f.T``, yielded as
-    ``(idx, DY)`` for the grid points t > 0 in chunks whose stacked
-    ``[X; I]`` is no larger than one d x r_s matrix.  ``DY = sqrt(A) Y`` with
+    ``(idx, DY)`` for the grid points t > 0 in chunks of as many points as
+    fit their stacked ``[X; I]`` into ``_CHUNK_BYTES``, and at least one; each
+    point's ``DY`` is the same whatever the chunk.  ``DY = sqrt(A) Y`` with
     ``Y`` the push-through factor of ``X = C^{-1/2} f``.  Mode i has
     ``sqrt(A) = sqrt(kappa_i / (1 - exp(-t rate_i)))`` and
     ``C^{-1/2} = sqrt(expm1(t rate_i) / kappa_i)``; rows of ``f`` past the
@@ -240,10 +247,8 @@ def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zer
     pos = np.flatnonzero(ts > 0)
     m, k = f.shape
     zero = np.ones(m - len(rates))
-    size = max(params.d * params.r_s // ((m + k) * k), 1)
-    # one scratch [X; I] for all chunks: a fresh 1-2 MB buffer per chunk
-    # costs the heavy-tail runs thousands of page faults
-    z = np.empty((min(size, pos.size), m + k, k))
+    size = max(_CHUNK_BYTES // ((m + k) * k * 8), 1)
+    z = np.empty((min(size, pos.size), m + k, k))  # one scratch [X; I] for all chunks
     f_size = np.abs(f).max(axis=1)  # row sizes of X are inv_sqrt_c * f_size
     for idx in (pos[i : i + size] for i in range(0, pos.size, size)):
         t = ts[idx, None]
@@ -267,7 +272,7 @@ def _core(f: np.ndarray, ts: np.ndarray, params: FlowParams, rates, kappa, t_zer
 
 
 def _align_core(f: np.ndarray, ts, params: FlowParams):
-    return _core(f, ts, params, params.lambdas / params.t_u, 1.0, params.t_u)
+    return _core(f, ts, params.lambdas / params.t_u, 1.0, params.t_u)
 
 
 def _weight_core(s: np.ndarray, ts, params: FlowParams):
@@ -275,7 +280,7 @@ def _weight_core(s: np.ndarray, ts, params: FlowParams):
     # a subnormal lambda_tilde has too few bits for expm1(t rate) / kappa:
     # those modes, the last ones, are zero modes to within 1e-300
     lam_tilde = lam_tilde[lam_tilde >= np.finfo(float).tiny]
-    return _core(s, ts, params, lam_tilde / params.t_w, lam_tilde, params.t_w)
+    return _core(s, ts, lam_tilde / params.t_w, lam_tilde, params.t_w)
 
 
 def _sym_outer(m: np.ndarray, t: float, what: str) -> np.ndarray:
@@ -368,7 +373,8 @@ def weight_risk_curve(
     for c, dy in _weight_core(s, ts, params):
         # G_W = P DY DY.T P.T with orthonormal P; only traces are needed
         gw_sq[c] = np.sum((dy.transpose(0, 2, 1) @ dy) ** 2, axis=(1, 2))
-        cross[c] = (dy[:, :r] ** 2).sum(axis=2) @ lam
+        # per point, not a matrix-vector product whose bits follow the chunk
+        cross[c] = ((dy[:, :r] ** 2).sum(axis=2) * lam).sum(axis=1)
     return np.maximum(1.0 - 2.0 * (c0 / frob_sq) * cross + (c0**2 / frob_sq) * gw_sq, 0.0)
 
 

@@ -156,7 +156,9 @@ def sample_gaussian_mat(
     if variance < 0:
         raise ValueError("variance must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
-    return np.sqrt(variance) * rng.standard_normal((rows, cols))
+    z = rng.standard_normal((rows, cols))
+    z *= np.sqrt(variance)  # in place: the same floats, one d-sized temporary fewer
+    return z
 
 
 def sample_stiefel(

@@ -106,8 +106,8 @@ def write_trajectory(path: str, data: TrajectoryData, config: dict, seed: int) -
 
 def read_trajectory(path: str) -> TrajectoryData:
     """Read a CSV of :func:`write_trajectory` and its sidecar, if any; a file
-    that is no such CSV with at least one row, or whose sidecar is no JSON,
-    raises a ValueError naming it."""
+    that is no such CSV with at least one row, or whose sidecar is no JSON
+    object, raises a ValueError naming it."""
     with open(path, errors="replace") as fh:  # undecodable bytes fail below, by name
         header = fh.readline().strip().split(",")
         rows = [line for line in fh if line.strip()]
@@ -122,6 +122,8 @@ def read_trajectory(path: str) -> TrajectoryData:
                 meta = json.load(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if type(meta) is not dict:
+        raise ValueError(f"{path}.json: the sidecar is not a JSON object")
     if raw.shape[1] != len(header):
         raise ValueError(f"{path}: {raw.shape[1]} columns under a header of {len(header)}")
     idx = {name: k for k, name in enumerate(header)}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qns
+import qns.cli as cli
 import qns.trainer as trainer
 import qns.trajectory as trajectory
 from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
@@ -74,6 +75,22 @@ class TestRun:
         path, _ = base_config(tmp_path, r=300)
         assert main(["run", path]) == EXIT_USAGE
         assert "'r'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["under_a_file", "a_file"])
+    def test_out_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, monkeypatch, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = str(blocker / "runs") if where == "under_a_file" else str(blocker)
+        path, _ = base_config(tmp_path, out_dir=out_dir, seeds=[1, 2])
+
+        def must_not_run(cfg, seed):
+            raise AssertionError("a seed ran before out_dir was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, "gf-closed", must_not_run)
+        assert main(["run", path]) == EXIT_USAGE
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and out_dir in lines[0], out.err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path, _ = base_config(tmp_path, bogus_field=1)
@@ -530,6 +547,26 @@ class TestPlotCommand:
         lines = out.err.strip().splitlines()
         assert out.out == "" and len(lines) == 1 and str(svg) in lines[0], out.err
         assert not svg.parent.exists()
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [[1, 2],                                  # no JSON object: AttributeError before
+         {"config": {"d": 128, "r": 4, "r_s": 4}},  # no alpha: KeyError before
+         {"config": "gf-closed"}],                # a config that is no object
+    )
+    def test_theory_from_hostile_sidecar_exits_2(self, tmp_path, capsys, sidecar):
+        path, _ = base_config(tmp_path)
+        main(["run", path])
+        capsys.readouterr()
+        csv = str(tmp_path / "runs" / "gf-closed_seed1.csv")
+        with open(csv + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+        svg = tmp_path / "t.svg"
+        assert main(["plot", csv, "-o", str(svg), "--theory"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and csv + ".json" in lines[0], out.err
+        assert not svg.exists()
 
     def test_roundtrip_17_digits(self, tmp_path):
         path, _ = base_config(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import rand_psd
@@ -17,6 +19,7 @@ from qns.flow import (
     weight_gram_diag,
     weight_risk_curve,
 )
+from qns import flow
 from qns.flow import _core, _factor_psd, _push_through
 from qns.linalg import loewner_slack, rng_stream, sample_gaussian_mat
 from qns.model import PowerLawSpectrum
@@ -157,7 +160,7 @@ class TestReducedWeightFlow:
     # k = min(d - r, r_s); the dense route keeps all d rows
     @pytest.mark.parametrize(
         "d, r, r_s",
-        [(300, 4, 3),    # d >> r: chunks of d r_s // ((r + k + r_s) r_s) = 30 points
+        [(300, 4, 3),    # d >> r: k = r_s = 3, all 100 points in one chunk
          (10, 7, 5),     # d - r < r_s: R has only k = 3 rows
          (6, 6, 4)],     # d == r: no bottom block
     )
@@ -193,12 +196,13 @@ class TestReducedWeightFlow:
             weight_risk_curve(basis.T @ w0, ts, p), rtol=0, atol=1e-13,
         )
 
-    def test_align_curves_chunked_match_pointwise(self, rng):
+    def test_align_curves_chunked_match_pointwise(self, rng, monkeypatch):
         lam = np.array([1.0, 0.5, 0.25, 0.2])
-        p = FlowParams(lambdas=lam, d=8, r_s=2)  # chunks of 8 * 2 // ((4 + 4) * 4) -> 1 point
-        g0 = rand_psd(rng, 4, scale=0.3)
+        params = FlowParams(lambdas=lam, d=64, r_s=2)
+        g0 = rand_psd(rng, 4, scale=0.3)  # full rank: [X; I] is 8 x 4
         ts = np.array([0.0, 0.3, 2.0, 9.0, 40.0])
-        for params in (p, FlowParams(lambdas=lam, d=64, r_s=2)):  # and of 4 points
+        for points in (1, 3):  # chunks of 1 point, and of 3 and 1
+            monkeypatch.setattr(flow, "_CHUNK_BYTES", points * 8 * 4 * 8)
             curves = align_curves(g0, ts, params)
             for i, t in enumerate(ts):
                 np.testing.assert_allclose(
@@ -225,16 +229,17 @@ class TestPushThrough:
             np.testing.assert_allclose(yi @ yi.T, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m, k, n_modes", [(3, 6, 3), (7, 3, 4), (8, 5, 8)])
-    def test_core_matches_svd_form(self, rng, m, k, n_modes):
+    def test_core_matches_svd_form(self, rng, monkeypatch, m, k, n_modes):
         # m < k (rank-deficient f), m > k with m - n_modes zero-mode rows, and
-        # no zero modes; d = 4 forces chunks of one point
+        # no zero modes; a budget of one byte forces chunks of one point
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", 1)
         f = rng.standard_normal((m, k)) / np.sqrt(m)
         rates = np.geomspace(1.0, 0.05, n_modes)
         kappa = np.geomspace(2.0, 0.5, n_modes)
         t_zero = 3.0
         ts = np.concatenate([[0.0], np.geomspace(0.01, 400.0, 9)])
         seen = []
-        for idx, dy in _core(f, ts, FlowParams(lambdas=np.ones(1), d=4, r_s=1), rates, kappa, t_zero):
+        for idx, dy in _core(f, ts, rates, kappa, t_zero):
             for i, dyi in zip(idx, dy):
                 t = ts[i]
                 tx = t * rates
@@ -246,6 +251,42 @@ class TestPushThrough:
                 np.testing.assert_allclose(dyi @ dyi.T, ref, rtol=0, atol=1e-13)
                 seen.append(i)
         assert seen == list(range(1, len(ts)))
+
+
+class TestChunkBudget:
+    # the grid runs in chunks of as many points as fit _CHUNK_BYTES; no
+    # per-point result may depend on where the chunks fall
+    @pytest.mark.parametrize("budget", [1, 1 << 40])  # one point a chunk; the whole grid
+    def test_curves_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        d, r, r_s = 300, 20, 12
+        p = FlowParams.from_spectrum(PowerLawSpectrum(r=r, alpha=2.0), d, r_s)
+        w0 = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(5, 1))
+        f0 = np.linalg.qr(w0)[0][:r]
+        g0 = f0 @ f0.T
+        # at the default budget: 3 weight chunks and 2 alignment chunks, and
+        # the early times send the small modes' rows through R^{-1}
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 149)])
+        risk, aligns = weight_risk_curve(w0, ts, p), align_curves(g0, ts, p)
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        assert weight_risk_curve(w0, ts, p).tobytes() == risk.tobytes()
+        assert align_curves(g0, ts, p).tobytes() == aligns.tobytes()
+
+    def test_heavy_tail_working_set(self):
+        # the heavy tail's shape (d=2000, r=200, r_s=100): with chunks of one
+        # d x r_s matrix the curve allocated about 9 MiB above its inputs
+        d, r, r_s = 2000, 200, 100
+        p = FlowParams.from_spectrum(PowerLawSpectrum(r=r, alpha=0.25), d, r_s)
+        w0 = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(3, 1))
+        ts = np.geomspace(1.0, 1e3, 12)
+        weight_risk_curve(w0, ts[:2], p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weight_risk_curve(w0, ts, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB above the inputs"
 
 
 class TestClosedFormOverflow:
