@@ -31,7 +31,6 @@ from .model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
-    alignment,
     alignment_gram,
     draw_samples,
     instantaneous_loss,

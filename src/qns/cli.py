@@ -3,10 +3,11 @@
 Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error (among them a config that is
-not a JSON object or needs more memory than is available, an ``out_dir`` that
-cannot be created, checked before any seed runs, a ``fit`` or ``plot`` input that
-is no trajectory CSV, a ``plot --theory`` sidecar whose config gives no theory
-curve, and a ``plot -o`` path that cannot be written),
+not a JSON object, sets a field its kind does not read, or needs more memory
+than is available, an ``out_dir`` that cannot be created, checked before any
+seed runs, a ``fit`` or ``plot`` input that is no trajectory CSV of finite
+cells, a ``plot --theory`` sidecar whose config gives no theory curve, and a
+``plot -o`` path that cannot be written),
 3 numeric failure (divergence, a rank-deficient student, a closed-form
 horizon past float64's exp range, or non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
@@ -19,13 +20,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import UnionType
-from typing import Literal, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .flow import (
     weight_risk_curve,
 )
 from .linalg import RankDeficientError, inv_sqrt_gram, rng_stream, sample_gaussian_mat
-from .model import PowerLawSpectrum, TeacherModel, project, risk_from_gram
+from .model import PowerLawSpectrum, TeacherModel, risk_from_gram
 from .svgplot import line_chart
 from .trainer import DivergenceError, SgdConfig, default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
@@ -63,28 +63,30 @@ class NonFiniteRunError(ArithmeticError):
     pass
 
 
+GF_KINDS = ("gf-closed", "gf-rk4")
+STEPPED_KINDS = ("gd-population", "sgd-stiefel", "sgd-euclidean")
+
+
 @dataclass
 class RunConfig:
     """Validated description of one experiment family (all seeds).  The
     annotations are the one declaration of each field's type and allowed
-    strings; :meth:`validate` checks every field against them."""
+    strings, and ``Annotated[type, kinds]`` names the only kinds that read a
+    field; :meth:`validate` checks every field against them."""
 
-    kind: Literal["gf-closed", "gf-rk4", "gd-population", "sgd-stiefel", "sgd-euclidean"]
+    kind: Literal[GF_KINDS + STEPPED_KINDS]
     d: int
     r: int
     r_s: int
     alpha: float
     seeds: list[int] = field(default_factory=lambda: [0])
-    eta: float | None = None
-    eta_c: float = 0.5
-    c_alpha: float = 0.0
+    eta: Annotated[float | None, STEPPED_KINDS] = None
     steps: int = 1000
-    horizon: float | None = None              # gf kinds: max raw time
-    grid: Literal["log", "linear"] = "log"    # gf kinds: t-grid spacing
-    batch: int | None = None
-    theta: Literal["basis", "haar"] = "basis"
-    record_every: int | Literal["log"] = "log"
-    record_points: int = 200
+    horizon: Annotated[float | None, GF_KINDS] = None              # max raw time
+    grid: Annotated[Literal["log", "linear"], GF_KINDS] = "log"    # t-grid spacing
+    batch: Annotated[int | None, STEPPED_KINDS] = None
+    record_every: Annotated[int | Literal["log"], STEPPED_KINDS] = "log"
+    record_points: Annotated[int, STEPPED_KINDS] = 200
     tracked_j: list[int] | Literal["auto"] = "auto"
     out_dir: str = "runs"
     tag: str = ""
@@ -93,7 +95,7 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         unknown = set(raw) - _HINTS.keys()
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError("; ".join(f"config field {n!r}: unknown" for n in sorted(unknown)))
         cfg = RunConfig(**raw)
         cfg.validate()
         return cfg
@@ -107,6 +109,9 @@ class RunConfig:
             if not _matches(value, hint):
                 text = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
                 fail(name, f"must be {text}{' (finite)' if 'float' in text else ''}, got {value!r}")
+        for name, (kinds, default) in _READ_BY.items():
+            if self.kind not in kinds and getattr(self, name) != default:
+                fail(name, f"the {self.kind} kind does not read it (only {', '.join(kinds)})")
         for name, lo in _LOWER.items():
             values = getattr(self, name)
             for value in values if type(values) is list else [values]:
@@ -125,7 +130,7 @@ class RunConfig:
             fail("seeds", f"need a non-empty list of distinct seeds, got {self.seeds}")
         if isinstance(self.tracked_j, list) and not all(1 <= j <= self.r for j in self.tracked_j):
             fail("tracked_j", f"indices must lie in 1..r = 1..{self.r}, got {self.tracked_j}")
-        if self.kind.startswith("gf") and (self.horizon is None or self.horizon / self.steps <= 0):
+        if self.kind in GF_KINDS and (self.horizon is None or self.horizon / self.steps <= 0):
             fail("horizon", "gf kinds need a time horizon with horizon / steps > 0")
         if self.kind == "gf-rk4":
             spectrum = PowerLawSpectrum(r=self.r, alpha=self.alpha)
@@ -133,17 +138,11 @@ class RunConfig:
             if n_sub > MAX_RK4_SUBSTEPS:
                 fail("horizon", f"gf-rk4 would take horizon / dt = {n_sub:.3g} RK4 sub-steps, "
                                 f"past the cap of {MAX_RK4_SUBSTEPS:.0e}")
-        try:
-            eta = self.resolved_eta()
-        except (OverflowError, ZeroDivisionError):
-            eta = math.nan
-        if not 0 < eta < math.inf:
-            fail("c_alpha", f"the scheduled eta leaves float64's positive finite range (got {eta:g})")
 
     def resolved_eta(self) -> float:
         if self.eta is not None:
             return self.eta
-        return schedule_eta(self.d, self.r, self.r_s, self.alpha, self.eta_c, self.c_alpha)
+        return schedule_eta(self.d, self.r, self.alpha)
 
     def resolved_batch(self) -> int:
         if self.batch is not None:
@@ -165,14 +164,18 @@ class RunConfig:
 
 
 # resolved once: get_type_hints costs about 0.35 ms a call
-_HINTS = get_type_hints(RunConfig)
+_EXTRAS = get_type_hints(RunConfig, include_extras=True)
+_HINTS = {name: get_args(h)[0] if get_origin(h) is Annotated else h for name, h in _EXTRAS.items()}
 KINDS = get_args(_HINTS["kind"])
+# the kinds that read each Annotated field, and the default the others must keep
+_READ_BY = {name: (get_args(h)[1], getattr(RunConfig, name)) for name, h in _EXTRAS.items()
+            if get_origin(h) is Annotated}
 
-# lower bounds of the numeric fields (each seed's too); eta, eta_c and the
-# horizon must lie strictly above theirs
-_LOWER = {"d": 2, "r": 1, "r_s": 1, "alpha": 0, "seeds": 0, "eta": 0, "eta_c": 0, "steps": 1,
+# lower bounds of the numeric fields (each seed's too); eta and the horizon
+# must lie strictly above theirs
+_LOWER = {"d": 2, "r": 1, "r_s": 1, "alpha": 0, "seeds": 0, "eta": 0, "steps": 1,
           "horizon": 0, "batch": 1, "record_every": 1, "record_points": 1}
-_STRICT = ("eta", "eta_c", "horizon")
+_STRICT = ("eta", "horizon")
 
 
 def _matches(value, hint) -> bool:
@@ -192,11 +195,8 @@ def _matches(value, hint) -> bool:
     return type(value) is hint
 
 
-def _teacher(cfg: RunConfig, seed: int) -> TeacherModel:
-    spectrum = PowerLawSpectrum(r=cfg.r, alpha=cfg.alpha)
-    if cfg.theta == "basis":
-        return TeacherModel(d=cfg.d, spectrum=spectrum)
-    return TeacherModel.haar(cfg.d, spectrum, seed=seed)
+def _teacher(cfg: RunConfig) -> TeacherModel:
+    return TeacherModel(d=cfg.d, spectrum=PowerLawSpectrum(r=cfg.r, alpha=cfg.alpha))
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -206,13 +206,11 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _flow_start(cfg: RunConfig, seed: int):
-    """``(spectrum, params, w0, theta)`` of a flow run.  The flows are written in
-    the teacher eigenbasis: a Haar teacher enters through its directions
-    ``theta``, projected out of w0 (``None`` for the basis teacher)."""
-    teacher = _teacher(cfg, seed)
-    params = FlowParams.from_spectrum(teacher.spectrum, cfg.d, cfg.r_s)
+    """``(spectrum, params, w0)`` of a flow run, in the teacher eigenbasis."""
+    spectrum = _teacher(cfg).spectrum
+    params = FlowParams.from_spectrum(spectrum, cfg.d, cfg.r_s)
     w0 = sample_gaussian_mat(cfg.d, cfg.r_s, 1.0 / cfg.d, rng_stream(seed, 1))
-    return teacher.spectrum, params, w0, teacher.theta
+    return spectrum, params, w0
 
 
 def _flow_data(cfg: RunConfig, ts: np.ndarray, risk_n: np.ndarray, aligns: np.ndarray) -> TrajectoryData:
@@ -231,20 +229,20 @@ def _flow_data(cfg: RunConfig, ts: np.ndarray, risk_n: np.ndarray, aligns: np.nd
 
 
 def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
-    _, params, w0, theta = _flow_start(cfg, seed)
+    _, params, w0 = _flow_start(cfg, seed)
     ts = _time_grid(cfg)
     # the teacher rows of the polar factor alone: no d x r_s array of it
     # stays alive while the curves run
-    f0 = project(inv_sqrt_gram(w0), cfg.r, theta).copy()
+    f0 = inv_sqrt_gram(w0)[: cfg.r].copy()
     aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in cfg.resolved_tracked()]]
-    return _flow_data(cfg, ts, weight_risk_curve(w0, ts, params, theta=theta), aligns)
+    return _flow_data(cfg, ts, weight_risk_curve(w0, ts, params), aligns)
 
 
 def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
-    spectrum, params, w0, theta = _flow_start(cfg, seed)
-    # dW/dt = P dS/dt for w0 = P S with orthonormal P = [Theta, Q_b]: the flow
-    # never leaves span P, so RK4 integrates the (r + k) x r_s factor S
-    s = _reduce(w0, cfg.r, theta)
+    spectrum, params, w0 = _flow_start(cfg, seed)
+    # dW/dt = P dS/dt for w0 = P S with orthonormal P = diag(I_r, Q_b): the
+    # flow never leaves span P, so RK4 integrates the (r + k) x r_s factor S
+    s = _reduce(w0, cfg.r)
     lin = np.zeros((len(s), 1))
     lin[: cfg.r, 0] = spectrum.lambdas / (2.0 * np.sqrt(cfg.r_s) * spectrum.frob)
     cubic = -1.0 / (2.0 * cfg.r_s)
@@ -262,7 +260,7 @@ def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
 
 
 def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
-    teacher = _teacher(cfg, seed)
+    teacher = _teacher(cfg)
     sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
     eta = cfg.resolved_eta()
     mode = {

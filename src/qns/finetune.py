@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .linalg import check_symmetric, psd_project, psd_sqrt
-from .model import StudentState, TeacherModel, draw_samples, project
+from .model import StudentState, TeacherModel, draw_samples
 
 __all__ = [
     "FineTuneBatch",
@@ -189,15 +189,15 @@ def risk_decomposition(
     Returns ``(total, fit_term, subspace_term)`` with
     ``fit = (1/r_s) || Omega Omega.T - (sqrt(r_s)/||L||) W.T M W ||_F^2`` and
     ``subspace = 1 - ||L^{1/2} G L^{1/2}||_F^2 / ||L||_F^2`` where
-    ``G = Theta.T W W.T Theta``.  Total equals the normalized population risk
+    ``G = W[:r] W[:r].T``.  Total equals the normalized population risk
     of the rescaled student exactly.
     """
     w = student.w
     r_s = student.r_s
     lam = teacher.spectrum.lambdas
     frob = teacher.spectrum.frob
-    tw = project(w, teacher.r, teacher.theta)
-    wmw = tw.T * lam @ tw  # W.T Theta L Theta.T W
+    tw = w[: teacher.r]
+    wmw = tw.T * lam @ tw  # W[:r].T L W[:r]
     wmw = 0.5 * (wmw + wmw.T)
     fit = float(np.linalg.norm(omega @ omega.T - (np.sqrt(r_s) / frob) * wmw) ** 2) / r_s
     g = tw @ tw.T

@@ -1,7 +1,7 @@
 """Population gradient-flow dynamics of the Gram matrices.
 
 The weight Gram ``G_W = W W.T`` and the alignment Gram
-``G_U = Theta.T U U.T Theta`` each solve a matrix Riccati ODE
+``G_U = U[:r] U[:r].T`` each solve a matrix Riccati ODE
 
     dG/dt = (0.5 / T) (S G + G S - 2 G M G)
 
@@ -19,7 +19,7 @@ numerically stable for singular initializations and late times, where the
 naive inverse is hopeless.  The d - r zero modes of the weight target share
 one scaling, so one thin QR of the rows of ``w0`` off the teacher span
 reduces the weight closed form to the (r + min(d - r, r_s)) x r_s factor
-``S = [Theta.T w0; R]`` with the same singular values; grids run as chunks of
+``S = [w0[:r]; R]`` with the same singular values; grids run as chunks of
 stacked QRs whose ``[X; I]`` fit a fixed budget of 256 KiB (``_CHUNK_BYTES``,
 at least one matrix a chunk), and every per-point result is independent of
 the chunking; ``closed_form_weight_gram(w0, t, params)`` takes that factor,
@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .linalg import check_symmetric
-from .model import PowerLawSpectrum, project
+from .model import PowerLawSpectrum
 
 __all__ = [
     "FlowNumericsError",
@@ -207,27 +207,23 @@ def _push_through(x: np.ndarray, ts: np.ndarray, z: np.ndarray):
     return y, q[:, n:]
 
 
-def _reduce(w0: np.ndarray, r: int, theta: np.ndarray | None = None, with_q: bool = False):
-    """``S = [Theta.T w0; R]``, (r + k) x r_s with ``k = min(d - r, r_s)``, where
-    ``Q_b R`` is the thin QR of ``w0 - Theta Theta.T w0``, so that
-    ``w0 = Theta S_top + Q_b S_bot``; ``theta=None`` is the teacher eigenbasis.
+def _reduce(w0: np.ndarray, r: int, with_q: bool = False):
+    """``S = [w0[:r]; R]``, (r + k) x r_s with ``k = min(d - r, r_s)``, where
+    ``Q_b R`` is the thin QR of ``w0[r:]``, so that ``w0 = [S_top; Q_b S_bot]``.
     Returns ``(S, Q_b)`` with ``with_q``."""
     w0 = np.asarray(w0, dtype=float)
     if not np.all(np.isfinite(w0)):
         raise FlowNumericsError("non-finite entries in the weight factor")
-    top = project(w0, r, theta)
-    rest = w0[r:] if theta is None else w0 - theta @ top
     k = min(w0.shape[0] - r, w0.shape[1])
     if not with_q:
-        return np.vstack([top, np.linalg.qr(rest, mode="r")[:k]])
-    q, rf = np.linalg.qr(rest)
-    return np.vstack([top, rf[:k]]), q[:, :k]
+        return np.vstack([w0[:r], np.linalg.qr(w0[r:], mode="r")[:k]])
+    q, rf = np.linalg.qr(w0[r:])
+    return np.vstack([w0[:r], rf[:k]]), q[:, :k]
 
 
-def _expand(s: np.ndarray, q: np.ndarray, r: int, theta: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`_reduce`: ``Theta S_top + Q_b S_bot``."""
-    bot = q @ s[r:]
-    return np.vstack([s[:r], bot]) if theta is None else theta @ s[:r] + bot
+def _expand(s: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
+    """Inverse of :func:`_reduce`: ``[S_top; Q_b S_bot]``."""
+    return np.vstack([s[:r], q @ s[r:]])
 
 
 def _core(f: np.ndarray, ts: np.ndarray, rates, kappa, t_zero: float):
@@ -352,21 +348,18 @@ def weight_gram_diag(
     return _gram_diag(_weight_core(s, ts, params), ts, diag0)[:, np.asarray(idx, dtype=int)]
 
 
-def weight_risk_curve(
-    w0: np.ndarray, ts: np.ndarray, params: FlowParams, theta: np.ndarray | None = None
-) -> np.ndarray:
+def weight_risk_curve(w0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.ndarray:
     """Normalized population risk along the flow from ``W(0) = w0``.
 
     ``R(t) = || diag(lam,0) - (||lam||/sqrt(r_s)) G_W(t) ||_F^2 / ||lam||^2``
     from traces of the reduced closed form: O((r + r_s) r_s^2) per grid point
-    after one O(d r_s^2) reduction.  ``theta`` (d x r) holds the teacher
-    directions when ``w0`` is not written in the teacher eigenbasis.
+    after one O(d r_s^2) reduction.
     """
     ts = np.asarray(ts, dtype=float)
     lam, r = params.lambdas, params.r
     frob_sq = params.frob**2
     c0 = params.frob / np.sqrt(params.r_s)
-    s = _reduce(w0, r, theta)
+    s = _reduce(w0, r)
     cross, gw_sq = np.empty(len(ts)), np.empty(len(ts))
     cross[ts == 0] = np.sum(lam[:, None] * s[:r] ** 2)
     gw_sq[ts == 0] = np.sum((s.T @ s) ** 2)

@@ -1,9 +1,10 @@
 """Teacher/student quadratic networks, sampling, losses, and alignment metrics.
 
-The teacher is a width-``r`` quadratic network with orthonormal directions and
-power-law second-layer coefficients; the student is a width-``r_s`` quadratic
-network parameterized by its first-layer matrix ``W``.  Population risk and
-subspace alignment are the two observables everything downstream records.
+The teacher is a width-``r`` quadratic network on the first ``r`` coordinate
+axes with power-law second-layer coefficients; the student is a width-``r_s``
+quadratic network parameterized by its first-layer matrix ``W``.  Population
+risk and subspace alignment are the two observables everything downstream
+records.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
+from .linalg import inv_sqrt_gram, sample_gaussian_mat
 
 __all__ = [
     "PowerLawSpectrum",
     "TeacherModel",
-    "project",
     "StudentState",
     "teacher_output",
     "student_output",
@@ -25,7 +25,6 @@ __all__ = [
     "instantaneous_loss",
     "population_risk",
     "risk_from_gram",
-    "alignment",
     "alignment_gram",
     "opt_risk",
 ]
@@ -55,48 +54,24 @@ class PowerLawSpectrum:
 
 @dataclass(frozen=True)
 class TeacherModel:
-    """Orthonormal directions ``theta`` (d x r) plus a coefficient spectrum.
+    """A coefficient spectrum on the first ``r`` coordinate axes of R^d.
 
-    ``theta=None`` is the standard basis (the first r coordinate axes); no
-    d x r identity is materialized, and :func:`project` reads its top rows.
+    The data ``x ~ N(0, I_d)`` and both student inits are rotation invariant,
+    so these directions run the same process in distribution as any other
+    orthonormal ones; the teacher projection of a d x n matrix ``m`` is its
+    top r rows ``m[:r]``, and no d x r array is materialized.
     """
 
     d: int
     spectrum: PowerLawSpectrum
-    theta: np.ndarray | None = None
 
     def __post_init__(self):
-        r = self.spectrum.r
-        if r > self.d:
-            raise ValueError(f"teacher width r={r} exceeds dimension d={self.d}")
-        if self.theta is not None:
-            theta = np.asarray(self.theta, dtype=float)
-            if theta.shape != (self.d, r):
-                raise ValueError(f"theta must be {(self.d, r)}, got {theta.shape}")
-            err = np.abs(theta.T @ theta - np.eye(r)).max()
-            if err > 1e-10:
-                raise ValueError(f"teacher directions not orthonormal: residual {err:.2e}")
-            object.__setattr__(self, "theta", theta)
-
-    @staticmethod
-    def haar(d: int, spectrum: PowerLawSpectrum, seed: int = 0) -> "TeacherModel":
-        """Teacher with Haar-random orthonormal directions (rotation tests).
-
-        The polar factor of a Gaussian d x r draw, taken twice: one pass
-        leaves an orthonormality error of about cond(Z)^2 * 1e-16, which at
-        r = d reached 7e-10; the second pass brings it to rounding."""
-        z = sample_gaussian_mat(d, spectrum.r, 1.0, rng_stream(seed, 7))
-        return TeacherModel(d=d, spectrum=spectrum, theta=inv_sqrt_gram(inv_sqrt_gram(z)))
+        if self.spectrum.r > self.d:
+            raise ValueError(f"teacher width r={self.spectrum.r} exceeds dimension d={self.d}")
 
     @property
     def r(self) -> int:
         return self.spectrum.r
-
-
-def project(m: np.ndarray, r: int, theta: np.ndarray | None) -> np.ndarray:
-    """``Theta.T m``: the teacher-direction rows of ``m``; the top ``r`` rows
-    when ``theta`` is None (the standard basis)."""
-    return m[:r] if theta is None else theta.T @ m
 
 
 class StudentState:
@@ -128,7 +103,7 @@ class StudentState:
 
 
 def teacher_output(teacher: TeacherModel, x: np.ndarray) -> np.ndarray | float:
-    """Teacher labels ``y = (1/||L||_F) sum_j lambda_j (<theta_j, x>^2 - 1)``.
+    """Teacher labels ``y = (1/||L||_F) sum_j lambda_j (x_j^2 - 1)``, j = 1..r.
 
     Accepts a single input of shape (d,) or a batch of shape (n, d).
     """
@@ -137,7 +112,7 @@ def teacher_output(teacher: TeacherModel, x: np.ndarray) -> np.ndarray | float:
     xb = x[None, :] if single else x
     if xb.shape[1] != teacher.d:
         raise ValueError(f"input dimension {xb.shape[1]} != d={teacher.d}")
-    proj = project(xb.T, teacher.r, teacher.theta).T
+    proj = xb[:, : teacher.r]
     lam = teacher.spectrum.lambdas
     y = ((proj**2 - 1.0) @ lam) / teacher.spectrum.frob
     return float(y[0]) if single else y
@@ -176,21 +151,21 @@ def instantaneous_loss(
 def population_risk(
     teacher: TeacherModel, student: StudentState, normalized: bool = False
 ) -> float:
-    """Population risk ``(1/8) || W W.T / sqrt(r_s) - Q L Q.T / ||L||_F ||_F^2``.
+    """Population risk ``(1/8) || W W.T / sqrt(r_s) - diag(L, 0) / ||L||_F ||_F^2``.
 
     The normalized variant drops the 1/8 and rescales so risk starts at 1 for
     ``W = 0``.  Computed from r_s x r_s Grams; the d x d matrices are never
     materialized.
     """
     w = student.w
-    tw = project(w, teacher.r, teacher.theta)
-    return risk_from_gram(teacher.spectrum, w.T @ w, tw, normalized)
+    return risk_from_gram(teacher.spectrum, w.T @ w, w[: teacher.r], normalized)
 
 
 def risk_from_gram(
     spectrum: PowerLawSpectrum, gram: np.ndarray, tw: np.ndarray, normalized: bool = False
 ) -> float:
-    """:func:`population_risk` from ``gram = W.T W`` and ``tw = Theta.T W`` alone."""
+    """:func:`population_risk` from ``gram = W.T W`` and the teacher rows
+    ``tw = W[:r]`` alone."""
     r_s = gram.shape[0]
     lam = spectrum.lambdas
     frob = spectrum.frob
@@ -202,27 +177,11 @@ def risk_from_gram(
 
 
 def alignment_gram(teacher: TeacherModel, student: StudentState) -> np.ndarray:
-    """Alignment Gram ``Theta.T U U.T Theta`` (r x r) from the polar factor
-    ``U = W (W.T W)^{-1/2}``."""
-    f = project(inv_sqrt_gram(student.w), teacher.r, teacher.theta)
+    """Alignment Gram ``U[:r] U[:r].T`` (r x r) of the polar factor
+    ``U = W (W.T W)^{-1/2}``: its diagonal entry j is the squared projection
+    of teacher direction j onto the student span."""
+    f = inv_sqrt_gram(student.w)[: teacher.r]
     return f @ f.T
-
-
-def alignment(teacher: TeacherModel, student: StudentState, j: int) -> float:
-    """Squared projection of teacher direction ``j`` onto the student span.
-
-    For a flat spectrum (alpha = 0) the per-direction projection is not
-    identifiable, so the j-th largest eigenvalue of the alignment Gram is
-    returned instead (principal-angle version).
-    """
-    if not 1 <= j <= teacher.r:
-        raise ValueError(f"direction index j={j} outside 1..{teacher.r}")
-    if teacher.spectrum.alpha == 0.0:
-        g = alignment_gram(teacher, student)
-        eigs = np.linalg.eigvalsh(g)[::-1]
-        return float(np.clip(eigs[j - 1], 0.0, 1.0))
-    th_j = project(inv_sqrt_gram(student.w), teacher.r, teacher.theta)[j - 1]
-    return float(np.clip(np.sum(th_j**2), 0.0, 1.0))
 
 
 def opt_risk(spectrum: PowerLawSpectrum, r_s: int) -> float:

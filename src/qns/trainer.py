@@ -18,7 +18,7 @@ same order, so every draw is the one the serial loop would make.
 plain constant-step gradient descent on the population risk; it acts on the
 rows of ``W`` off the teacher span only through the right factor
 ``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x r_s reduction
-``S = [Theta.T W; R]`` (``S.T S = W.T W``), which the records and the
+``S = [W[:r]; R]`` (``S.T S = W.T W``), which the records and the
 divergence guard read.  Both Euclidean modes stop on divergence.
 """
 
@@ -40,7 +40,6 @@ from .model import (
     StudentState,
     TeacherModel,
     draw_samples,
-    project,
     risk_from_gram,
     student_output,
 )
@@ -256,7 +255,7 @@ def _check_norm(norm: float, step: int) -> None:
 def _population_gd_reduced(
     s: np.ndarray, lam: np.ndarray, frob: float, eta: float, step: int = -1
 ) -> np.ndarray:
-    """One population-GD step on the reduced factor ``S = [Theta.T W; R]``.
+    """One population-GD step on the reduced factor ``S = [W[:r]; R]``.
 
     ``S <- S (I - c2 S.T S) + c1 [L S_top; 0]`` with ``c1 = eta / (2 sqrt(r_s)
     ||L||_F)`` and ``c2 = eta / (2 r_s)``: one Gram and one GEMM.  Raises
@@ -272,21 +271,20 @@ def _population_gd_reduced(
     return new
 
 
-def schedule_eta(
-    d: int, r: int, r_s: int, alpha: float, c: float = 0.5, c_alpha: float = 0.0
-) -> float:
-    """Step-size schedule: ``c / (d r^alpha polylog)`` below the 1/2 boundary,
-    ``c / (d polylog)`` above it.
+def schedule_eta(d: int, r: int, alpha: float) -> float:
+    """Step-size schedule: ``0.5 / (d r^alpha)`` below the 1/2 boundary and
+    ``0.5 / d`` above it.
 
-    The polylog exponent ``c_alpha`` defaults to 0 (practical mode); the
-    theory's polylog factors are impractically small at desk scale and only
-    the power-law skeleton matters for the measured exponents.
+    The theory's polylog factors are impractically small at desk scale and
+    only the power-law skeleton matters for the measured exponents, so they
+    are left out.  For ``2 <= d <= sys.maxsize`` and ``r <= d`` the value lies
+    in ``(0, inf)``: below the boundary ``r^alpha <= d^0.5``.
     """
     if alpha == 0.5:
         raise ValueError("alpha = 0.5 sits on the regime boundary; not supported")
     if alpha < 0.5:
-        return c / (d * r**alpha * math.log(1.0 + d / r_s) ** c_alpha)
-    return c / (d * math.log(d) ** c_alpha)
+        return 0.5 / (d * r**alpha)
+    return 0.5 / d
 
 
 def default_tracked_js(r: int, r_eff: int | None = None) -> tuple[int, ...]:
@@ -317,21 +315,16 @@ def _record_steps(cfg: SgdConfig) -> np.ndarray:
 
 
 def _snapshot(
-    spectrum: PowerLawSpectrum,
-    w: np.ndarray,
-    theta: np.ndarray | None,
-    cfg: SgdConfig,
-    step: int,
-    d: int,
+    spectrum: PowerLawSpectrum, w: np.ndarray, cfg: SgdConfig, step: int, d: int
 ) -> StepRecord:
     """Risk and alignments of ``w``, d x r_s or its reduction ``S`` (whose top
-    r rows are already ``Theta.T W``, so ``theta=None``): only the Gram and the
-    teacher projection are read."""
-    risk = risk_from_gram(spectrum, w.T @ w, project(w, spectrum.r, theta))
+    r rows are those of ``W``): only the Gram and the top r rows are read."""
+    r = spectrum.r
+    risk = risk_from_gram(spectrum, w.T @ w, w[:r])
     aligns = np.empty(0)
     if cfg.tracked_js:
         # W is orthonormal in the Stiefel mode, so the polar factor is W itself
-        f = project(w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w), spectrum.r, theta)
+        f = (w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w))[:r]
         gram = f @ f.T
         aligns = np.array([gram[j - 1, j - 1] for j in cfg.tracked_js])
     return StepRecord(
@@ -380,8 +373,8 @@ def run_training(
         records = _run_population(teacher, student, cfg, set(record_at))
         return TrainResult(records=records, student=student, samples_used=0, config=cfg)
     rng = rng_stream(cfg.seed, 2)
-    spec, theta = teacher.spectrum, teacher.theta
-    records = [_snapshot(spec, student.w, theta, cfg, 0, teacher.d)]
+    spec = teacher.spectrum
+    records = [_snapshot(spec, student.w, cfg, 0, teacher.d)]
     fused = cfg.mode == "stiefel-online" and cfg.batch == 1
     stops = record_at + [cfg.steps + 1]
     samples, step, k, drift, wait = 0, 0, 0, 0.0, 0.0
@@ -423,7 +416,7 @@ def run_training(
                 _check_norm(float(np.linalg.norm(student.w)), step)
                 student.w = inv_sqrt_gram(student.w)
             if step == stops[k]:
-                records.append(_snapshot(spec, student.w, theta, cfg, step, teacher.d))
+                records.append(_snapshot(spec, student.w, cfg, step, teacher.d))
                 k += 1
     finally:
         if pool is not None:
@@ -437,13 +430,13 @@ def _run_population(
     teacher: TeacherModel, student: StudentState, cfg: SgdConfig, record_at: set[int]
 ) -> list[StepRecord]:
     """Population GD on the reduced factor ``S``; records come from S, whose
-    top r rows are ``Theta.T W``, and ``W`` is rebuilt once, on return."""
-    s, q = _reduce(student.w, teacher.r, teacher.theta, with_q=True)
+    top r rows are those of ``W``, and ``W`` is rebuilt once, on return."""
+    s, q = _reduce(student.w, teacher.r, with_q=True)
     spec = teacher.spectrum
-    records = [_snapshot(spec, s, None, cfg, 0, teacher.d)]
+    records = [_snapshot(spec, s, cfg, 0, teacher.d)]
     for step in range(1, cfg.steps + 1):
         s = _population_gd_reduced(s, spec.lambdas, spec.frob, cfg.eta, step)
         if step in record_at:
-            records.append(_snapshot(spec, s, None, cfg, step, teacher.d))
-    student.w = _expand(s, q, teacher.r, teacher.theta)
+            records.append(_snapshot(spec, s, cfg, step, teacher.d))
+    student.w = _expand(s, q, teacher.r)
     return records

@@ -106,8 +106,8 @@ def write_trajectory(path: str, data: TrajectoryData, config: dict, seed: int) -
 
 def read_trajectory(path: str) -> TrajectoryData:
     """Read a CSV of :func:`write_trajectory` and its sidecar, if any; a file
-    that is no such CSV with at least one row, or whose sidecar is no JSON
-    object, raises a ValueError naming it."""
+    that is no such CSV with at least one row and only finite cells, or whose
+    sidecar is no JSON object, raises a ValueError naming it."""
     with open(path, errors="replace") as fh:  # undecodable bytes fail below, by name
         header = fh.readline().strip().split(",")
         rows = [line for line in fh if line.strip()]
@@ -126,6 +126,9 @@ def read_trajectory(path: str) -> TrajectoryData:
         raise ValueError(f"{path}.json: the sidecar is not a JSON object")
     if raw.shape[1] != len(header):
         raise ValueError(f"{path}: {raw.shape[1]} columns under a header of {len(header)}")
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():  # write_trajectory never writes one: a run refuses non-finite records
+        raise ValueError(f"{path}: a non-finite cell in data row {bad.argmax() + 1}")
     idx = {name: k for k, name in enumerate(header)}
     align_cols = [idx[f"align_{j}"] for j in js]
     return TrajectoryData(

@@ -388,7 +388,7 @@ def test_criterion_12_determinism(tmp_path):
     same = csv.read_bytes() == first
     # a gf-closed rerun must also be byte-stable
     cfg2 = dict(cfg, kind="gf-closed", horizon=30.0, steps=30)
-    del cfg2["eta"]
+    del cfg2["eta"], cfg2["record_every"]  # the gf kinds read neither
     path2 = tmp_path / "cfg2.json"
     path2.write_text(json.dumps(cfg2))
     assert main(["run", str(path2)]) == 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -158,6 +159,7 @@ class TestRun:
             # comparison TypeError, in a NaN CSV with exit 0, or in a QR error
             ({**SMALL_SGD, "batch": 2.5}, EXIT_USAGE, "config field 'batch'"),
             ({"out_dir": 5}, EXIT_USAGE, "config field 'out_dir'"),
+            # eta_c and c_alpha, the schedule's constants, are gone: unknown fields
             ({**SMALL_SGD, "kind": "gd-population", "eta_c": -1}, EXIT_USAGE, "config field 'eta_c'"),
             ({**SMALL_SGD, "eta": "x"}, EXIT_USAGE, "config field 'eta'"),
             ({"horizon": "x"}, EXIT_USAGE, "config field 'horizon'"),
@@ -174,7 +176,8 @@ class TestRun:
             ({"d": 2, "r": 2, "r_s": 2}, EXIT_USAGE, "config field 'r_s'"),
             # horizon / steps underflows to 0: a geomspace traceback
             ({"horizon": 5e-324, "steps": 5}, EXIT_USAGE, "config field 'horizon'"),
-            # the scheduled eta overflowed or divided by zero: tracebacks
+            # the scheduled eta overflowed or divided by zero: tracebacks; its
+            # polylog exponent c_alpha is gone, and refused as an unknown field
             ({**SMALL_SGD, "c_alpha": 1e308}, EXIT_USAGE, "config field 'c_alpha'"),
             ({**SMALL_SGD, "c_alpha": -1e308}, EXIT_USAGE, "config field 'c_alpha'"),
             # a numeric tag used to name 5_seed1.csv; repeated seeds wrote
@@ -332,40 +335,6 @@ class TestRun:
         assert main(["run", path]) == EXIT_OK
         assert len(calls) == 1
 
-    def test_haar_teacher_runs(self, tmp_path):
-        path, _ = base_config(tmp_path, theta="haar", steps=12)
-        assert main(["run", path]) == EXIT_OK
-        data = read_trajectory(str(tmp_path / "runs" / "gf-closed_seed1.csv"))
-        assert np.all(np.isfinite(data.risk_normalized))
-        assert data.risk_normalized[0] <= 1.5  # starts near 1 from tiny init
-        assert data.risk_normalized[-1] < data.risk_normalized[0]
-
-    def test_haar_teacher_matches_rotated_basis(self, tmp_path):
-        # the run projects w0 onto the teacher directions; rotating w0 into a
-        # hand-built basis [theta, complement] must give the same curves
-        from qns.flow import FlowParams, align_curves, weight_risk_curve
-        from qns.linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
-        from qns.model import PowerLawSpectrum, TeacherModel
-
-        d, r, r_s, seed = 30, 4, 3, 1
-        path, _ = base_config(tmp_path, theta="haar", d=d, r=r, r_s=r_s, steps=25,
-                              tracked_j=[1, 2, 3, 4])
-        assert main(["run", path]) == EXIT_OK
-        data = read_trajectory(str(tmp_path / "runs" / "gf-closed_seed1.csv"))
-        spec = PowerLawSpectrum(r=r, alpha=1.0)
-        theta = TeacherModel.haar(d, spec, seed=seed).theta
-        q, _ = np.linalg.qr(np.hstack([theta, rng_stream(0, 0).standard_normal((d, d - r))]))
-        basis = np.hstack([theta, q[:, r:]])
-        w0 = basis.T @ sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(seed, 1))
-        params = FlowParams.from_spectrum(spec, d, r_s)
-        u0 = inv_sqrt_gram(w0)[:r]
-        np.testing.assert_allclose(
-            data.risk_normalized, weight_risk_curve(w0, data.time_raw, params), rtol=0, atol=1e-13
-        )
-        np.testing.assert_allclose(
-            data.alignments, align_curves(u0 @ u0.T, data.time_raw, params), rtol=0, atol=1e-13
-        )
-
     def test_rk4_matches_closed_form_run(self, tmp_path):
         common = dict(d=48, r=4, r_s=3, alpha=1.0, horizon=20.0, steps=10, seeds=[2])
         p1, _ = base_config(tmp_path, kind="gf-closed", tag="cf", **common)
@@ -385,16 +354,17 @@ class TestRun:
         from qns.model import PowerLawSpectrum, StudentState, TeacherModel, alignment_gram, population_risk
 
         d, r, r_s, seed = 40, 5, 3, 4
-        path, _ = base_config(tmp_path, kind="gf-rk4", theta="haar", d=d, r=r, r_s=r_s,
+        path, _ = base_config(tmp_path, kind="gf-rk4", d=d, r=r, r_s=r_s,
                               horizon=15.0, steps=8, seeds=[seed], tracked_j=[1, 2, 5])
         assert main(["run", path]) == EXIT_OK
         data = read_trajectory(str(tmp_path / "runs" / f"gf-rk4_seed{seed}.csv"))
         spec = PowerLawSpectrum(r=r, alpha=1.0)
-        teacher = TeacherModel.haar(d, spec, seed=seed)
-        th, lam, frob = teacher.theta, spec.lambdas, spec.frob
+        teacher = TeacherModel(d=d, spectrum=spec)
+        lam, frob = spec.lambdas, spec.frob
 
         def w_rhs(w):
-            mw = th @ (lam[:, None] * (th.T @ w))
+            mw = np.zeros_like(w)
+            mw[:r] = lam[:, None] * w[:r]
             return (mw - (frob / np.sqrt(r_s)) * (w @ (w.T @ w))) / (2.0 * np.sqrt(r_s) * frob)
 
         w0 = sample_gaussian_mat(d, r_s, 1.0 / d, rng_stream(seed, 1))
@@ -406,6 +376,35 @@ class TestRun:
             aligns.append(np.diag(alignment_gram(teacher, student))[[0, 1, 4]])
         np.testing.assert_allclose(data.risk_normalized, risk, rtol=1e-12, atol=0)
         np.testing.assert_allclose(data.alignments, aligns, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind, name", [(kind, name) for name, (kinds, _) in cli._READ_BY.items()
+                                            for kind in cli.KINDS if kind not in kinds])
+    def test_field_the_kind_does_not_read_exits_2(self, tmp_path, capsys, kind, name):
+        # each used to run, and exit 0, as if the field were not there
+        value = {"eta": 0.01, "horizon": 40.0, "grid": "linear", "batch": 2,
+                 "record_every": 50, "record_points": 10}[name]
+        fields = {"kind": kind, **({} if kind in cli.GF_KINDS else {"horizon": None})}
+        path, cfg = base_config(tmp_path, **{**fields, name: value})
+        assert main(["run", path]) == EXIT_USAGE
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and f"config field '{name}'" in lines[0], out.err
+        assert f"{kind} kind does not read it" in lines[0]
+        # the field's default is what the kind would use anyway: accepted
+        cli.RunConfig.from_dict({**cfg, name: cli._READ_BY[name][1]})
+
+    @pytest.mark.parametrize("d, alpha", [
+        (2, math.nextafter(0.5, 0.0)),
+        (sys.maxsize, 0.0),
+        (sys.maxsize, math.nextafter(0.5, 0.0)),
+        (sys.maxsize, math.nextafter(0.5, 1.0)),
+        (sys.maxsize, sys.float_info.max),
+    ])
+    def test_scheduled_eta_is_finite_and_positive(self, d, alpha):
+        # 0.5 / (d r^alpha) below the boundary, where r^alpha <= d^0.5, and
+        # 0.5 / d above it: no r = d <= sys.maxsize leaves float64's range
+        eta = cli.RunConfig(kind="sgd-stiefel", d=d, r=d, r_s=1, alpha=alpha).resolved_eta()
+        assert 0.0 < eta < math.inf
 
 
 class TestFitCommand:
@@ -433,12 +432,18 @@ class TestFitCommand:
         assert main(["fit", str(csv), "--window", "1e9", "1e10"]) == EXIT_USAGE
 
 
+POWER_LAW = "step,time_raw,time_rescaled,compute,risk,risk_normalized\n" + "".join(
+    f"{i},{x},{x},{x},{x**-1.5 / 8},{x**-1.5}\n" for i, x in enumerate(np.geomspace(10, 1e4, 40), 1))
 HOSTILE_CSVS = {
     "empty": "",
     "header_only": "step,time_raw,time_rescaled,compute,risk,risk_normalized,align_1\n",
     "no_trajectory_header": "a,b,c\n1,2,3\n",
     "non_numeric_cell": "step,time_raw,time_rescaled,compute,risk,risk_normalized\n1,2,3,4,5,x\n",
     "short_row": "step,time_raw,time_rescaled,compute,risk,risk_normalized\n1,2,3,4,5\n",
+    # after 40 rows of a power law: fit used to exit 0, after two
+    # RuntimeWarnings for the inf, and plot to draw an SVG
+    "inf_cell": POWER_LAW + "41,1e4,1e4,inf,1e-7,8e-7\n",
+    "nan_cell": POWER_LAW + "41,1e4,1e4,1e4,nan,nan\n",
 }
 
 

@@ -184,16 +184,19 @@ class TestReducedWeightFlow:
                 np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-13)
 
     def test_teacher_directions_match_rotation(self, rng):
-        # a teacher with directions theta: projecting w0 onto theta and its
-        # complement gives the risk of w0 rotated into a hand-built basis
+        # a rotation of the rows off the teacher directions, or of the
+        # student's columns, leaves the risk curve: the reduction keeps only
+        # the teacher rows and the Gram of the rest
         d, r, r_s = 40, 5, 3
         p = FlowParams.from_spectrum(PowerLawSpectrum(r=r, alpha=1.0), d, r_s)
-        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rot = np.eye(d)
+        rot[r:, r:] = np.linalg.qr(rng.standard_normal((d - r, d - r)))[0]
+        cols = np.linalg.qr(rng.standard_normal((r_s, r_s)))[0]
         w0 = rng.standard_normal((d, r_s)) / np.sqrt(d)
         ts = np.concatenate([[0.0], np.geomspace(0.1, 200.0, 30)])
         np.testing.assert_allclose(
-            weight_risk_curve(w0, ts, p, theta=basis[:, :r]),
-            weight_risk_curve(basis.T @ w0, ts, p), rtol=0, atol=1e-13,
+            weight_risk_curve(rot @ w0 @ cols, ts, p),
+            weight_risk_curve(w0, ts, p), rtol=0, atol=1e-13,
         )
 
     def test_align_curves_chunked_match_pointwise(self, rng, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,11 @@ from qns.model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
-    alignment,
     alignment_gram,
     draw_samples,
     instantaneous_loss,
     opt_risk,
     population_risk,
-    project,
     student_output,
     teacher_output,
 )
@@ -133,56 +133,37 @@ class TestLossAndRisk:
         r2 = population_risk(t, StudentState(w @ o))
         assert r1 == pytest.approx(r2, rel=1e-12)
 
-    def test_haar_teacher_matches_basis_teacher_risk(self, rng):
-        # rotating both teacher and student leaves the risk invariant
-        spec = PowerLawSpectrum(r=4, alpha=1.0)
-        basis = TeacherModel(d=12, spectrum=spec)
-        haar = TeacherModel.haar(12, spec, seed=3)
-        w = rng.standard_normal((12, 3)) * 0.2
-        q, _ = np.linalg.qr(np.hstack([haar.theta, np.eye(12)]))
-        assert population_risk(haar, StudentState(q[:, :12] @ w)) == pytest.approx(
-            population_risk(basis, StudentState(w)), rel=1e-10
-        )
-
-    def test_haar_teacher_square_draw_orthonormal(self):
-        # at r = d the Gaussian draw of seed 1 has cond(Z)^2 near 9e6: one
-        # polar pass left an error of 7e-10 and the teacher was refused
-        t = TeacherModel.haar(9, PowerLawSpectrum(r=9, alpha=0.0), seed=1)
-        assert np.abs(t.theta.T @ t.theta - np.eye(9)).max() < 1e-14
-
 
 class TestProject:
+    # the teacher directions are the first r coordinate axes: the teacher
+    # projection of a matrix is its top r rows
     def test_basis_teacher_materializes_nothing(self):
         t = TeacherModel(d=12, spectrum=PowerLawSpectrum(r=4, alpha=1.0))
-        assert t.theta is None
-
-    def test_matches_explicit_theta(self, rng):
-        d, r = 15, 4
-        spec = PowerLawSpectrum(r=r, alpha=1.0)
-        m = rng.standard_normal((d, 3))
-        basis, haar = TeacherModel(d=d, spectrum=spec), TeacherModel.haar(d, spec, seed=2)
-        np.testing.assert_array_equal(project(m, r, basis.theta), np.eye(d, r).T @ m)
-        np.testing.assert_allclose(project(m, r, haar.theta), haar.theta.T @ m, rtol=0, atol=1e-15)
+        assert [f.name for f in dataclasses.fields(t)] == ["d", "spectrum"]
 
     def test_reduced_factor_top_rows(self, rng):
-        # S = [Theta.T W; R] carries the teacher projection in its top rows
+        # S = [W[:r]; R] carries the teacher projection in its top rows and
+        # has the Gram of W
         from qns.flow import _reduce
 
         d, r = 15, 4
-        haar = TeacherModel.haar(d, PowerLawSpectrum(r=r, alpha=1.0), seed=5)
         w = rng.standard_normal((d, 3))
-        s = _reduce(w, r, haar.theta)
-        np.testing.assert_allclose(project(s, r, None), haar.theta.T @ w, rtol=0, atol=1e-15)
+        s = _reduce(w, r)
+        np.testing.assert_array_equal(s[:r], w[:r])
+        np.testing.assert_allclose(s.T @ s, w.T @ w, rtol=0, atol=1e-13)
+
+
+def alignments(t, s):
+    """Squared projections of the teacher directions onto the student span."""
+    return np.diag(alignment_gram(t, s))
 
 
 class TestAlignment:
     def test_columns_equal_teacher_directions(self):
         spec = PowerLawSpectrum(r=4, alpha=1.0)
         t = TeacherModel(d=10, spectrum=spec)
-        s = StudentState(np.eye(10, 2))
-        assert alignment(t, s, 1) == pytest.approx(1.0)
-        assert alignment(t, s, 2) == pytest.approx(1.0)
-        assert alignment(t, s, 3) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(alignments(t, StudentState(np.eye(10, 2))), [1, 1, 0, 0],
+                                   rtol=0, atol=1e-12)
 
     def test_orthogonal_span(self):
         spec = PowerLawSpectrum(r=2, alpha=1.0)
@@ -190,34 +171,22 @@ class TestAlignment:
         w = np.zeros((8, 2))
         w[5, 0] = 1.0
         w[6, 1] = 2.0
-        assert alignment(t, StudentState(w), 1) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(alignments(t, StudentState(w)), [0, 0], rtol=0, atol=1e-12)
 
     def test_hand_projection_half(self):
-        # single column (theta1 + theta2)/sqrt2: projection 0.5 on each
+        # single column (e1 + e2)/sqrt2: projection 0.5 on each
         spec = PowerLawSpectrum(r=2, alpha=1.0)
         t = TeacherModel(d=3, spectrum=spec)
         w = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2)
-        s = StudentState(w)
-        assert alignment(t, s, 1) == pytest.approx(0.5)
-        assert alignment(t, s, 2) == pytest.approx(0.5)
-
-    def test_flat_spectrum_uses_eigenvalues(self):
-        # alpha = 0: any rotation of the teacher block must give alignment 1
-        spec = PowerLawSpectrum(r=3, alpha=0.0)
-        t = TeacherModel(d=9, spectrum=spec)
-        q = sample_stiefel(3, 3, seed=12)
-        w = np.eye(9, 3) @ q
-        for j in (1, 2, 3):
-            assert alignment(t, StudentState(w), j) == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(alignments(t, StudentState(w)), [0.5, 0.5], rtol=1e-12)
 
     def test_range_and_trace_bound(self, rng):
         spec = PowerLawSpectrum(r=6, alpha=0.9)
         t = TeacherModel(d=14, spectrum=spec)
         s = StudentState(rng.standard_normal((14, 3)))
-        vals = [alignment(t, s, j) for j in range(1, 7)]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert sum(vals) <= 3 + 1e-9
-        assert np.trace(alignment_gram(t, s)) <= 3 + 1e-9
+        vals = alignments(t, s)
+        assert np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12))
+        assert vals.sum() <= 3 + 1e-9
 
     def test_rank_deficient_raises(self):
         spec = PowerLawSpectrum(r=2, alpha=1.0)
@@ -225,7 +194,7 @@ class TestAlignment:
         w = np.zeros((6, 2))
         w[0, 0] = 1.0
         with pytest.raises(Exception, match="rank deficient"):
-            alignment(t, StudentState(w), 1)
+            alignment_gram(t, StudentState(w))
 
 
 class TestOptRisk:
