@@ -8,8 +8,9 @@ than is available, an ``out_dir`` that cannot be created, checked before any
 seed runs, a ``fit`` or ``plot`` input that is no trajectory CSV of finite
 cells, a ``plot --theory`` sidecar whose config gives no theory curve, and a
 ``plot -o`` path that cannot be written),
-3 numeric failure (divergence, a rank-deficient student, a closed-form
-horizon past float64's exp range, or non-finite records).
+3 numeric failure (divergence, a Stiefel student that left the manifold, a
+rank-deficient student, a closed-form horizon past float64's exp range, or
+non-finite records).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
 caps the run worker pool (a batch-1 sgd-stiefel run adds its own sample
 producer thread).
@@ -22,6 +23,7 @@ import inspect
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import UnionType
@@ -44,7 +46,14 @@ from .flow import (
 from .linalg import RankDeficientError, inv_sqrt_gram, rng_stream, sample_gaussian_mat
 from .model import PowerLawSpectrum, TeacherModel, risk_from_gram
 from .svgplot import line_chart
-from .trainer import DivergenceError, SgdConfig, default_tracked_js, run_training, schedule_eta
+from .trainer import (
+    DivergenceError,
+    ManifoldError,
+    SgdConfig,
+    default_tracked_js,
+    run_training,
+    schedule_eta,
+)
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
 from .verify import MAX_DIM, MIN_DIM, SUITES, run_suite
 
@@ -65,6 +74,7 @@ class NonFiniteRunError(ArithmeticError):
 
 GF_KINDS = ("gf-closed", "gf-rk4")
 STEPPED_KINDS = ("gd-population", "sgd-stiefel", "sgd-euclidean")
+SGD_KINDS = ("sgd-stiefel", "sgd-euclidean")
 
 
 @dataclass
@@ -84,7 +94,7 @@ class RunConfig:
     steps: int = 1000
     horizon: Annotated[float | None, GF_KINDS] = None              # max raw time
     grid: Annotated[Literal["log", "linear"], GF_KINDS] = "log"    # t-grid spacing
-    batch: Annotated[int | None, STEPPED_KINDS] = None
+    batch: Annotated[int | None, SGD_KINDS] = None
     record_every: Annotated[int | Literal["log"], STEPPED_KINDS] = "log"
     record_points: Annotated[int, STEPPED_KINDS] = 200
     tracked_j: list[int] | Literal["auto"] = "auto"
@@ -157,8 +167,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
-        d["eta_resolved"] = self.resolved_eta()
-        d["batch_resolved"] = self.resolved_batch()
+        if self.kind in STEPPED_KINDS:  # a gf run takes no step
+            d["eta_resolved"] = self.resolved_eta()
+            d["batch_resolved"] = self.resolved_batch()
         d["tracked_resolved"] = self.resolved_tracked()
         return d
 
@@ -285,8 +296,8 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
     # sidecar only: no CSV byte, no config_hash
     if result.ortho_drift is not None:
         meta["edges"] = {"ortho_drift": result.ortho_drift}
-    if result.timing is not None:
-        meta["timing"] = result.timing
+    if result.sample_wait_s is not None:
+        meta["timing"] = {"sample_wait_s": result.sample_wait_s}
     time_raw = np.array([rec.step * eta for rec in recs])
     return TrajectoryData(
         steps=np.array([rec.step for rec in recs]),
@@ -375,8 +386,11 @@ def cmd_run(args) -> int:
     def work(seed: int) -> str:
         # a run that left float64 is refused below, on its finished records;
         # the overflow warnings on the way there would bury that one line
+        t0 = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             data = runner(cfg, seed)
+        # sidecar only, like the edges: no CSV byte, no config_hash
+        data.meta.setdefault("timing", {})["run_s"] = time.perf_counter() - t0
         _check_finite(data, seed)
         path = _out_path(cfg, seed)
         write_trajectory(path, data, config_dict, seed)
@@ -389,7 +403,8 @@ def cmd_run(args) -> int:
                 paths = list(pool.map(work, cfg.seeds))
         else:
             paths = [work(seed) for seed in cfg.seeds]
-    except (DivergenceError, FlowNumericsError, NonFiniteRunError, RankDeficientError) as exc:
+    except (DivergenceError, FlowNumericsError, ManifoldError, NonFiniteRunError,
+            RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except MemoryError:

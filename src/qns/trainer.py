@@ -7,19 +7,24 @@ rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation is rank
 one too, so the gradient step and its exact retraction fuse into one rank-1
 update ``W += u v.T``.  Over a segment of consecutive samples ``X`` these
 updates keep ``W = [W0, X.T] C``, so the segment kernel steps the small
-matrix ``C`` against the Gram of ``[W0, X.T]`` and forms ``W`` once, at the
-segment's end: no step touches a d-sized array.  ``run_training`` feeds it
-64-row sample blocks (the same stream as one draw per step) in segments of
-at most 32 rows that end early at a record step or a 1000-step cleanup.
-One producer thread draws each block one block ahead, while the kernel
-steps through the block before it; it alone reads the sample stream, in the
-same order, so every draw is the one the serial loop would make.
-``sgd_step`` feeds the kernel its one row.  The Euclidean population mode is
-plain constant-step gradient descent on the population risk; it acts on the
-rows of ``W`` off the teacher span only through the right factor
-``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x r_s reduction
-``S = [W[:r]; R]`` (``S.T S = W.T W``), which the records and the
-divergence guard read.  Both Euclidean modes stop on divergence.
+matrix ``C`` against the sample rows of the Gram of ``[W0, X.T]`` and forms
+``W`` once, at the segment's end: no step touches a d-sized array.  The
+kernel works on the manifold: it reads ``|W v| = |v|`` and ``||W||_F^2 =
+r_s``, so every Stiefel entry point refuses a ``W`` with ``max|W.T W - I|``
+past 1e-8, and a run whose ``W`` drifts that far stops with
+:class:`ManifoldError` at its next 1000-step cleanup or its end.
+``run_training`` feeds the kernel 128-row sample blocks (the same stream as
+one draw per step) in segments of at most 32 rows that end early at a
+record step or a 1000-step cleanup.  One producer thread draws each block
+one block ahead, while the kernel steps through the block before it; it
+alone reads the sample stream, in the same order, so every draw is the one
+the serial loop would make.  ``sgd_step`` feeds the kernel its one row.
+The Euclidean population mode is plain constant-step gradient descent on
+the population risk; it acts on the rows of ``W`` off the teacher span only
+through the right factor ``I - c2 W.T W``, so it runs on the
+(r + min(d - r, r_s)) x r_s reduction ``S = [W[:r]; R]`` (``S.T S = W.T W``),
+which the records and the divergence guard read.  Both Euclidean modes stop
+on divergence.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "StepRecord",
     "TrainResult",
     "DivergenceError",
+    "ManifoldError",
     "euclidean_grad",
     "stiefel_grad",
     "sgd_step",
@@ -60,13 +66,18 @@ __all__ = [
 MODES = ("stiefel-online", "euclidean-online", "euclidean-population")
 
 DIVERGENCE_NORM = 1e3
+ORTHO_TOL = 1e-8  # the most max|W.T W - I| a Stiefel W may carry
 
-# rows per sample draw of the fused single-sample Stiefel loop: large enough
-# to amortize the draw, small enough that the block adds well under 1 MB at
-# d = 512 (1000 rows would add about 8 MB of peak memory)
-_SAMPLE_BLOCK = 64
+# rows per sample draw of the fused single-sample Stiefel loop: each block is
+# one hand-off between the producer thread and the kernel, so fewer blocks
+# mean fewer interpreter-lock switches; at d = 512 a block holds 0.5 MB, and
+# two are alive at once (1000 rows would add about 8 MB of peak memory)
+_SAMPLE_BLOCK = 128
 _SEGMENT = 32  # most rows per segment-kernel call: 64 ran no faster, with more memory
 _DRAWS_AHEAD = 1  # sample blocks drawn ahead of the kernel, on one producer thread
+# below this share of |x|^2, |px|^2 = |x|^2 - |v|^2 cancels (x almost in
+# span W), so the kernel reads |px|^2 from the whole Gram instead
+_NEAR_SPAN = 1e-3
 
 
 class DivergenceError(RuntimeError):
@@ -80,6 +91,20 @@ class DivergenceError(RuntimeError):
     def __reduce__(self):
         # rebuild from (step, norm), not from the message: errors cross processes
         return type(self), (self.step, self.norm)
+
+
+class ManifoldError(ValueError):
+    """A Stiefel ``W`` off the manifold: ``max|W.T W - I|`` past ``ORTHO_TOL``,
+    either given so or drifted there by the run's ``step``."""
+
+    def __init__(self, err: float, step: int | None = None):
+        self.err = err
+        self.step = step
+        where = "" if step is None else f" at step {step}"
+        super().__init__(f"W is not orthonormal{where}: max|W.T W - I| = {err:.2e} > {ORTHO_TOL:g}")
+
+    def __reduce__(self):
+        return type(self), (self.err, self.step)
 
 
 @dataclass(frozen=True)
@@ -120,7 +145,7 @@ class TrainResult:
     samples_used: int
     config: SgdConfig
     ortho_drift: float | None = None  # Stiefel: worst max|W.T W - I| seen
-    timing: dict[str, float] | None = None  # fused Stiefel: run_s, sample_wait_s
+    sample_wait_s: float | None = None  # fused Stiefel: seconds blocked on the producer
 
 
 def euclidean_grad(
@@ -147,18 +172,26 @@ def _ortho_error(w: np.ndarray) -> float:
     return float(np.abs(w.T @ w - np.eye(w.shape[1])).max())
 
 
+def _on_manifold(w: np.ndarray, step: int | None = None) -> float:
+    """``max|W.T W - I|``; raises :class:`ManifoldError` past ``ORTHO_TOL``.
+    A non-finite error (a ``W`` that left float64) passes, for the divergence
+    guard and the records check to report."""
+    err = _ortho_error(w)
+    if ORTHO_TOL < err < math.inf:
+        raise ManifoldError(err, step)
+    return err
+
+
 def stiefel_grad(
     student: StudentState, x: np.ndarray, y: np.ndarray | float
 ) -> np.ndarray:
     """Riemannian gradient ``g - W sym(W.T g)`` for orthonormal ``W``.
 
-    The tangency residual ``W.T G + G.T W`` vanishes to rounding.  Raises if
-    ``W`` is not orthonormal to 1e-8.
+    The tangency residual ``W.T G + G.T W`` vanishes to rounding.  Raises
+    :class:`ManifoldError` if ``W`` is not orthonormal to ``ORTHO_TOL``.
     """
     w = student.w
-    ortho_err = _ortho_error(w)
-    if ortho_err > 1e-8:
-        raise ValueError(f"W is not orthonormal: ||W.T W - I||_max = {ortho_err:.2e}")
+    _on_manifold(w)
     g = euclidean_grad(student, x, y)
     wg = w.T @ g
     return g - 0.5 * w @ (wg + wg.T)
@@ -168,8 +201,9 @@ def _stiefel_segment(
     w: np.ndarray, xs: np.ndarray, ys: list[float], eta: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Single-sample Stiefel steps with their exact polar retraction, one per
-    row of ``xs``; returns the new ``W``, written into ``out`` when given
-    (``w`` itself is not written, so ``out`` must not be ``w``).
+    row of ``xs``, from an orthonormal ``W``; returns the new ``W``, written
+    into ``out`` when given (``w`` itself is not written, so ``out`` must not
+    be ``w``).
 
     With ``v = W.T x``, ``px = x - W v`` and ``c = eta c0`` the Stiefel
     gradient step is ``Wt = W - c px v.T``, and for orthonormal ``W`` its Gram
@@ -179,38 +213,44 @@ def _stiefel_segment(
     coef |v|^2)`` and ``coef = ((1 + a |v|^2)^{-1/2} - 1) / |v|^2``.
 
     So ``W = [W0, X.T] C`` throughout, from ``C = [I; 0]``, and a step reads
-    only ``C`` and the Gram ``K`` of ``[W0, X.T]``: ``v = C.T K e_j``,
-    ``|px|^2 = |x|^2 - 2 |v|^2 + cv.T K cv`` with ``cv = C v`` (exact for any
-    ``W``, orthonormal or not), and ``C += ((coef - alpha) cv + alpha e_j)
-    v.T``.  ``||W||_F^2``, which the label residual reads, follows the same
-    update exactly.  ``K`` and the final ``W`` are the only d-sized work.
+    only ``C`` and row ``j`` of the Gram ``K`` of ``[W0, X.T]``: ``v = C.T K
+    e_j``, ``cv = C v`` and ``C += ((coef - alpha) cv + alpha e_j) v.T``.
+    Each step keeps ``W`` orthonormal, so the label residual reads
+    ``||W||_F^2 = r_s`` and ``|px|^2 = |x|^2 - |v|^2``.  Where that difference
+    cancels (``|px|^2 < 1e-3 |x|^2``) the step reads ``|px|^2 = |x|^2 - 2
+    |v|^2 + cv.T K cv`` from the whole ``K``, whose top rows are built then;
+    otherwise only the sample rows of ``K`` and the final ``W`` are d-sized
+    work.
     """
     n, r_s = xs.shape[0], w.shape[1]
     k = np.empty((r_s + n, r_s + n))  # slices: 7 us at 48 x 48, np.block took 21
-    k[:r_s, :r_s] = w.T @ w
-    k[r_s:, :r_s] = xs @ w
-    k[:r_s, r_s:] = k[r_s:, :r_s].T
-    k[r_s:, r_s:] = xs @ xs.T
-    xsq = k.diagonal().tolist()
-    c, buf = np.eye(r_s + n, r_s), np.empty((r_s + n, r_s))
-    fro2, root = float(np.vdot(w, w)), math.sqrt(r_s)
-    for j, y in enumerate(ys, r_s):
+    rows = k[r_s:]
+    rows[:, :r_s] = xs @ w
+    rows[:, r_s:] = xs @ xs.T
+    xsq = rows[:, r_s:].diagonal().tolist()
+    c, buf = np.zeros((r_s + n, r_s)), np.empty((r_s + n, r_s))
+    c[:r_s].flat[:: r_s + 1] = 1.0
+    root = math.sqrt(r_s)
+    h, top = eta / (4.0 * root), False
+    for j, (kj, y, x2) in enumerate(zip(rows, ys, xsq), r_s):
         # ndarray.dot: the small products cost about half of ``@`` here
-        v = k[j].dot(c)  # K is symmetric: its row j is its column j
+        v = kj.dot(c)  # K is symmetric: its row j is its column j
         vsq = float(v.dot(v))
         if vsq == 0.0:
             continue  # x is orthogonal to span(W): the gradient vanishes
         cv = c.dot(v)
-        wvsq = float(cv.dot(k.dot(cv)))  # |W v|^2
-        cg = eta * -(y - (vsq - fro2) / root) / (4.0 * root)
-        a = cg * cg * (xsq[j] - 2.0 * vsq + wvsq)
+        cg = h * ((vsq - r_s) / root - y)
+        px2 = x2 - vsq
+        if px2 < _NEAR_SPAN * x2:
+            if not top:
+                k[:r_s, :r_s] = w.T @ w
+                k[:r_s, r_s:] = rows[:, :r_s].T
+                top = True
+            px2 = x2 - 2.0 * vsq + float(cv.dot(k.dot(cv)))
+        a = cg * cg * px2
         coef = (1.0 / math.sqrt(1.0 + a * vsq) - 1.0) / vsq
         alpha = -cg * (1.0 + coef * vsq)
-        g = coef - alpha
-        # |W + u v.T|^2 = |W|^2 + 2 v.T W.T u + |u|^2 |v|^2
-        fro2 += 2.0 * (g * wvsq + alpha * vsq) + vsq * (
-            g * g * wvsq + 2.0 * g * alpha * vsq + alpha * alpha * xsq[j])
-        cv *= g
+        cv *= coef - alpha
         cv[j] += alpha
         np.dot(cv[:, None], v[None, :], out=buf)
         c += buf
@@ -230,9 +270,12 @@ def sgd_step(
     """One online step on fresh samples; returns the number of samples used.
 
     Stiefel mode: gradient step in the tangent space followed by the polar
-    retraction (the segment kernel on one row when batch == 1).  Euclidean
-    mode: plain gradient step, no constraint.
+    retraction (the segment kernel on one row when batch == 1); a ``W`` off
+    the manifold raises :class:`ManifoldError` before any sample is drawn.
+    Euclidean mode: plain gradient step, no constraint.
     """
+    if mode == "stiefel-online" and batch == 1:  # stiefel_grad checks a batch
+        _on_manifold(student.w)
     x, y = draw_samples(teacher, batch, rng)
     if mode == "euclidean-online":
         student.w = student.w - eta * euclidean_grad(student, x, y)
@@ -349,18 +392,21 @@ def run_training(
     just the initialization.  Single-sample Stiefel SGD runs the segment
     kernel on at most 32 rows at a time, ending early at each record step and
     cleanup, and writes each new ``W`` into one of two buffers in turn.  Its
-    64-row sample blocks are drawn one block ahead on one producer thread,
+    128-row sample blocks are drawn one block ahead on one producer thread,
     which alone reads the sample stream once it starts: the blocks, and so
     every record, are those of a serial loop.  An error in a draw reaches the
     caller unchanged, and the thread is shut down on every exit (a pending
-    draw cancelled, a running one waited for).  ``ortho_drift``: the worst
-    ``max |W.T W - I|`` of a Stiefel run; ``timing``: the wall seconds of a
-    single-sample Stiefel run (``run_s``) and of its waits on the producer
-    (``sample_wait_s``).
+    draw cancelled, a running one waited for).  A Stiefel run refuses a
+    ``w0`` off the manifold, and raises :class:`ManifoldError` when its ``W``
+    drifts past ``ORTHO_TOL``, read at each 1000-step cleanup and at the end.
+    ``ortho_drift``: the worst ``max |W.T W - I|`` of a Stiefel run;
+    ``sample_wait_s``: the wall seconds a single-sample Stiefel run waited on
+    the producer.
     """
-    t0 = time.perf_counter()
     if w0 is not None:
         student = StudentState(w0)
+        if cfg.mode == "stiefel-online":
+            _on_manifold(student.w)
     else:
         if r_s is None:
             raise ValueError("need w0 or r_s")
@@ -411,9 +457,10 @@ def run_training(
                 # the rank-1 step is exact, but rounding in the orthonormality
                 # error compounds exponentially along the unstable radial
                 # directions; a periodic dense cleanup keeps it at 1e-14, and a
-                # run that left float64 stops here rather than at its last step
-                drift = max(drift, _ortho_error(student.w))
+                # run that left float64, or the manifold, stops here rather
+                # than at its last step
                 _check_norm(float(np.linalg.norm(student.w)), step)
+                drift = max(drift, _on_manifold(student.w, step))
                 student.w = inv_sqrt_gram(student.w)
             if step == stops[k]:
                 records.append(_snapshot(spec, student.w, cfg, step, teacher.d))
@@ -421,9 +468,8 @@ def run_training(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    drift = max(drift, _ortho_error(student.w)) if cfg.mode == "stiefel-online" else None
-    timing = {"run_s": time.perf_counter() - t0, "sample_wait_s": wait} if fused else None
-    return TrainResult(records, student, samples, cfg, drift, timing)
+    drift = max(drift, _on_manifold(student.w, step)) if cfg.mode == "stiefel-online" else None
+    return TrainResult(records, student, samples, cfg, drift, wait if fused else None)
 
 
 def _run_population(

@@ -187,16 +187,18 @@ class TestRun:
             # the Stiefel loop used to finish every step of a run that left
             # float64 at step 8 before its records were refused
             ({**SMALL_SGD, "eta": 1e300, "steps": 2000}, EXIT_DIVERGED, "divergence at step 1000"),
-            # the 1000-step cleanup of a Stiefel student that collapsed to
-            # rank < r_s used to end in a RankDeficientError traceback
+            # this Stiefel student leaves the manifold: its 1000-step cleanup
+            # used to end in a RankDeficientError traceback
             ({**SMALL_SGD, "d": 5, "r": 1, "r_s": 4, "alpha": 0.0, "seeds": [0], "eta": 1.0,
-              "steps": 1000}, EXIT_DIVERGED, "rank deficient"),
+              "steps": 1000}, EXIT_DIVERGED, "W is not orthonormal at step 1000"),
             # -O on a config that is not an object used to end in a TypeError traceback
             ({"CONFIG": [1], "-O": "steps=3"}, EXIT_USAGE, "must be a JSON object"),
             # a 2**40-point time grid (8 TiB) used to end in a MemoryError
             # traceback; the 16 GiB address-space limit makes the allocation
             # fail whatever the host's overcommit policy
             ({"RLIMIT_AS": 2**34, "steps": 2**40}, EXIT_USAGE, "more memory"),
+            # batch only relabelled the compute column of a population run
+            ({**SMALL_SGD, "kind": "gd-population", "batch": 5}, EXIT_USAGE, "config field 'batch'"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -297,6 +299,21 @@ class TestRun:
             assert sorted(timing) == ["run_s", "sample_wait_s"]
             assert all(np.isfinite(v) and v >= 0.0 for v in timing.values())
             assert timing["sample_wait_s"] <= timing["run_s"]
+
+    @pytest.mark.parametrize("kind", cli.KINDS)
+    def test_sidecar_timing_and_resolved_step(self, tmp_path, kind):
+        # every kind records its wall seconds; only a stepped kind resolves
+        # the step size and batch it runs with
+        fields = {"kind": kind} if kind in cli.GF_KINDS else {**SMALL_SGD, "kind": kind, "steps": 20}
+        path, _ = base_config(tmp_path, **fields)
+        assert main(["run", path]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "runs" / f"{kind}_seed1.csv.json").read_text())
+        timing = sidecar["timing"]
+        assert sorted(timing) == ["run_s", "sample_wait_s"][: 2 if kind == "sgd-stiefel" else 1]
+        assert all(np.isfinite(v) and v >= 0.0 for v in timing.values())
+        resolved = {"eta_resolved", "batch_resolved"} & set(sidecar["config"])
+        assert resolved == (set() if kind in cli.GF_KINDS else {"eta_resolved", "batch_resolved"})
+        assert sidecar["config_hash"] == config_hash(sidecar["config"])
 
     def test_sample_draw_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # the third block draw fails on the producer thread; `qns run` sees

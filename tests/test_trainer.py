@@ -26,6 +26,7 @@ from qns.trainer import (
     _snapshot,
     _stiefel_segment,
     DivergenceError,
+    ManifoldError,
     SgdConfig,
     default_tracked_js,
     euclidean_grad,
@@ -203,7 +204,7 @@ class TestSgdStep:
         np.testing.assert_allclose(yb, np.concatenate([y for _, y in rows]), rtol=0, atol=1e-13)
 
     def test_fused_run_matches_dense_reference(self):
-        # 1100 steps: 17 full sample blocks, a partial one, and the dense
+        # 1100 steps: 8 full sample blocks, a partial one, and the dense
         # re-orthonormalization at step 1000
         d, r_s, eta, steps, seed = 32, 3, 0.02, 1100, 4
         t = small_teacher(d=d)
@@ -223,6 +224,24 @@ class TestSgdStep:
                 risks.append(population_risk(t, ref))
         assert np.abs(res.student.w - ref.w).max() <= 1e-10
         np.testing.assert_allclose([rec.risk for rec in res.records], risks, rtol=1e-10)
+
+    def test_off_manifold_w_refused(self):
+        # the segment kernel reads |W v| = |v| and ||W||_F^2 = r_s: both entry
+        # points refuse a W past 1e-8, with one message
+        t = small_teacher()
+        w = sample_stiefel(24, 3, seed=2)
+        w[0, 0] += 1e-7
+        messages = []
+        for refuse in (lambda: sgd_step(StudentState(w), t, 0.01, rng_stream(1, 2)),
+                       lambda: run_training(t, SgdConfig(eta=0.01, steps=10, seed=1), w0=w)):
+            with pytest.raises(ManifoldError) as info:
+                refuse()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("W is not orthonormal: max|W.T W - I| = ")
+        w = sample_stiefel(24, 3, seed=2)
+        w[0, 0] += 1e-10  # within the tolerance: taken
+        assert run_training(t, SgdConfig(eta=0.01, steps=10, seed=1), w0=w).samples_used == 10
 
     def test_one_pass_sample_counter(self, rng):
         t = small_teacher()
@@ -286,6 +305,21 @@ class TestScratchRank1Step:
             # at d == r_s, px is rounding noise: the step may move nothing
             assert d == r_s or not np.array_equal(out, w)
 
+    def test_near_span_samples_match_broadcast(self):
+        # x = W a + 1e-9 z at d >> r_s: |x|^2 - |v|^2 cancels to rounding, so
+        # each step reads |px|^2 from the whole Gram, built on first need
+        d, r_s = 512, 16
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            w = sample_stiefel(d, r_s, rng)
+            xs = (w @ rng.standard_normal((r_s, _SEGMENT))).T
+            xs += 1e-9 * rng.standard_normal((_SEGMENT, d))
+            ys, eta = rng.standard_normal(_SEGMENT).tolist(), 10.0 ** rng.uniform(-4, 0)
+            ref = w.copy()
+            for x, y in zip(xs, ys):
+                broadcast_rank1_step(ref, x, y, eta)
+            assert np.abs(_stiefel_segment(w, xs, ys, eta) - ref).max() <= 1e-12
+
     def test_orthogonal_sample_leaves_w(self):
         # v = W.T x is exactly zero: no update
         w = np.eye(10, 3)
@@ -293,7 +327,7 @@ class TestScratchRank1Step:
         np.testing.assert_array_equal(_stiefel_segment(w, x[None, :], [0.7], 0.1), w)
 
     @pytest.mark.parametrize("d, r, r_s, eta, steps, record_every, tol", [
-        # 32 full sample blocks, a partial one of 52 rows, cleanups at 1000 and 2000
+        # 16 full sample blocks, a partial one of 52 rows, cleanups at 1000 and 2000
         (40, 4, 4, 0.05, 2100, 700, 1e-11),
         # records and cleanups in the middle of segments and blocks
         (40, 4, 4, 0.05, 2100, 7, 1e-11),
@@ -314,7 +348,7 @@ class TestScratchRank1Step:
 
 
 def serial_fused_run(t, cfg, r_s):
-    """``run_training``'s single-sample Stiefel loop with each 64-row block
+    """``run_training``'s single-sample Stiefel loop with each sample block
     drawn inline, cut into segments at the block's end, after 32 rows, at a
     1000-step cleanup and at a record step: the final W and the records."""
     w = StudentState.stiefel_init(t.d, r_s, rng_stream(cfg.seed, 1)).w
@@ -343,7 +377,7 @@ class TestSampleProducer:
     on a producer thread: the same bytes as a serial loop, and no thread left
     behind on any exit."""
 
-    # 2,100 steps: 32 full blocks and a partial one, cleanups at 1000 and
+    # 2,100 steps: 16 full blocks and a partial one, cleanups at 1000 and
     # 2000, and records every 7 steps, most of them in mid-block
     SHAPE = dict(d=64, r=4, r_s=4, eta=0.05, steps=2100, record_every=7)
 
