@@ -10,7 +10,8 @@ cells, a ``plot --theory`` sidecar whose config gives no theory curve, and a
 ``plot -o`` path that cannot be written),
 3 numeric failure (divergence, a Stiefel student that left the manifold, a
 rank-deficient student, a closed-form horizon past float64's exp range, or
-non-finite records).
+non-finite records), 130 interrupted (Ctrl-C: one stderr line and no CSV for
+an unfinished seed, though a multi-seed run still waits for its seeds).
 Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
 caps the run worker pool (a batch-1 sgd-stiefel run adds its own sample
 producer thread).
@@ -44,7 +45,7 @@ from .flow import (
     weight_risk_curve,
 )
 from .linalg import RankDeficientError, inv_sqrt_gram, rng_stream, sample_gaussian_mat
-from .model import PowerLawSpectrum, TeacherModel, risk_from_gram
+from .model import PowerLawSpectrum, TeacherModel, _factor_risk
 from .svgplot import line_chart
 from .trainer import (
     DivergenceError,
@@ -57,7 +58,7 @@ from .trainer import (
 from .trajectory import TrajectoryData, read_trajectory, write_trajectory
 from .verify import MAX_DIM, MIN_DIM, SUITES, run_suite
 
-EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
+EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED, EXIT_INTERRUPTED = 0, 1, 2, 3, 130
 
 # gf-rk4 configs needing more RK4 sub-steps than this are refused: at the
 # default step dt <= 0.01, a horizon of 1e7 would take about 1e9 of them
@@ -224,18 +225,13 @@ def _flow_start(cfg: RunConfig, seed: int):
     return spectrum, params, w0
 
 
-def _flow_data(cfg: RunConfig, ts: np.ndarray, risk_n: np.ndarray, aligns: np.ndarray) -> TrajectoryData:
+def _trajectory(cfg: RunConfig, steps, time_raw, compute, risk_n, aligns, meta) -> TrajectoryData:
+    """One seed's trajectory; ``risk`` is ``risk_n / 8``."""
     sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
     return TrajectoryData(
-        steps=np.arange(1, len(ts) + 1),
-        time_raw=ts,
-        time_rescaled=ts / (sc.kappa_eff * sc.t_eff),
-        compute=ts * cfg.d * cfg.r_s,
-        risk=risk_n / 8.0,
-        risk_normalized=risk_n,
-        alignments=aligns,
-        tracked_js=cfg.resolved_tracked(),
-        meta={"kind": cfg.kind},
+        steps=steps, time_raw=time_raw, time_rescaled=time_raw / (sc.kappa_eff * sc.t_eff),
+        compute=compute, risk=risk_n / 8.0, risk_normalized=risk_n, alignments=aligns,
+        tracked_js=cfg.resolved_tracked(), meta=meta,
     )
 
 
@@ -246,7 +242,8 @@ def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
     # stays alive while the curves run
     f0 = inv_sqrt_gram(w0)[: cfg.r].copy()
     aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in cfg.resolved_tracked()]]
-    return _flow_data(cfg, ts, weight_risk_curve(w0, ts, params), aligns)
+    return _trajectory(cfg, np.arange(1, len(ts) + 1), ts, ts * cfg.d * cfg.r_s,
+                       weight_risk_curve(w0, ts, params), aligns, {"kind": cfg.kind})
 
 
 def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
@@ -265,21 +262,17 @@ def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
     tracked = [j - 1 for j in cfg.resolved_tracked()]
     risk_n, aligns = np.empty(len(ts)), np.empty((len(ts), len(tracked)))
     for i, s in enumerate(integrate_rk4(s_rhs, s, ts, _rk4_dt(params))):
-        risk_n[i] = risk_from_gram(spectrum, s.T @ s, s[: cfg.r], normalized=True)
+        risk_n[i] = _factor_risk(spectrum.lambdas, s)
         aligns[i] = np.sum(inv_sqrt_gram(s)[tracked] ** 2, axis=1)
-    return _flow_data(cfg, ts, risk_n, aligns)
+    return _trajectory(cfg, np.arange(1, len(ts) + 1), ts, ts * cfg.d * cfg.r_s, risk_n, aligns,
+                       {"kind": cfg.kind})
 
 
 def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
     teacher = _teacher(cfg)
-    sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
     eta = cfg.resolved_eta()
-    mode = {
-        "gd-population": "euclidean-population",
-        "sgd-stiefel": "stiefel-online",
-        "sgd-euclidean": "euclidean-online",
-    }[cfg.kind]
-    tracked = cfg.resolved_tracked()
+    mode = {"gd-population": "euclidean-population", "sgd-stiefel": "stiefel-online",
+            "sgd-euclidean": "euclidean-online"}[cfg.kind]
     sgd_cfg = SgdConfig(
         eta=eta,
         steps=cfg.steps,
@@ -288,7 +281,7 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
         record_every=cfg.record_every,
         record_points=cfg.record_points,
         seed=seed,
-        tracked_js=tuple(tracked),
+        tracked_js=tuple(cfg.resolved_tracked()),
     )
     result = run_training(teacher, sgd_cfg, r_s=cfg.r_s)
     recs = result.records
@@ -298,18 +291,10 @@ def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
         meta["edges"] = {"ortho_drift": result.ortho_drift}
     if result.sample_wait_s is not None:
         meta["timing"] = {"sample_wait_s": result.sample_wait_s}
-    time_raw = np.array([rec.step * eta for rec in recs])
-    return TrajectoryData(
-        steps=np.array([rec.step for rec in recs]),
-        time_raw=time_raw,
-        time_rescaled=time_raw / (sc.kappa_eff * sc.t_eff),
-        compute=np.array([rec.compute for rec in recs]),
-        risk=np.array([rec.risk for rec in recs]),
-        risk_normalized=np.array([rec.risk_normalized for rec in recs]),
-        alignments=np.array([rec.alignments for rec in recs]),
-        tracked_js=tracked,
-        meta=meta,
-    )
+    steps = np.array([rec.step for rec in recs])
+    return _trajectory(cfg, steps, steps * eta, np.array([rec.compute for rec in recs]),
+                       np.array([rec.risk_normalized for rec in recs]),
+                       np.array([rec.alignments for rec in recs]), meta)
 
 
 _RUNNERS = {
@@ -493,24 +478,24 @@ def cmd_plot(args) -> int:
     if datas is None:
         return EXIT_USAGE
     series = []
-    theory_added = False
-    for path, data in zip(args.csv, datas):
+    # the theory curve comes from the first CSV whose sidecar holds a config
+    theory_at = next((i for i, data in enumerate(datas) if "config" in data.meta), 0)
+    for i, (path, data) in enumerate(zip(args.csv, datas)):
         x = data.time_rescaled if args.x == "time" else data.compute
         series.append({"x": x, "y": data.risk_normalized, "label": os.path.basename(path)})
-        if args.theory and not theory_added and data.meta.get("config"):
-            c = data.meta["config"]
-            try:
-                spectrum = PowerLawSpectrum(r=c["r"], alpha=c["alpha"])
-                sc = effective_scales(c["d"], c["r_s"], c["r"], c["alpha"])
-            except (KeyError, TypeError, ValueError) as exc:
-                why = f"no field {exc}" if isinstance(exc, KeyError) else exc
-                print(f"error: {path}.json: its config gives no theory curve: {why}", file=sys.stderr)
+        if args.theory and i == theory_at:
+            c = data.meta.get("config")
+            try:  # a config qns run accepts, the keys it does not know (eta_resolved) aside
+                if type(c) is not dict:
+                    raise ConfigError("no run config" if c is None else f"a {type(c).__name__}")
+                cfg = RunConfig.from_dict({k: v for k, v in c.items() if k in _HINTS})
+                spectrum = _teacher(cfg).spectrum
+                sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
+            except (TypeError, ValueError, MemoryError) as exc:
+                print(f"error: {path}.json: its config gives no theory curve: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            theo = np.array(
-                [theory_risk_curve(t, sc, spectrum) for t in data.time_rescaled]
-            )
+            theo = np.array([theory_risk_curve(t, sc, spectrum) for t in data.time_rescaled])
             series.append({"x": x, "y": theo, "label": "theory", "dashed": True})
-            theory_added = True
     try:
         warnings = line_chart(series, args.out, loglog=args.loglog, ylabel="normalized risk",
                               xlabel="rescaled time" if args.x == "time" else "compute")
@@ -563,7 +548,11 @@ def main(argv=None) -> int:
     p_plot.set_defaults(func=cmd_plot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

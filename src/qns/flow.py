@@ -23,10 +23,11 @@ reduces the weight closed form to the (r + min(d - r, r_s)) x r_s factor
 stacked QRs whose ``[X; I]`` fit a fixed budget of 256 KiB (``_CHUNK_BYTES``,
 at least one matrix a chunk), and every per-point result is independent of
 the chunking; ``closed_form_weight_gram(w0, t, params)`` takes that factor,
-never the d x d Gram.  The RK4 integrator is an independent oracle:
-``integrate_rk4(rhs, y0, ts, dt)`` yields the state at each time of ``ts``,
-and integrates the ODE on the Gram or, from the command line, on the
-reduced factor ``S``.
+never the d x d Gram.  ``weight_risk_curve`` reads each grid point's risk
+off its factor ``DY`` with the model's one risk kernel.  The RK4 integrator
+is an independent oracle: ``integrate_rk4(rhs, y0, ts, dt)`` yields the
+state at each time of ``ts``, and integrates the ODE on the Gram or, from
+the command line, on the reduced factor ``S``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import numpy as np
 
 from .linalg import check_symmetric
-from .model import PowerLawSpectrum
+from .model import PowerLawSpectrum, _factor_risk
 
 __all__ = [
     "FlowNumericsError",
@@ -349,26 +350,18 @@ def weight_gram_diag(
 
 
 def weight_risk_curve(w0: np.ndarray, ts: np.ndarray, params: FlowParams) -> np.ndarray:
-    """Normalized population risk along the flow from ``W(0) = w0``.
-
-    ``R(t) = || diag(lam,0) - (||lam||/sqrt(r_s)) G_W(t) ||_F^2 / ||lam||^2``
-    from traces of the reduced closed form: O((r + r_s) r_s^2) per grid point
-    after one O(d r_s^2) reduction.
-    """
+    """Normalized population risk ``|| diag(lam,0) - (||lam||/sqrt(r_s)) G_W(t)
+    ||_F^2 / ||lam||^2`` along the flow from ``W(0) = w0``: with ``G_W = P DY
+    DY.T P.T`` for an orthonormal ``P``, :func:`model._factor_risk` of each
+    chunk's stack of ``DY`` (``S`` at t = 0), O((r + r_s) r_s^2 + r^2 r_s) a
+    grid point after one O(d r_s^2) reduction."""
     ts = np.asarray(ts, dtype=float)
-    lam, r = params.lambdas, params.r
-    frob_sq = params.frob**2
-    c0 = params.frob / np.sqrt(params.r_s)
-    s = _reduce(w0, r)
-    cross, gw_sq = np.empty(len(ts)), np.empty(len(ts))
-    cross[ts == 0] = np.sum(lam[:, None] * s[:r] ** 2)
-    gw_sq[ts == 0] = np.sum((s.T @ s) ** 2)
-    for c, dy in _weight_core(s, ts, params):
-        # G_W = P DY DY.T P.T with orthonormal P; only traces are needed
-        gw_sq[c] = np.sum((dy.transpose(0, 2, 1) @ dy) ** 2, axis=(1, 2))
-        # per point, not a matrix-vector product whose bits follow the chunk
-        cross[c] = ((dy[:, :r] ** 2).sum(axis=2) * lam).sum(axis=1)
-    return np.maximum(1.0 - 2.0 * (c0 / frob_sq) * cross + (c0**2 / frob_sq) * gw_sq, 0.0)
+    s = _reduce(w0, params.r)
+    out = np.empty(len(ts))
+    out[ts == 0] = _factor_risk(params.lambdas, s)
+    for idx, dy in _weight_core(s, ts, params):
+        out[idx] = _factor_risk(params.lambdas, dy)
+    return out
 
 
 # ---------------------------------------------------------------------------

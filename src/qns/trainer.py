@@ -44,8 +44,8 @@ from .model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
+    _factor_risk,
     draw_samples,
-    risk_from_gram,
     student_output,
 )
 
@@ -360,10 +360,11 @@ def _record_steps(cfg: SgdConfig) -> np.ndarray:
 def _snapshot(
     spectrum: PowerLawSpectrum, w: np.ndarray, cfg: SgdConfig, step: int, d: int
 ) -> StepRecord:
-    """Risk and alignments of ``w``, d x r_s or its reduction ``S`` (whose top
-    r rows are those of ``W``): only the Gram and the top r rows are read."""
+    """Risk and alignments of ``w``, d x r_s or its reduction ``S``, whose top
+    r rows are those of ``W`` and whose other rows have the same Gram: all
+    that :func:`model._factor_risk` reads of them."""
     r = spectrum.r
-    risk = risk_from_gram(spectrum, w.T @ w, w[:r])
+    risk_n = float(_factor_risk(spectrum.lambdas, w))
     aligns = np.empty(0)
     if cfg.tracked_js:
         # W is orthonormal in the Stiefel mode, so the polar factor is W itself
@@ -373,8 +374,8 @@ def _snapshot(
     return StepRecord(
         step=step,
         compute=float(step) * cfg.batch * d * w.shape[1],
-        risk=risk,
-        risk_normalized=8.0 * risk,
+        risk=risk_n / 8.0,
+        risk_normalized=risk_n,
         alignments=aligns,
     )
 

@@ -2,9 +2,11 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import qns
 import qns.cli as cli
 import qns.trainer as trainer
 import qns.trajectory as trajectory
-from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from qns.cli import EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
 from qns.trajectory import config_hash, read_trajectory
 
 
@@ -225,6 +227,28 @@ class TestRun:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and needle in lines[0], proc.stderr
         assert not list(tmp_path.glob("runs/*.csv"))
+
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        # a single-seed run used to end in a 29-line KeyboardInterrupt traceback
+        path, _ = base_config(tmp_path, **{**SMALL_SGD, "d": 64, "steps": 10**8})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
+        proc = subprocess.Popen([sys.executable, "-m", "qns.cli", "run", path], text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=src))
+        try:
+            # out_dir is made inside the command, just before the seed starts
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "runs").exists() and proc.poll() is None:
+                assert time.monotonic() < deadline, "the run never started"
+                time.sleep(0.01)
+            time.sleep(0.5)  # into the training loop
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == EXIT_INTERRUPTED, err
+        assert out == "" and err.strip().splitlines() == ["error: interrupted"], err
+        assert not list((tmp_path / "runs").iterdir())
 
     @pytest.mark.parametrize("alpha", [60, 200, 537])
     def test_tiny_modes_closed_form_matches_rk4(self, tmp_path, alpha):

@@ -1,4 +1,4 @@
-"""Fuzz the exit-code contract of ``qns run``.
+"""Fuzz the exit-code contracts of ``qns run``, ``qns fit`` and ``qns plot``.
 
 Configs are drawn from ``RunConfig``'s own annotations and lower bounds, at
 small sizes, for all five kinds; each holds only the fields its kind reads,
@@ -8,6 +8,13 @@ read.  Each config goes through ``cli.main`` in-process, and must end in
 exit 0, 2 or 3; a failure prints exactly one stderr line, no warning escapes,
 a set field the kind does not read exits 2 naming it, and a success leaves
 only finite CSV cells.
+
+The ``fit`` and ``plot`` inputs start from a valid trajectory CSV and its
+sidecar and carry one defect: a missing or an extra column, a non-numeric,
+NaN or inf cell, a file of a single line, a row of the wrong width, random
+bytes, or a sidecar that is no JSON object (for ``plot --theory`` also one
+whose config gives no theory curve).  Each must exit 2 with one stderr line
+naming the file, and leave no SVG.
 """
 
 import contextlib
@@ -21,6 +28,7 @@ from itertools import count
 from types import NoneType, UnionType
 from typing import Literal, Union, get_args, get_origin
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +136,101 @@ def test_run_exit_code_contract(cfg, tmp_path, monkeypatch):
     if unread:
         assert code == EXIT_USAGE and f"config field '{unread[0]}'" in err.getvalue(), err.getvalue()
 
+
+
+COLUMNS = ["step", "time_raw", "time_rescaled", "compute", "risk", "risk_normalized"]
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400"]
+NON_NUMERIC = ["x", "", "1.2.3", "--1", "0x1p3", "1e", "e5", "[1]", "1;2", "true", '"1"']
+DEFECTS = ["missing_column", "extra_header", "extra_cells", "non_numeric", "non_finite",
+           "one_line", "wrong_width", "random_bytes"]
+SIDECAR_DEFECTS = ["sidecar_bytes", "sidecar_not_object", "sidecar_config_not_object",
+                   "sidecar_config_field"]
+THEORY_FIELDS = ["kind", "d", "r", "r_s", "alpha"]
+# values none of the theory fields takes, and values each of them refuses
+# in the config below (d = 128, r = r_s = 4); sizes stay small
+BAD_VALUES = [None, True, "8", [8], {}, -1, math.nan, math.inf, -math.inf, 10**400, "gf-open"]
+FIELD_BAD = {"kind": ["sgd-stiefel"], "d": [1, 2.0], "r": [0, 129], "r_s": [0, 128],
+             "alpha": [0.5, -0.5, 2000.0]}
+
+
+def trajectory_rows(draw):
+    """Header and rows of a valid power-law trajectory with 0 to 2 align columns."""
+    n = draw(st.integers(3, 10))
+    js = draw(st.lists(st.integers(1, 8), unique=True, max_size=2))
+    header = COLUMNS + [f"align_{j}" for j in js]
+    rows = [[str(i), *(repr(float(x)) for x in (i, i / 7, i * 1e3, i**-1.5 / 8, i**-1.5)),
+             *(repr(0.5) for _ in js)] for i in range(1, n + 1)]
+    return header, rows
+
+
+def malformed_csv(draw, defect):
+    """A trajectory CSV, text or bytes, with the one defect named."""
+    if defect == "random_bytes":
+        return draw(st.binary(max_size=200))
+    header, rows = trajectory_rows(draw)
+    i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+    if defect == "missing_column":
+        k = draw(st.integers(0, len(COLUMNS) - 1))
+        header, rows = header[:k] + header[k + 1:], [row[:k] + row[k + 1:] for row in rows]
+    elif defect == "extra_header":
+        header = header + [draw(st.sampled_from(["align_9", "x", "step", ""]))]
+    elif defect == "extra_cells":
+        rows = [row + ["1.0"] for row in rows]
+    elif defect in ("non_numeric", "non_finite"):
+        rows[i][k] = draw(st.sampled_from(NON_NUMERIC if defect == "non_numeric" else NON_FINITE))
+    elif defect == "one_line":
+        header, rows = (header, []) if draw(st.booleans()) else (rows[i], [])
+    elif defect == "wrong_width":  # one row loses or gains a cell
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1.0"]
+    return "".join(",".join(line) + "\n" for line in [header, *rows])
+
+
+def malformed_sidecar(draw, defect):
+    """Sidecar bytes with the one defect named: no JSON object, or a config
+    that gives no theory curve."""
+    if defect == "sidecar_bytes":
+        return draw(st.binary(max_size=100) | st.sampled_from([b"{", b"{'a': 1}", b"\xff\xfe"]))
+    if defect == "sidecar_not_object":
+        return json.dumps(draw(st.sampled_from([[1, 2], 3, "config", None, True]))).encode()
+    config = {"kind": "gf-closed", "d": 128, "r": 4, "r_s": 4, "alpha": 1.0, "horizon": 40.0}
+    if defect == "sidecar_config_not_object":
+        config = draw(st.sampled_from([[1], "gf-closed", 3, None, {}]))
+    elif draw(st.booleans()):
+        del config[draw(st.sampled_from(THEORY_FIELDS))]
+    else:
+        name = draw(st.sampled_from(THEORY_FIELDS))
+        config[name] = draw(st.sampled_from(BAD_VALUES + FIELD_BAD[name]))
+    return json.dumps({"config": config}).encode()
+
+
+CASES = [(argv, defect) for argv in (["fit"], ["plot"], ["plot", "--theory"])
+         for defect in DEFECTS + SIDECAR_DEFECTS[:2]] + \
+        [(["plot", "--theory"], defect) for defect in SIDECAR_DEFECTS[2:]]
+
+
+@pytest.mark.parametrize("argv, defect", CASES, ids=lambda v: v if type(v) is str else "-".join(v))
+@settings(max_examples=8, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fit_and_plot_refuse_malformed_input(argv, defect, data, tmp_path):
+    run_dir = tmp_path / f"ex{next(EXAMPLE)}"
+    run_dir.mkdir()
+    path = run_dir / "t.csv"
+    if defect.startswith("sidecar"):
+        csv = malformed_csv(data.draw, None)
+        (run_dir / "t.csv.json").write_bytes(malformed_sidecar(data.draw, defect))
+    else:
+        csv = malformed_csv(data.draw, defect)
+    (path.write_bytes if type(csv) is bytes else path.write_text)(csv)
+    svg = run_dir / "t.svg"
+    argv = [argv[0], str(path), *argv[1:], *(["-o", str(svg)] if argv[0] == "plot" else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().strip().splitlines()
+    assert code == EXIT_USAGE, err.getvalue()
+    assert len(lines) == 1 and str(path) in lines[0], err.getvalue()
+    assert out.getvalue() == "" and not caught, [str(w.message) for w in caught]
+    assert not svg.exists()

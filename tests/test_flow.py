@@ -1,8 +1,10 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rand_psd
+from conftest import dense_risk_longdouble, needs_extended, rand_psd
 
 from qns.flow import (
     FlowNumericsError,
@@ -19,8 +21,8 @@ from qns.flow import (
     weight_gram_diag,
     weight_risk_curve,
 )
-from qns import flow
-from qns.flow import _core, _factor_psd, _push_through
+from qns import cli, flow
+from qns.flow import _core, _factor_psd, _push_through, _reduce, _weight_core
 from qns.linalg import loewner_slack, rng_stream, sample_gaussian_mat
 from qns.model import PowerLawSpectrum
 
@@ -290,6 +292,23 @@ class TestChunkBudget:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB above the inputs"
+
+
+class TestRiskAccuracy:
+    @needs_extended
+    def test_staircase_risk_matches_longdouble(self):
+        # the staircase demo falls to a risk of 3.6e-6 over its 400 points;
+        # the trace form 1 - 2 c cross + c^2 ||G||^2 kept about 1e-10 of it
+        path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "gf_staircase.json"
+        cfg = cli.RunConfig.from_dict(json.loads(path.read_text()))
+        _, params, w0 = cli._flow_start(cfg, cfg.seeds[0])
+        ts = cli._time_grid(cfg)
+        risk = weight_risk_curve(w0, ts, params)
+        ref = np.empty(len(ts), dtype=np.longdouble)
+        for idx, dy in _weight_core(_reduce(w0, params.r), ts, params):
+            ref[idx] = dense_risk_longdouble(params.lambdas, dy)
+        assert len(ts) == 400 and risk.min() < 1e-5
+        np.testing.assert_allclose(risk, ref.astype(float), rtol=1e-14, atol=0)
 
 
 class TestClosedFormOverflow:

@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import dense_risk_longdouble, needs_extended
 
+from qns.flow import _reduce
 from qns.linalg import rng_stream, sample_stiefel
 from qns.model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
+    _factor_risk,
     alignment_gram,
     draw_samples,
     instantaneous_loss,
@@ -16,6 +19,7 @@ from qns.model import (
     student_output,
     teacher_output,
 )
+from qns.trainer import SgdConfig, _snapshot
 
 
 class TestSpectrum:
@@ -132,6 +136,53 @@ class TestLossAndRisk:
         r1 = population_risk(t, StudentState(w))
         r2 = population_risk(t, StudentState(w @ o))
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+class TestRiskKernel:
+    # (d, r, r_s): r_s below, at and above r, d = r, where B has no row, and
+    # r past two blocks of model._RISK_ROWS teacher rows
+    @pytest.mark.parametrize("d, r, r_s", [(20, 6, 3), (20, 6, 6), (20, 6, 9), (6, 6, 4),
+                                           (300, 260, 7)])
+    def test_matches_dense_evaluation(self, rng, d, r, r_s):
+        lam = PowerLawSpectrum(r=r, alpha=rng.uniform(0.0, 2.0)).lambdas
+        w = rng.standard_normal((5, d, r_s)) * rng.uniform(0.1, 2.0, (5, 1, 1))
+        risk = _factor_risk(lam, w)
+        ref = dense_risk_longdouble(lam, w)
+        assert risk.shape == (5,) and np.all(risk >= 0)
+        np.testing.assert_allclose(risk, ref.astype(float), rtol=1e-12, atol=0)
+        # each matrix of the stack gets the floats of its own call
+        assert [_factor_risk(lam, wi) for wi in w] == risk.tolist()
+
+    def test_exact_optimum_is_zero_not_negative(self):
+        # a student that holds the teacher exactly: every term is a sum of squares
+        spec = PowerLawSpectrum(r=4, alpha=0.0)  # ||L|| = sqrt(r_s) = 2: c = 1
+        w = np.vstack([np.eye(4), np.zeros((3, 4))])
+        assert _factor_risk(spec.lambdas, w) == 0.0
+
+    @needs_extended
+    def test_near_optimum_records_match_longdouble(self, rng):
+        # the late state of a run with r_s >= r: the teacher block learned to
+        # rounding, and rows of 3e-7 left off the teacher span, so W W.T /
+        # sqrt(r_s) is the target plus off-diagonal noise of about 1e-6 and
+        # the risk is about 1e-12; the trace form lost it in the cancellation
+        # of unit-size terms (an absolute error of about 1e-16)
+        d, r, r_s = 9, 4, 6
+        spec = PowerLawSpectrum(r=r, alpha=1.0)
+        teacher = TeacherModel(d=d, spectrum=spec)
+        top = np.zeros((r, r_s))
+        top[:, :r] = np.diag(np.sqrt(np.sqrt(r_s) / spec.frob * spec.lambdas))
+        rot = np.linalg.qr(rng.standard_normal((r_s, r_s)))[0]  # orthogonal to rounding
+        w = np.vstack([top, 3e-7 * rng.standard_normal((d - r, r_s))]) @ rot
+        ref = float(dense_risk_longdouble(spec.lambdas, w))
+        assert 1e-13 < ref < 1e-11
+        cfg = SgdConfig(eta=0.1, steps=1, mode="euclidean-population", tracked_js=())
+        risks = [
+            population_risk(teacher, StudentState(w), normalized=True),
+            8.0 * population_risk(teacher, StudentState(w)),
+            _snapshot(spec, _reduce(w, r), cfg, 0, d).risk_normalized,  # the gd-population record
+            _snapshot(spec, w, cfg, 0, d).risk_normalized,
+        ]
+        np.testing.assert_allclose(risks, ref, rtol=1e-14, atol=0)
 
 
 class TestProject:
