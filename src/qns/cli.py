@@ -11,10 +11,9 @@ cells, a ``plot --theory`` sidecar whose config gives no theory curve, and a
 3 numeric failure (divergence, a Stiefel student that left the manifold, a
 rank-deficient student, a closed-form horizon past float64's exp range, or
 non-finite records), 130 interrupted (Ctrl-C: one stderr line and no CSV for
-an unfinished seed, though a multi-seed run still waits for its seeds).
-Environment: ``QNS_SEED`` overrides the config's seed list, ``QNS_THREADS``
-caps the run worker pool (a batch-1 sgd-stiefel run adds its own sample
-producer thread).
+an unfinished seed).  Seeds run one after another.  Environment: ``QNS_SEED``
+overrides the config's seed list (a batch-1 sgd-stiefel run adds its own
+sample producer thread).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import UnionType
 from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
@@ -312,8 +310,8 @@ def _out_path(cfg: RunConfig, seed: int) -> str:
 
 
 def _env_int(name: str) -> int:
-    """Integer value of environment variable ``name``; 0 when unset or empty."""
-    value = os.environ.get(name) or "0"
+    """Integer value of the set environment variable ``name``."""
+    value = os.environ[name]
     try:
         return int(value)
     except ValueError:
@@ -354,7 +352,6 @@ def cmd_run(args) -> int:
     try:
         if os.environ.get("QNS_SEED"):
             raw["seeds"] = [_env_int("QNS_SEED")]
-        workers = _env_int("QNS_THREADS")
         cfg = RunConfig.from_dict(raw)
     except (ConfigError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -367,27 +364,20 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     runner = _RUNNERS[cfg.kind]
     config_dict = cfg.to_dict()
-
-    def work(seed: int) -> str:
-        # a run that left float64 is refused below, on its finished records;
-        # the overflow warnings on the way there would bury that one line
-        t0 = time.perf_counter()
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = runner(cfg, seed)
-        # sidecar only, like the edges: no CSV byte, no config_hash
-        data.meta.setdefault("timing", {})["run_s"] = time.perf_counter() - t0
-        _check_finite(data, seed)
-        path = _out_path(cfg, seed)
-        write_trajectory(path, data, config_dict, seed)
-        return path
-
-    workers = workers or min(4, len(cfg.seeds))
+    paths = []
     try:
-        if workers > 1 and len(cfg.seeds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                paths = list(pool.map(work, cfg.seeds))
-        else:
-            paths = [work(seed) for seed in cfg.seeds]
+        for seed in cfg.seeds:
+            # a run that left float64 is refused below, on its finished records;
+            # the overflow warnings on the way there would bury that one line
+            t0 = time.perf_counter()
+            with np.errstate(over="ignore", invalid="ignore"):
+                data = runner(cfg, seed)
+            # sidecar only, like the edges: no CSV byte, no config_hash
+            data.meta.setdefault("timing", {})["run_s"] = time.perf_counter() - t0
+            _check_finite(data, seed)
+            path = _out_path(cfg, seed)
+            write_trajectory(path, data, config_dict, seed)
+            paths.append(path)
     except (DivergenceError, FlowNumericsError, ManifoldError, NonFiniteRunError,
             RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .linalg import check_symmetric, psd_project, psd_sqrt
 from .model import StudentState, TeacherModel, draw_samples
+from .trainer import _on_manifold
 
 __all__ = [
     "FineTuneBatch",
@@ -145,14 +146,12 @@ def finetune(
 ) -> FineTuneResult:
     """Closed-form fine-tuning: ``Omega_hat = (Pi . L(S_glob))^{1/2}``.
 
-    ``W`` must be orthonormal (post feature-learning).  Supply either a
+    ``W`` must be orthonormal (post feature-learning), or a
+    :class:`~qns.trainer.ManifoldError` is raised.  Supply either a
     pre-collected batch or ``(n_ft, rng)``.  The mixing is invariant to the
     sample order (it enters through sums only).
     """
-    w = student.w
-    ortho = np.abs(w.T @ w - np.eye(student.r_s)).max()
-    if ortho > 1e-8:
-        raise ValueError(f"fine-tuning expects orthonormal W, residual {ortho:.2e}")
+    _on_manifold(student.w)
     if batch is None:
         if rng is None:
             raise ValueError("need a batch or an rng to draw one")

@@ -166,13 +166,12 @@ def sample_stiefel(
     cols: int,
     seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
-    """Haar-uniform matrix with orthonormal columns (rows >= cols).
-
-    Sampled as the polar factor of a Gaussian matrix, i.e.
-    ``Z (Z.T Z)^{-1/2}``, which is the same orthonormalization convention the
-    training loop uses for its retraction.
-    """
+    """Haar-uniform matrix with orthonormal columns (rows >= cols): the polar
+    factor ``Z (Z.T Z)^{-1/2}`` of a Gaussian ``Z``, taken as ``U Vt`` of its
+    thin SVD, so orthonormal to rounding at any condition number of ``Z``
+    (the Gram route of :func:`inv_sqrt_gram` loses accuracy like cond(Z)^2)."""
     if rows < cols:
         raise ValueError(f"Stiefel sampling needs rows >= cols, got {rows} < {cols}")
     z = sample_gaussian_mat(rows, cols, 1.0, seed)
-    return inv_sqrt_gram(z)
+    u, _, vt = np.linalg.svd(z, full_matrices=False)
+    return u @ vt

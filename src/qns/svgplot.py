@@ -8,8 +8,11 @@ the trajectory files.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
+
+from .trajectory import _atomic_write
 
 __all__ = ["line_chart"]
 
@@ -18,6 +21,15 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
+
+# characters XML 1.0 cannot hold, not even as character references
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_MARKUP = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _text(s) -> str:
+    """``s`` as SVG text content: markup escaped, unwritable characters as U+FFFD."""
+    return _NOT_XML.sub("\ufffd", str(s)).translate(_MARKUP)
 
 
 def _ticks_linear(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -49,11 +61,12 @@ def line_chart(
     ylabel: str = "y",
     title: str = "",
 ) -> list[str]:
-    """Render polyline series to an SVG file.
+    """Render polyline series to an SVG file, written atomically.
 
     Each series is ``{"x": array, "y": array, "label": str, "dashed": bool}``.
     Nonpositive points are dropped in log-log mode; empty series produce a
-    warning string in the returned list instead of failing.
+    warning string in the returned list instead of failing.  Any label or
+    title gives well-formed XML.
     """
     warnings = []
     clean = []
@@ -70,8 +83,7 @@ def line_chart(
         clean.append({**s, "x": x, "y": y})
     if not clean:
         warnings.append("nothing to plot")
-        with open(out_path, "w") as fh:
-            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}"/>\n')
+        _atomic_write(out_path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}"/>\n')
         return warnings
 
     xs = np.concatenate([s["x"] for s in clean])
@@ -95,7 +107,7 @@ def line_chart(
         'fill="none" stroke="black"/>',
     ]
     if title:
-        parts.append(f'<text x="{_W/2:.1f}" y="14" text-anchor="middle">{title}</text>')
+        parts.append(f'<text x="{_W/2:.1f}" y="14" text-anchor="middle">{_text(title)}</text>')
 
     if loglog:
         xticks = [(math.log10(v), f"1e{int(math.log10(v))}") for v in _ticks_log(10**x_lo, 10**x_hi)]
@@ -113,9 +125,9 @@ def line_chart(
             parts.append(f'<line x1="{_ML-5}" y1="{py(v):.2f}" x2="{_ML}" '
                          f'y2="{py(v):.2f}" stroke="black"/>')
             parts.append(f'<text x="{_ML-8}" y="{py(v)+4:.2f}" text-anchor="end">{lab}</text>')
-    parts.append(f'<text x="{(_ML+_W-_MR)/2:.1f}" y="{_H-12}" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="{(_ML+_W-_MR)/2:.1f}" y="{_H-12}" text-anchor="middle">{_text(xlabel)}</text>')
     parts.append(f'<text x="16" y="{(_MT+_H-_MB)/2:.1f}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {(_MT+_H-_MB)/2:.1f})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {(_MT+_H-_MB)/2:.1f})">{_text(ylabel)}</text>')
 
     for k, s in enumerate(clean):
         x, y = s["x"], s["y"]
@@ -131,8 +143,7 @@ def line_chart(
             yleg = _MT + 16 + 16 * k
             parts.append(f'<line x1="{_W-_MR-150}" y1="{yleg-4}" x2="{_W-_MR-120}" '
                          f'y2="{yleg-4}" stroke="{color}" stroke-width="1.5"{dash}/>')
-            parts.append(f'<text x="{_W-_MR-114}" y="{yleg}">{label}</text>')
+            parts.append(f'<text x="{_W-_MR-114}" y="{yleg}">{_text(label)}</text>')
     parts.append("</svg>")
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _atomic_write(out_path, "\n".join(parts) + "\n")
     return warnings

@@ -16,7 +16,6 @@ import json
 import os
 import subprocess
 import tempfile
-import threading
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = ["TrajectoryData", "write_trajectory", "read_trajectory", "config_hash
 
 _FMT = "%.17g"
 _COLUMNS = ["step", "time_raw", "time_rescaled", "compute", "risk", "risk_normalized"]
-_VERSION_LOCK = threading.Lock()  # seeds of a thread pool ask for the version at once
 
 
 @dataclass
@@ -61,11 +59,11 @@ def _git_describe() -> str:
 
 
 def _atomic_write(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``payload`` to ``path`` (its directory must exist) through a
+    temporary file beside it: a reader sees the old file or the new, never part."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -90,14 +88,13 @@ def write_trajectory(path: str, data: TrajectoryData, config: dict, seed: int) -
         ]
         row += [_FMT % v for v in data.alignments[i]]
         lines.append(",".join(row))
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     _atomic_write(path, "\n".join(lines) + "\n")
-    with _VERSION_LOCK:
-        version = _git_describe()
     sidecar = {
         "config": config,
         "config_hash": config_hash(config),
         "seed": int(seed),
-        "version": version,
+        "version": _git_describe(),
         "tracked_js": [int(j) for j in data.tracked_js],
     }
     sidecar.update(data.meta)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import qns.cli as cli
 import qns.trainer as trainer
 import qns.trajectory as trajectory
 from qns.cli import EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
+from qns.svgplot import line_chart
 from qns.trajectory import config_hash, read_trajectory
 
 
@@ -154,7 +156,8 @@ class TestRun:
             ({"steps": 2.5}, EXIT_USAGE, "config field 'steps'"),
             ({"tracked_j": [1.5]}, EXIT_USAGE, "config field 'tracked_j'"),
             ({"QNS_SEED": "abc"}, EXIT_USAGE, "QNS_SEED"),
-            ({"QNS_THREADS": "abc"}, EXIT_USAGE, "QNS_THREADS"),
+            # a seed from the environment passes the config's seed checks too
+            ({"QNS_SEED": "-1"}, EXIT_USAGE, "config field 'seeds'"),
             # 4**-1000 rounds to 0.0: the coefficients used to underflow
             ({"alpha": 1000}, EXIT_USAGE, "config field 'alpha'"),
             # each of these used to end in a traceback, in exit 2 with Python's
@@ -183,7 +186,7 @@ class TestRun:
             ({**SMALL_SGD, "c_alpha": 1e308}, EXIT_USAGE, "config field 'c_alpha'"),
             ({**SMALL_SGD, "c_alpha": -1e308}, EXIT_USAGE, "config field 'c_alpha'"),
             # a numeric tag used to name 5_seed1.csv; repeated seeds wrote
-            # one CSV twice from two threads
+            # one CSV twice
             ({"tag": 5}, EXIT_USAGE, "config field 'tag'"),
             ({"seeds": [0, 0]}, EXIT_USAGE, "config field 'seeds'"),
             # the Stiefel loop used to finish every step of a run that left
@@ -228,25 +231,42 @@ class TestRun:
         assert len(lines) == 1 and needle in lines[0], proc.stderr
         assert not list(tmp_path.glob("runs/*.csv"))
 
-    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
-        # a single-seed run used to end in a 29-line KeyboardInterrupt traceback
-        path, _ = base_config(tmp_path, **{**SMALL_SGD, "d": 64, "steps": 10**8})
+    @staticmethod
+    def interrupt_run(tmp_path, seeds):
+        """SIGINT a ``qns run`` of ``seeds`` that never finish, 0.5 s into
+        training: ``(stdout, stderr, seconds from the signal to the exit)``."""
+        path, _ = base_config(tmp_path, **{**SMALL_SGD, "d": 64, "steps": 10**8, "seeds": seeds})
         src = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
         proc = subprocess.Popen([sys.executable, "-m", "qns.cli", "run", path], text=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 env=dict(os.environ, PYTHONPATH=src))
         try:
-            # out_dir is made inside the command, just before the seed starts
+            # out_dir is made inside the command, just before the first seed starts
             deadline = time.monotonic() + 60
             while not (tmp_path / "runs").exists() and proc.poll() is None:
                 assert time.monotonic() < deadline, "the run never started"
                 time.sleep(0.01)
             time.sleep(0.5)  # into the training loop
             proc.send_signal(signal.SIGINT)
+            sent = time.monotonic()
             out, err = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - sent
         finally:
             proc.kill()
         assert proc.returncode == EXIT_INTERRUPTED, err
+        return out, err, elapsed
+
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        # a single-seed run used to end in a 29-line KeyboardInterrupt traceback
+        out, err, _ = self.interrupt_run(tmp_path, [1])
+        assert out == "" and err.strip().splitlines() == ["error: interrupted"], err
+        assert not list((tmp_path / "runs").iterdir())
+
+    def test_ctrl_c_stops_a_multi_seed_run_at_once(self, tmp_path):
+        # seeds on a thread pool used to run to their end after Ctrl-C, and
+        # write their CSVs, before the command exited 130
+        out, err, elapsed = self.interrupt_run(tmp_path, [1, 2])
+        assert elapsed < 2.0, f"exited {elapsed:.1f} s after the signal"
         assert out == "" and err.strip().splitlines() == ["error: interrupted"], err
         assert not list((tmp_path / "runs").iterdir())
 
@@ -265,20 +285,18 @@ class TestRun:
         np.testing.assert_allclose(closed.alignments, rk4.alignments, rtol=0, atol=1e-12)
         np.testing.assert_allclose(closed.risk_normalized, rk4.risk_normalized, rtol=0, atol=1e-12)
 
-    def test_sgd_seeds_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        # seeds run on worker threads: each run must own its step scratch
-        csvs = {}
-        for threads in ("1", "2"):
-            path, _ = base_config(
-                tmp_path, kind="sgd-stiefel", eta=0.01, steps=6000, d=64, r=4, r_s=4,
-                horizon=None, record_every=500, seeds=[1, 2],
-                out_dir=str(tmp_path / f"runs{threads}"),
-            )
-            monkeypatch.setenv("QNS_THREADS", threads)
-            assert main(["run", path]) == EXIT_OK
-            csvs[threads] = [(tmp_path / f"runs{threads}" / f"sgd-stiefel_seed{s}.csv").read_bytes()
-                             for s in (1, 2)]
-        assert csvs["1"] == csvs["2"]
+    def test_sgd_seeds_byte_identical_to_single_seed_runs(self, tmp_path, monkeypatch):
+        # a seed's CSV is the same whether it runs alone or after another seed
+        path, _ = base_config(
+            tmp_path, kind="sgd-stiefel", eta=0.01, steps=6000, d=64, r=4, r_s=4,
+            horizon=None, record_every=500, seeds=[1, 2],
+        )
+        assert main(["run", path, "-O", f"out_dir={tmp_path / 'both'}"]) == EXIT_OK
+        for seed in (1, 2):
+            monkeypatch.setenv("QNS_SEED", str(seed))
+            assert main(["run", path, "-O", f"out_dir={tmp_path / 'alone'}"]) == EXIT_OK
+            name = f"sgd-stiefel_seed{seed}.csv"
+            assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
 
     def test_sgd_kind_runs(self, tmp_path):
         path, _ = base_config(
@@ -613,6 +631,42 @@ class TestPlotCommand:
         lines = out.err.strip().splitlines()
         assert out.out == "" and len(lines) == 1 and csv + ".json" in lines[0], out.err
         assert not svg.exists()
+
+    def test_markup_in_a_label_round_trips(self, tmp_path):
+        # a file name with markup in it used to give an SVG no XML parser read
+        path, _ = base_config(tmp_path)
+        main(["run", path])
+        csv = tmp_path / "a&b<c>]]>'\".csv"
+        os.rename(tmp_path / "runs" / "gf-closed_seed1.csv", csv)
+        svg = str(tmp_path / "t.svg")
+        assert main(["plot", str(csv), "-o", svg]) == EXIT_OK
+        texts = [t.firstChild.data for t in minidom.parse(svg).getElementsByTagName("text")]
+        assert csv.name in texts and "normalized risk" in texts
+
+    def test_unwritable_characters_become_replacement_marks(self, tmp_path):
+        # XML has no reference for a control character or a lone surrogate
+        svg = str(tmp_path / "t.svg")
+        line_chart([{"x": [1, 2], "y": [3, 4], "label": "a\x01b\udcff"}], svg,
+                   title="<&>", xlabel="x\x7f", ylabel="\U0001f600")
+        texts = [t.firstChild.data for t in minidom.parse(svg).getElementsByTagName("text")]
+        assert {"a\ufffdb\ufffd", "<&>", "x\x7f", "\U0001f600"} <= set(texts)
+
+    def test_failed_write_keeps_the_old_svg_and_no_temporary(self, tmp_path, capsys, monkeypatch):
+        path, _ = base_config(tmp_path)
+        main(["run", path])
+        capsys.readouterr()
+        svg = tmp_path / "t.svg"
+        svg.write_text("old")
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        assert main(["plot", str(tmp_path / "runs" / "gf-closed_seed1.csv"), "-o", str(svg)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {svg}: No space left on device"]
+        assert svg.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "runs", "t.svg"]
 
     def test_roundtrip_17_digits(self, tmp_path):
         path, _ = base_config(tmp_path)

@@ -111,7 +111,6 @@ def csv_cells_finite(path):
 @given(cfg=configs())
 def test_run_exit_code_contract(cfg, tmp_path, monkeypatch):
     monkeypatch.delenv("QNS_SEED", raising=False)
-    monkeypatch.delenv("QNS_THREADS", raising=False)
     run_dir = tmp_path / f"ex{next(EXAMPLE)}"
     run_dir.mkdir()
     if type(cfg["out_dir"]) is str:

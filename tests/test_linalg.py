@@ -202,6 +202,14 @@ class TestSampling:
         assert abs(abs(np.linalg.det(q)) - 1.0) <= 1e-8
         assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-10
 
+    def test_stiefel_orthonormal_at_any_condition_number(self):
+        # the polar factor through eigh of Z.T Z lost accuracy like cond(Z)**2:
+        # square draws are often badly conditioned, and reached 5e-7 here
+        rng = rng_stream(0, 0)
+        for _ in range(200):
+            q = sample_stiefel(6, 6, rng)
+            assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-13
+
     def test_stiefel_rejects_wide(self):
         with pytest.raises(ValueError, match="rows >= cols"):
             sample_stiefel(3, 5, seed=0)

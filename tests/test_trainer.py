@@ -396,16 +396,15 @@ class TestSampleProducer:
             assert (got.step, got.compute, got.risk) == (want.step, want.compute, want.risk)
             np.testing.assert_array_equal(got.alignments, want.alignments)
 
-    @pytest.mark.parametrize("threads, seeds", [("1", [1, 2]), ("2", [1, 2]), ("4", [1, 2, 3, 4])])
-    def test_cli_bitwise_equal_to_serial_loop(self, tmp_path, monkeypatch, threads, seeds):
-        # QNS_THREADS seeds at a time, each with its own producer, and the
-        # interpreter switching threads often: the CSV's 17 significant
-        # digits read back every float of the serial loop's records exactly
+    def test_cli_bitwise_equal_to_serial_loop(self, tmp_path):
+        # four seeds in turn, each with its own producer, and the interpreter
+        # switching threads often: the CSV's 17 significant digits read back
+        # every float of the serial loop's records exactly
         t = small_teacher(d=self.SHAPE["d"], r=self.SHAPE["r"])
+        seeds = [1, 2, 3, 4]
         cfg = {"kind": "sgd-stiefel", "alpha": 1.0, "seeds": seeds, "tracked_j": [1, 2, 4],
                "out_dir": str(tmp_path), **self.SHAPE}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        monkeypatch.setenv("QNS_THREADS", threads)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
