@@ -37,6 +37,9 @@ class RankDeficientError(np.linalg.LinAlgError):
             f"Gram matrix is rank deficient: smallest eigenvalue {min_eig:.3e} <= 1e-12"
         )
 
+    def __reduce__(self):  # rebuild from min_eig, not from the message
+        return type(self), (self.min_eig,)
+
 
 class EigenPair(NamedTuple):
     """Spectral decomposition with eigenvalues sorted in descending order."""

@@ -60,10 +60,14 @@ def _git_describe() -> str:
 
 def _atomic_write(path: str, payload: str) -> None:
     """Write ``payload`` to ``path`` (its directory must exist) through a
-    temporary file beside it: a reader sees the old file or the new, never part."""
+    temporary file beside it: a reader sees the old file or the new, never part.
+    The file gets the umask's mode, as ``open`` would give it, not mkstemp's 0600."""
+    umask = os.umask(0)  # the one way to read it is to set it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

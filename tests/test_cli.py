@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qns
-import qns.cli as cli
+import qns.runs as runs
 import qns.trainer as trainer
 import qns.trajectory as trajectory
 from qns.cli import EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
@@ -91,7 +91,7 @@ class TestRun:
         def must_not_run(cfg, seed):
             raise AssertionError("a seed ran before out_dir was checked")
 
-        monkeypatch.setitem(cli._RUNNERS, "gf-closed", must_not_run)
+        monkeypatch.setitem(runs._RUNNERS, "gf-closed", must_not_run)
         assert main(["run", path]) == EXIT_USAGE
         out = capsys.readouterr()
         lines = out.err.strip().splitlines()
@@ -108,10 +108,10 @@ class TestRun:
         data = read_trajectory(str(tmp_path / "runs" / "gf-closed_seed1.csv"))
         assert len(data.steps) == 17
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_override(self, tmp_path):
+        # the seed list is set by -O; no environment variable overrides it
         path, _ = base_config(tmp_path, seeds=[1, 2, 3])
-        monkeypatch.setenv("QNS_SEED", "9")
-        assert main(["run", path]) == EXIT_OK
+        assert main(["run", path, "-O", "seeds=[9]"]) == EXIT_OK
         files = sorted(os.listdir(tmp_path / "runs"))
         assert files == ["gf-closed_seed9.csv", "gf-closed_seed9.csv.json"]
 
@@ -149,15 +149,16 @@ class TestRun:
             # about 1e9 RK4 sub-steps: the run used to hang
             ({"kind": "gf-rk4", "d": 16, "r": 4, "r_s": 2, "horizon": 1e7},
              EXIT_USAGE, "config field 'horizon'"),
-            # badly typed fields and environment variables used to end in tracebacks
+            # badly typed fields used to end in tracebacks
             ({"seeds": 5}, EXIT_USAGE, "config field 'seeds'"),
             ({"seeds": ["a"]}, EXIT_USAGE, "config field 'seeds'"),
             ({"d": 16.5}, EXIT_USAGE, "config field 'd'"),
             ({"steps": 2.5}, EXIT_USAGE, "config field 'steps'"),
             ({"tracked_j": [1.5]}, EXIT_USAGE, "config field 'tracked_j'"),
+            # the QNS_SEED environment variable is gone (-O "seeds=[N]" sets
+            # the seeds), and its name is no config field either
             ({"QNS_SEED": "abc"}, EXIT_USAGE, "QNS_SEED"),
-            # a seed from the environment passes the config's seed checks too
-            ({"QNS_SEED": "-1"}, EXIT_USAGE, "config field 'seeds'"),
+            ({"seeds": [-1]}, EXIT_USAGE, "config field 'seeds'"),
             # 4**-1000 rounds to 0.0: the coefficients used to underflow
             ({"alpha": 1000}, EXIT_USAGE, "config field 'alpha'"),
             # each of these used to end in a traceback, in exit 2 with Python's
@@ -207,13 +208,10 @@ class TestRun:
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
-        # keys named QNS_* set environment variables, CONFIG replaces the whole
-        # config, -O passes one override, RLIMIT_AS caps the run's address
-        # space; the rest are config fields
+        # CONFIG replaces the whole config, -O passes one override, RLIMIT_AS
+        # caps the run's address space; the rest are config fields
         special = {k: overrides[k] for k in ("CONFIG", "-O", "RLIMIT_AS") if k in overrides}
-        env = {k: v for k, v in overrides.items() if k.startswith("QNS_")}
-        path, _ = base_config(tmp_path, **{k: v for k, v in overrides.items()
-                                           if k not in env and k not in special})
+        path, _ = base_config(tmp_path, **{k: v for k, v in overrides.items() if k not in special})
         if "CONFIG" in special:
             (tmp_path / "config.json").write_text(json.dumps(special["CONFIG"]))
         argv = ["-O", special["-O"]] if "-O" in special else []
@@ -222,7 +220,7 @@ class TestRun:
         proc = subprocess.run(
             [sys.executable, "-m", "qns.cli", "run", path, *argv],
             capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=src, **env),
+            env=dict(os.environ, PYTHONPATH=src),
             preexec_fn=None if limit is None else lambda: resource.setrlimit(
                 resource.RLIMIT_AS, (limit, limit)),
         )
@@ -285,7 +283,7 @@ class TestRun:
         np.testing.assert_allclose(closed.alignments, rk4.alignments, rtol=0, atol=1e-12)
         np.testing.assert_allclose(closed.risk_normalized, rk4.risk_normalized, rtol=0, atol=1e-12)
 
-    def test_sgd_seeds_byte_identical_to_single_seed_runs(self, tmp_path, monkeypatch):
+    def test_sgd_seeds_byte_identical_to_single_seed_runs(self, tmp_path):
         # a seed's CSV is the same whether it runs alone or after another seed
         path, _ = base_config(
             tmp_path, kind="sgd-stiefel", eta=0.01, steps=6000, d=64, r=4, r_s=4,
@@ -293,8 +291,8 @@ class TestRun:
         )
         assert main(["run", path, "-O", f"out_dir={tmp_path / 'both'}"]) == EXIT_OK
         for seed in (1, 2):
-            monkeypatch.setenv("QNS_SEED", str(seed))
-            assert main(["run", path, "-O", f"out_dir={tmp_path / 'alone'}"]) == EXIT_OK
+            argv = ["-O", f"seeds=[{seed}]", "-O", f"out_dir={tmp_path / 'alone'}"]
+            assert main(["run", path, *argv]) == EXIT_OK
             name = f"sgd-stiefel_seed{seed}.csv"
             assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
 
@@ -342,11 +340,11 @@ class TestRun:
             assert all(np.isfinite(v) and v >= 0.0 for v in timing.values())
             assert timing["sample_wait_s"] <= timing["run_s"]
 
-    @pytest.mark.parametrize("kind", cli.KINDS)
+    @pytest.mark.parametrize("kind", runs.KINDS)
     def test_sidecar_timing_and_resolved_step(self, tmp_path, kind):
         # every kind records its wall seconds; only a stepped kind resolves
         # the step size and batch it runs with
-        fields = {"kind": kind} if kind in cli.GF_KINDS else {**SMALL_SGD, "kind": kind, "steps": 20}
+        fields = {"kind": kind} if kind in runs.GF_KINDS else {**SMALL_SGD, "kind": kind, "steps": 20}
         path, _ = base_config(tmp_path, **fields)
         assert main(["run", path]) == EXIT_OK
         sidecar = json.loads((tmp_path / "runs" / f"{kind}_seed1.csv.json").read_text())
@@ -354,7 +352,7 @@ class TestRun:
         assert sorted(timing) == ["run_s", "sample_wait_s"][: 2 if kind == "sgd-stiefel" else 1]
         assert all(np.isfinite(v) and v >= 0.0 for v in timing.values())
         resolved = {"eta_resolved", "batch_resolved"} & set(sidecar["config"])
-        assert resolved == (set() if kind in cli.GF_KINDS else {"eta_resolved", "batch_resolved"})
+        assert resolved == (set() if kind in runs.GF_KINDS else {"eta_resolved", "batch_resolved"})
         assert sidecar["config_hash"] == config_hash(sidecar["config"])
 
     def test_sample_draw_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -393,6 +391,28 @@ class TestRun:
         path, _ = base_config(tmp_path, seeds=[1, 2, 3])
         assert main(["run", path]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback and exit 1
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(path)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and "cannot read config" in lines[0], out.err
+
+    def test_output_files_get_the_umask_mode(self, tmp_path):
+        # each file used to keep its temporary's mkstemp mode, 0600
+        path, _ = base_config(tmp_path)
+        csv, svg = tmp_path / "runs" / "gf-closed_seed1.csv", tmp_path / "runs" / "risk.svg"
+        old = os.umask(0o022)
+        try:
+            assert main(["run", path]) == EXIT_OK
+            assert main(["plot", str(csv), "-o", str(svg)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        for f in (csv, csv.with_name(csv.name + ".json"), svg):
+            assert f.stat().st_mode & 0o777 == 0o644, f
 
     def test_rk4_matches_closed_form_run(self, tmp_path):
         common = dict(d=48, r=4, r_s=3, alpha=1.0, horizon=20.0, steps=10, seeds=[2])
@@ -436,13 +456,13 @@ class TestRun:
         np.testing.assert_allclose(data.risk_normalized, risk, rtol=1e-12, atol=0)
         np.testing.assert_allclose(data.alignments, aligns, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("kind, name", [(kind, name) for name, (kinds, _) in cli._READ_BY.items()
-                                            for kind in cli.KINDS if kind not in kinds])
+    @pytest.mark.parametrize("kind, name", [(kind, name) for name, (kinds, _) in runs._READ_BY.items()
+                                            for kind in runs.KINDS if kind not in kinds])
     def test_field_the_kind_does_not_read_exits_2(self, tmp_path, capsys, kind, name):
         # each used to run, and exit 0, as if the field were not there
         value = {"eta": 0.01, "horizon": 40.0, "grid": "linear", "batch": 2,
                  "record_every": 50, "record_points": 10}[name]
-        fields = {"kind": kind, **({} if kind in cli.GF_KINDS else {"horizon": None})}
+        fields = {"kind": kind, **({} if kind in runs.GF_KINDS else {"horizon": None})}
         path, cfg = base_config(tmp_path, **{**fields, name: value})
         assert main(["run", path]) == EXIT_USAGE
         out = capsys.readouterr()
@@ -450,7 +470,7 @@ class TestRun:
         assert out.out == "" and len(lines) == 1 and f"config field '{name}'" in lines[0], out.err
         assert f"{kind} kind does not read it" in lines[0]
         # the field's default is what the kind would use anyway: accepted
-        cli.RunConfig.from_dict({**cfg, name: cli._READ_BY[name][1]})
+        runs.RunConfig.from_dict({**cfg, name: runs._READ_BY[name][1]})
 
     @pytest.mark.parametrize("d, alpha", [
         (2, math.nextafter(0.5, 0.0)),
@@ -462,7 +482,7 @@ class TestRun:
     def test_scheduled_eta_is_finite_and_positive(self, d, alpha):
         # 0.5 / (d r^alpha) below the boundary, where r^alpha <= d^0.5, and
         # 0.5 / d above it: no r = d <= sys.maxsize leaves float64's range
-        eta = cli.RunConfig(kind="sgd-stiefel", d=d, r=d, r_s=1, alpha=alpha).resolved_eta()
+        eta = runs.RunConfig(kind="sgd-stiefel", d=d, r=d, r_s=1, alpha=alpha).resolved_eta()
         assert 0.0 < eta < math.inf
 
 

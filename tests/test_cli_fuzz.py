@@ -32,8 +32,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qns.cli import _HINTS, _LOWER, _READ_BY, _STRICT, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, KINDS, main
+from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from qns.model import PowerLawSpectrum
+from qns.runs import _HINTS, _LOWER, _READ_BY, _STRICT, KINDS
 
 # how far above its lower bound an integer field is drawn: small, fast runs
 # (steps reach past 1000, where the Stiefel loop checks its norm)
@@ -109,8 +110,7 @@ def csv_cells_finite(path):
 @settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(cfg=configs())
-def test_run_exit_code_contract(cfg, tmp_path, monkeypatch):
-    monkeypatch.delenv("QNS_SEED", raising=False)
+def test_run_exit_code_contract(cfg, tmp_path):
     run_dir = tmp_path / f"ex{next(EXAMPLE)}"
     run_dir.mkdir()
     if type(cfg["out_dir"]) is str:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qns.cli import RunConfig
+from qns.runs import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -21,7 +21,7 @@ from qns.flow import (
     weight_gram_diag,
     weight_risk_curve,
 )
-from qns import cli, flow
+from qns import flow, runs
 from qns.flow import _core, _factor_psd, _push_through, _reduce, _weight_core
 from qns.linalg import loewner_slack, rng_stream, sample_gaussian_mat
 from qns.model import PowerLawSpectrum
@@ -300,9 +300,9 @@ class TestRiskAccuracy:
         # the staircase demo falls to a risk of 3.6e-6 over its 400 points;
         # the trace form 1 - 2 c cross + c^2 ||G||^2 kept about 1e-10 of it
         path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "gf_staircase.json"
-        cfg = cli.RunConfig.from_dict(json.loads(path.read_text()))
-        _, params, w0 = cli._flow_start(cfg, cfg.seeds[0])
-        ts = cli._time_grid(cfg)
+        cfg = runs.RunConfig.from_dict(json.loads(path.read_text()))
+        _, params, w0 = runs._flow_start(cfg, cfg.seeds[0])
+        ts = runs._time_grid(cfg)
         risk = weight_risk_curve(w0, ts, params)
         ref = np.empty(len(ts), dtype=np.longdouble)
         for idx, dy in _weight_core(_reduce(w0, params.r), ts, params):
