@@ -45,7 +45,6 @@ from .riccati import (
     RiccatiBlocks,
     antisym_blocks,
     bounding_run,
-    bounding_step,
     closed_form_discrete_gram,
     euler_update,
     init_bounding,

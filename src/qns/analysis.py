@@ -49,9 +49,6 @@ class Transition:
 class TransitionReport:
     transitions: list[Transition]
 
-    def measured_times(self) -> list[float]:
-        return [t.measured for t in self.transitions if t.measured is not None]
-
 
 def _ols_loglog(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float, float]:
     n = len(lx)

@@ -4,16 +4,19 @@ Run configs are JSON files (runs have too many knobs for positional flags);
 ``-O key=value`` overrides individual fields, ``-O "seeds=[N]"`` the seed list.
 Each seed runs through :func:`qns.runs.run_seed`.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error (among them a config that is
-not a UTF-8 JSON object, sets a field its kind does not read, or needs more
-memory than is available, an ``out_dir`` that cannot be created, checked
-before any seed runs, a ``fit`` or ``plot`` input that is no trajectory CSV
-of finite cells, a ``plot --theory`` sidecar whose config gives no theory
-curve, and a ``plot -o`` path that cannot be written),
-3 numeric failure (divergence, a Stiefel student that left the manifold, a
+not a UTF-8 JSON object, sets a field its kind does not read, or sizes an
+array larger than numpy can describe, a command that needs more memory than
+is available, an ``out_dir`` that cannot be created, checked before any
+seed runs, a ``fit`` or ``plot`` input that is no trajectory CSV of finite
+cells, a ``plot --theory`` sidecar whose config gives no theory curve, and a
+``plot -o`` path that cannot be written), 3 numeric failure (divergence, a
+Stiefel student that left the manifold, in a run or a ``verify`` suite, a
 rank-deficient student, a closed-form horizon past float64's exp range, or
 non-finite records), 130 interrupted (Ctrl-C: one stderr line and no CSV for
-an unfinished seed).  Seeds run one after another (a batch-1 sgd-stiefel run
-adds its own sample producer thread).  No environment variable is read.
+an unfinished seed).  :func:`main` maps the typed numeric errors and
+``MemoryError`` of every command to exit 3 and 2 with one stderr line.
+Seeds run one after another (a batch-1 sgd-stiefel run adds its own sample
+producer thread).  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -70,15 +73,7 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot create out_dir {cfg.out_dir!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        paths = [run_seed(cfg, seed) for seed in cfg.seeds]
-    except (DivergenceError, FlowNumericsError, ManifoldError, NonFiniteRunError,
-            RankDeficientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except MemoryError:
-        print("error: the config needs more memory than is available", file=sys.stderr)
-        return EXIT_USAGE
+    paths = [run_seed(cfg, seed) for seed in cfg.seeds]
     for p in paths:
         print(p)
     return EXIT_OK
@@ -235,6 +230,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (DivergenceError, FlowNumericsError, ManifoldError, NonFiniteRunError,
+            RankDeficientError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except MemoryError:
+        print("error: the command needs more memory than is available", file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

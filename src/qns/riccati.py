@@ -23,16 +23,15 @@ The maps take stacks of matrices ``(..., r, r)`` and solve them with one
 LAPACK call, giving each matrix the floats of a 2-D call.  ``bounding_run``
 runs the noise-free sandwich as one loop: the step's constants are computed
 once, and each step solves the lower and upper iterates and the exact Gram
-iterate as one ``(3, r, r)`` stack, through the same private step kernel as
-``bounding_step(state)``, whose state carries every constant a step reads.
-``riccati_blocks`` broadcasts array-valued ``eta`` and ``t`` against a
-stack of spectra, so many trials are one call.
+iterate as one ``(3, r, r)`` stack.  ``riccati_blocks`` broadcasts
+array-valued ``eta`` and ``t`` against a stack of spectra, so many trials
+are one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "closed_form_discrete_gram",
     "default_kappa_d",
     "init_bounding",
-    "bounding_step",
     "bounding_run",
 ]
 
@@ -426,86 +424,6 @@ def init_bounding(
     )
 
 
-class _StepConstants(NamedTuple):
-    """What a harness step needs that no step changes, computed once."""
-
-    coef: float               # reference sequence: t' = t + coef (lam_lo t - quad lam t^2)
-    lam_lo_col: np.ndarray    # lam_lo[:, None]
-    quad_lam_col: np.ndarray  # quad * lam[:, None]
-    a: np.ndarray             # (2, 1, 1): resolvent weights of lower and upper
-    add: np.ndarray           # (2, r, r): diagonal drifts of lower and upper
-    eye: np.ndarray
-    lam: np.ndarray           # the exact iterate's monotone map: spectrum,
-    eta: float                # step, eta/2 and additive constant (eta/2) L
-    half_eta: float
-    drift: np.ndarray
-
-
-def _step_constants(state: BoundingState) -> _StepConstants:
-    kappa = state.kappa_d
-    ue = state.eta_eff
-    frob_sq = float(np.sum(state.lam**2))
-    # reference sequence: logistic-type recursion, stays diagonal from T0
-    coef = 2.0 * (1.0 - 2.0 * kappa) * ue
-    quad = (3.0 * kappa + 1.0) / (kappa * (1.0 - 2.0 * kappa))
-    a_lo = ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue)
-    a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
-    add_lo = a_lo * (
-        state.lam_lo**2 / (1.0 + 2.0 * kappa) ** 2
-        - _C_TILDE * ue * frob_sq * state.r_s * state.lam_lo
-    )
-    add_up = a_up * (
-        state.lam_up**2 / (1.0 - 2.0 * kappa) ** 2
-        + _C_TILDE * ue * frob_sq * state.r_s * state.lam_up
-    )
-    eye = np.eye(state.lam.size)
-    half_eta, drift = _monotone_drift(state.lam, state.eta_eff, eye)
-    return _StepConstants(
-        coef=coef,
-        lam_lo_col=state.lam_lo[:, None],
-        quad_lam_col=quad * state.lam[:, None],
-        a=np.array([a_lo, a_up])[:, None, None],
-        add=np.stack([np.diag(add_lo), np.diag(add_up)]),
-        eye=eye,
-        lam=state.lam,
-        eta=state.eta_eff,
-        half_eta=half_eta,
-        drift=drift,
-    )
-
-
-def _harness_step(c: _StepConstants, t_ref: np.ndarray, bounds: np.ndarray, g=None):
-    """Step the reference sequence, the ``(2, r, r)`` stack of lower and upper
-    V iterates and, if given, the exact Gram iterate ``g``; one solve call.
-
-    The bounds take ``V' = V (I + a V)^{-1} + diag(add)``; ``g`` takes the
-    :func:`monotone_update` arithmetic with the harness's spectrum and step.
-    No input is validated.
-    """
-    t_ref = t_ref + c.coef * (c.lam_lo_col * t_ref - c.quad_lam_col * (t_ref @ t_ref))
-    lhs = c.eye + c.a * bounds
-    rhs = bounds
-    if g is not None:
-        resolvent, mid = _monotone_system(g, c.lam, c.eta, c.eye)
-        lhs = np.concatenate([lhs, resolvent[None]])
-        rhs = np.concatenate([rhs, mid[None]])
-    solved = _solve_right(lhs, rhs)
-    if g is not None:
-        g = _monotone_finish(g, solved[2], c.half_eta, c.drift)
-    return _sym(t_ref), _sym(solved[:2] + c.add), g
-
-
-def bounding_step(state: BoundingState) -> BoundingState:
-    """Advance the reference sequence and both bounding recursions one
-    noise-free step; the state carries every constant the step reads."""
-    t_ref, (lower, upper), _ = _harness_step(
-        _step_constants(state), state.t_ref, np.stack([state.lower, state.upper])
-    )
-    return replace(
-        state, t_ref=t_ref, lower=lower, upper=upper, step=state.step + 1
-    )
-
-
 def bounding_run(
     g0: np.ndarray,
     spectrum: PowerLawSpectrum,
@@ -515,18 +433,40 @@ def bounding_run(
 ) -> Iterator[tuple[int, BoundingState, np.ndarray]]:
     """Noise-free sandwich run: yield ``(k, state, g)`` at each step k in ``at``.
 
-    Starts from :func:`init_bounding` of ``g0`` and takes ``steps`` steps.  The
-    state is what k calls of :func:`bounding_step` give, and ``g`` is ``g0``
-    after k calls of :func:`monotone_update` with the harness's ``eta_eff``,
-    both to the last bit.  The step's constants are computed once, each step
-    solves lower, upper and ``g`` as one ``(3, r, r)`` stack, and nothing is
+    Starts from :func:`init_bounding` of ``g0`` and takes ``steps`` steps.  A
+    step takes the reference sequence through a logistic-type recursion (it
+    stays diagonal from ``T0``), the lower and upper V iterates through
+    ``V' = V (I + a V)^{-1} + diag(add)``, and ``g`` through the
+    :func:`monotone_update` arithmetic with the harness's spectrum and
+    ``eta_eff``, so ``g`` is ``g0`` after k calls of :func:`monotone_update`,
+    to the last bit.  The constants are computed once, each step solves
+    lower, upper and ``g`` as one ``(3, r, r)`` stack, and nothing is
     validated or built inside the loop except the yielded states.
     """
     state = init_bounding(g0, spectrum, cfg)
-    c = _step_constants(state)
+    kappa, ue, lam = state.kappa_d, state.eta_eff, state.lam
+    lam_lo, lam_up = state.lam_lo, state.lam_up
+    # reference sequence: t' = t + coef (lam_lo t - quad lam t^2)
+    coef = 2.0 * (1.0 - 2.0 * kappa) * ue
+    lo_col = lam_lo[:, None]
+    quad_lam = (3.0 * kappa + 1.0) / (kappa * (1.0 - 2.0 * kappa)) * lam[:, None]
+    # resolvent weights and diagonal drifts of lower and upper
+    a_lo = ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue)
+    a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
+    second = _C_TILDE * ue * float(np.sum(lam**2)) * state.r_s
+    add = np.stack([np.diag(a_lo * (lam_lo**2 / (1.0 + 2.0 * kappa) ** 2 - second * lam_lo)),
+                    np.diag(a_up * (lam_up**2 / (1.0 - 2.0 * kappa) ** 2 + second * lam_up))])
+    a = np.array([a_lo, a_up])[:, None, None]
+    eye = np.eye(lam.size)
+    half_eta, drift = _monotone_drift(lam, ue, eye)
     at = frozenset(at)
     t_ref, bounds, g = state.t_ref, np.stack([state.lower, state.upper]), check_symmetric(g0)
     for k in range(1, steps + 1):
-        t_ref, bounds, g = _harness_step(c, t_ref, bounds, g)
+        t_ref = _sym(t_ref + coef * (lo_col * t_ref - quad_lam * (t_ref @ t_ref)))
+        resolvent, mid = _monotone_system(g, lam, ue, eye)
+        solved = _solve_right(np.concatenate([eye + a * bounds, resolvent[None]]),
+                              np.concatenate([bounds, mid[None]]))
+        bounds = _sym(solved[:2] + add)
+        g = _monotone_finish(g, solved[2], half_eta, drift)
         if k in at:
             yield k, replace(state, t_ref=t_ref, lower=bounds[0], upper=bounds[1], step=k), g

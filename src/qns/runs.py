@@ -106,6 +106,17 @@ class RunConfig:
             fail("tracked_j", f"indices must lie in 1..r = 1..{self.r}, got {self.tracked_j}")
         if self.kind in GF_KINDS and (self.horizon is None or self.horizon / self.steps <= 0):
             fail("horizon", "gf kinds need a time horizon with horizon / steps > 0")
+        # numpy cannot describe a float64 array of more than sys.maxsize bytes
+        # and raises a ValueError for one; these are the arrays a run sizes
+        # (the time grid and the record steps are never longer than steps)
+        sizes = [("d", "the initial W (d * r_s)", self.d * self.r_s),
+                 ("steps", "the time grid or record steps", self.steps)]
+        if self.kind in SGD_KINDS:
+            sizes.append(("batch", "a sample block (batch * d)", self.resolved_batch() * self.d))
+        for name, what, n in sizes:
+            if n > sys.maxsize // 8:
+                fail(name, f"{what} would hold {n} floats, more than the "
+                           f"{sys.maxsize // 8} numpy can describe")
         if self.kind == "gf-rk4":
             spectrum = PowerLawSpectrum(r=self.r, alpha=self.alpha)
             n_sub = self.horizon / _rk4_dt(FlowParams.from_spectrum(spectrum, self.d, self.r_s))

@@ -4,10 +4,11 @@ Each suite returns a list of check dicts ``{name, passed, residual,
 tolerance, detail}``; residuals are the measured quantities so failures are
 diagnosable from the JSON alone.  Suites are deterministic given the seed.
 
-The arithmetic of each Riccati check lives once, in a kernel that takes
+The arithmetic of each check lives once, in a kernel that takes
 already-drawn inputs: :func:`block_identity_residuals`,
-:func:`closed_form_residual`, :func:`power_residual` and
-:func:`monotone_slacks`.  The suites and the acceptance criteria draw their
+:func:`closed_form_residual`, :func:`power_residual`,
+:func:`monotone_slacks`, :func:`decomposition_residual`, :func:`erm_gap` and
+:func:`bounding_slacks`.  The suites and the acceptance criteria draw their
 own trials and call the same kernels.
 """
 
@@ -41,7 +42,8 @@ from .finetune import (
 )
 
 __all__ = ["run_suite", "SUITES", "MIN_DIM", "block_identity_residuals", "closed_form_residual",
-           "power_residual", "monotone_slacks"]
+           "power_residual", "monotone_slacks", "decomposition_residual", "erm_gap",
+           "bounding_slacks"]
 
 
 # trials evaluated together by the stacked kernels: enough to amortise the
@@ -276,8 +278,10 @@ def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0) -> list[dic
     r1 = rng_stream(seed, 35)
     r2 = rng_stream(seed, 35)
     worst_diff = worst_ortho = worst_tan = 0.0
-    for _ in range(trials):
+    for k in range(1, trials + 1):
         sgd_step(s_fast, teacher, 0.05, r1, batch=1, mode="stiefel-online")
+        if k % 1000 == 0:  # run_training's dense cleanup: the rank-1 steps' rounding compounds
+            s_fast.w = inv_sqrt_gram(s_fast.w)
         x, y = draw_samples(teacher, 1, r2)
         g = stiefel_grad(s_dense, x, y)
         tan = np.abs(s_dense.w.T @ g + g.T @ s_dense.w).max()
@@ -293,20 +297,42 @@ def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0) -> list[dic
     ]
 
 
+def decomposition_residual(teacher: TeacherModel, pairs) -> float:
+    """Worst gap between the total of :func:`risk_decomposition` and the
+    direct normalized risk of ``W Omega``, over the ``(W, Omega)`` pairs that
+    ``pairs`` yields in draw order."""
+    worst = 0.0
+    for w, om in pairs:
+        total, _, _ = risk_decomposition(teacher, StudentState(w), om)
+        direct = population_risk(teacher, StudentState(w @ om), normalized=True)
+        worst = max(worst, abs(total - direct))
+    return worst
+
+
+def erm_gap(batch, iters: int) -> tuple[float, float, float]:
+    """Generalized-Pythagoras bound on the ERM oracle: ``(lhs, rhs, gap)`` with
+    ``lhs = ||S* - S_hat||`` between :func:`erm_minimize` after ``iters``
+    iterations and the projected estimate ``S_hat``, the operator gap ``gap``
+    of :func:`l_operator_gap`, and ``rhs = 2 gap / (1 - gap) ||S_hat||``; the
+    bound holds when ``lhs <= rhs``."""
+    s_star = erm_minimize(batch, iters)
+    s_hat = psd_project(s_glob_estimate(batch))
+    gap = l_operator_gap(batch)
+    lhs = float(np.linalg.norm(s_star - s_hat))
+    rhs = 2.0 * gap / max(1.0 - gap, 1e-9) * float(np.linalg.norm(s_hat))
+    return lhs, rhs, gap
+
+
 def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0) -> list[dict]:
     """Risk decomposition identity, operator self-adjointness, ERM gap."""
     rng = rng_stream(seed, 36)
     spec = PowerLawSpectrum(r=min(8, dim), alpha=1.0)
     teacher = TeacherModel(d=dim, spectrum=spec)
     r_s = 3
-    worst_id = 0.0
-    for _ in range(trials):
-        w = sample_stiefel(dim, r_s, rng)
-        om = rng.standard_normal((r_s, r_s))
-        total, _, _ = risk_decomposition(teacher, StudentState(w), om)
-        direct = population_risk(teacher, StudentState(w @ om), normalized=True)
-        worst_id = max(worst_id, abs(total - direct))
-    checks = [_check("risk_decomposition_identity", worst_id, 1e-10, trials=trials)]
+    pairs = ((sample_stiefel(dim, r_s, rng), rng.standard_normal((r_s, r_s)))
+             for _ in range(trials))
+    checks = [_check("risk_decomposition_identity", decomposition_residual(teacher, pairs), 1e-10,
+                     trials=trials)]
 
     w = sample_stiefel(dim, r_s, rng)
     student = StudentState(w)
@@ -322,15 +348,27 @@ def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0) -> list[dict]
         worst_sa = max(worst_sa, abs(lhs - rhs))
     checks.append(_check("operator_self_adjoint", worst_sa, 1e-10))
 
-    s_star = erm_minimize(batch, 600)
-    s_hat = psd_project(s_glob_estimate(batch))
-    gap = l_operator_gap(batch)
-    lhs = float(np.linalg.norm(s_star - s_hat))
-    rhs = 2.0 * gap / max(1.0 - gap, 1e-9) * float(np.linalg.norm(s_hat))
+    lhs, rhs, gap = erm_gap(batch, 600)
     checks.append(
         _check("erm_pythagoras_bound", max(lhs - rhs, 0.0), 1e-12, lhs=lhs, rhs=rhs, gap=gap)
     )
     return checks
+
+
+def bounding_slacks(
+    g0: np.ndarray, spectrum: PowerLawSpectrum, cfg: BoundingConfig, steps: int, at
+) -> tuple[float, float, bool]:
+    """``(worst_order, worst_sandwich, floor_ok)`` over the states that
+    :func:`bounding_run` yields at the steps in ``at``: the smallest order
+    slack, the smallest sandwich slack of the exact iterate, and whether the
+    reference floor held at every one of them."""
+    worst_order = worst_sand = np.inf
+    floor_ok = True
+    for _, state, g in bounding_run(g0, spectrum, cfg, steps, at):
+        worst_order = min(worst_order, state.order_slack())
+        worst_sand = min(worst_sand, state.sandwich_slack(g))
+        floor_ok &= state.floor_ok(cfg.d)
+    return worst_order, worst_sand, floor_ok
 
 
 def suite_bounds(dim: int = 8, steps: int = 10000, seed: int = 0) -> list[dict]:
@@ -342,13 +380,8 @@ def suite_bounds(dim: int = 8, steps: int = 10000, seed: int = 0) -> list[dict]:
     rng = rng_stream(seed, 37)
     z = rng.standard_normal((d, r_s)) / np.sqrt(d)
     g0 = z[:dim] @ z[:dim].T
-    worst_order = worst_sand = np.inf
-    floor_ok = True
     check_at = np.unique(np.geomspace(1, steps, 60).astype(int))
-    for _, state, g in bounding_run(g0, spec, cfg, steps, check_at):
-        worst_order = min(worst_order, state.order_slack())
-        worst_sand = min(worst_sand, state.sandwich_slack(g))
-        floor_ok &= state.floor_ok(d)
+    worst_order, worst_sand, floor_ok = bounding_slacks(g0, spec, cfg, steps, check_at)
     return [
         _check("gram_order_lower_vs_upper", max(-worst_order, 0.0), 1e-8, steps=steps),
         _check("exact_iterate_sandwiched", max(-worst_sand, 0.0), 1e-8, steps=steps),

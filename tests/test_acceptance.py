@@ -25,10 +25,18 @@ from qns.flow import (
 )
 from qns.linalg import inv_sqrt_gram, loewner_slack, rng_stream, sample_gaussian_mat, sample_stiefel
 from qns.model import PowerLawSpectrum, StudentState, TeacherModel, opt_risk, population_risk
-from qns.riccati import BoundingConfig, bounding_run, euler_update, monotone_update
+from qns.riccati import BoundingConfig, euler_update, monotone_update
 from qns.trainer import SgdConfig, run_training
-from qns.finetune import default_n_ft, finetune, risk_decomposition
-from qns.verify import block_identity_residuals, closed_form_residual, monotone_slacks, power_residual
+from qns.finetune import collect_batch, default_n_ft, finetune, risk_decomposition
+from qns.verify import (
+    block_identity_residuals,
+    bounding_slacks,
+    closed_form_residual,
+    decomposition_residual,
+    erm_gap,
+    monotone_slacks,
+    power_residual,
+)
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -291,26 +299,13 @@ def test_criterion_09_finetuning():
 
     # identity check on random (W, Omega)
     rng = rng_stream(9, 5)
-    worst_id = 0.0
-    for _ in range(5):
-        w2 = sample_stiefel(d, r_s, rng)
-        om = rng.standard_normal((r_s, r_s))
-        total, _, _ = risk_decomposition(teacher, StudentState(w2), om)
-        direct = population_risk(teacher, StudentState(w2 @ om), normalized=True)
-        worst_id = max(worst_id, abs(total - direct))
+    pairs = ((sample_stiefel(d, r_s, rng), rng.standard_normal((r_s, r_s))) for _ in range(5))
+    worst_id = decomposition_residual(teacher, pairs)
     ok_id = worst_id <= 1e-10
 
     # ERM oracle gap within the generalized-Pythagoras budget
-    from qns.finetune import collect_batch, erm_minimize, l_operator_gap, s_glob_estimate
-    from qns.linalg import psd_project
-
-    batch = collect_batch(teacher, StudentState(w), 4000, rng_stream(9, 6))
-    s_star = erm_minimize(batch, 800)
-    s_hat = psd_project(s_glob_estimate(batch))
-    gap = l_operator_gap(batch)
-    ok_erm = float(np.linalg.norm(s_star - s_hat)) <= 2 * gap / (1 - gap) * float(
-        np.linalg.norm(s_hat)
-    )
+    lhs, rhs, gap = erm_gap(collect_batch(teacher, StudentState(w), 4000, rng_stream(9, 6)), 800)
+    ok_erm = gap < 1 and lhs <= rhs
     report(
         9,
         "fine-tuning: risk bound, decomposition identity, ERM oracle gap",
@@ -347,12 +342,8 @@ def test_criterion_11_bounding_harness():
     cfg = BoundingConfig(d=d, r_s=r_s, eta=1e-4)
     z = rng_stream(11, 1).standard_normal((d, r_s)) / np.sqrt(d)
     g0 = z[:r] @ z[:r].T
-    worst_order = worst_sand = np.inf
-    floor_ok = True
-    for _, state, g in bounding_run(g0, spec, cfg, 10_000, range(250, 10_001, 250)):
-        worst_order = min(worst_order, state.order_slack())
-        worst_sand = min(worst_sand, state.sandwich_slack(g))
-        floor_ok &= state.floor_ok(d)
+    worst_order, worst_sand, floor_ok = bounding_slacks(g0, spec, cfg, 10_000,
+                                                        range(250, 10_001, 250))
     elapsed = time.perf_counter() - start
     report(
         11,

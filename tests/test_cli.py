@@ -16,7 +16,8 @@ import qns
 import qns.runs as runs
 import qns.trainer as trainer
 import qns.trajectory as trajectory
-from qns.cli import EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
+import qns.verify as verify
+from qns.cli import EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from qns.svgplot import line_chart
 from qns.trajectory import config_hash, read_trajectory
 
@@ -205,6 +206,16 @@ class TestRun:
             ({"RLIMIT_AS": 2**34, "steps": 2**40}, EXIT_USAGE, "more memory"),
             # batch only relabelled the compute column of a population run
             ({**SMALL_SGD, "kind": "gd-population", "batch": 5}, EXIT_USAGE, "config field 'batch'"),
+            # arrays of more than sys.maxsize bytes, which numpy cannot describe:
+            # each used to end in a "ValueError: array is too big" traceback
+            ({"d": 2**63 - 1}, EXIT_USAGE, "config field 'd'"),
+            ({"steps": 2**62}, EXIT_USAGE, "config field 'steps'"),
+            ({**SMALL_SGD, "kind": "gd-population", "steps": 2**62, "record_every": 1},
+             EXIT_USAGE, "config field 'steps'"),
+            ({**SMALL_SGD, "kind": "gd-population", "steps": 2**62, "record_points": 2**62},
+             EXIT_USAGE, "config field 'steps'"),
+            ({**SMALL_SGD, "kind": "sgd-euclidean", "batch": 2**62}, EXIT_USAGE,
+             "config field 'batch'"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -598,6 +609,25 @@ class TestVerifyCommand:
         out = capsys.readouterr()
         lines = out.err.strip().splitlines()
         assert out.out == "" and len(lines) == 1 and needle in lines[0], out.err
+
+    def test_retraction_many_trials_stays_on_the_manifold(self, capsys):
+        # without a 1000-trial cleanup the fast W drifted off the manifold,
+        # and this ended in a ManifoldError traceback
+        assert main(["verify", "retraction", "--trials", "10000", "--seed", "0"]) in (
+            EXIT_OK, EXIT_VERIFY)
+        out = capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(out.out)["checks"]}
+        assert out.err == "" and checks["orthonormal_after_steps"]["residual"] <= 1e-12
+
+    def test_suite_off_the_manifold_exits_3(self, monkeypatch, capsys):
+        def off_manifold(dim=64, trials=50, seed=0):
+            raise trainer.ManifoldError(1e-3, 7)
+
+        monkeypatch.setitem(verify.SUITES, "retraction", off_manifold)
+        assert main(["verify", "retraction"]) == EXIT_DIVERGED
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert out.out == "" and len(lines) == 1 and "not orthonormal at step 7" in lines[0]
 
 
 class TestPlotCommand:

@@ -10,7 +10,6 @@ from qns.riccati import (
     BoundingConfig,
     antisym_blocks,
     bounding_run,
-    bounding_step,
     closed_form_discrete_gram,
     default_kappa_d,
     euler_update,
@@ -338,12 +337,10 @@ class TestBoundingHarness:
         assert state.floor_ok(1000)
 
     def test_reference_nondecreasing_and_floored(self):
-        state = init_bounding(self.g0, self.spec, self.cfg)
-        prev = state.t_ref.copy()
-        for _ in range(2000):
-            state = bounding_step(state)
+        prev = init_bounding(self.g0, self.spec, self.cfg).t_ref
+        for _, state, _ in bounding_run(self.g0, self.spec, self.cfg, 2000, range(1, 2001)):
             assert loewner_slack(state.t_ref, prev) >= -1e-15
-            prev = state.t_ref.copy()
+            prev = state.t_ref
         assert state.floor_ok(1000)
 
     def test_reference_matches_scalar_logistic_bound(self):
@@ -356,8 +353,7 @@ class TestBoundingHarness:
         a = 2 * (1 - 2 * kappa) * ue * state.lam_lo
         u_star = state.lam_lo / (quad * self.spec.lambdas)
         u0 = np.diag(state.t_ref).copy()
-        for _ in range(5000):
-            state = bounding_step(state)
+        for _, state, _ in bounding_run(self.g0, self.spec, self.cfg, 5000, range(1, 5001)):
             diag = np.diag(state.t_ref)
             assert np.all(diag >= u0 - 1e-18)
             assert np.all(diag <= u_star * (1 + np.max(a) ** 2 / 4) + 1e-15)
@@ -368,23 +364,19 @@ class TestBoundingHarness:
             assert state.sandwich_slack(g) >= -1e-8
 
     def test_run_matches_step_loop(self):
-        # bounding_run's fused loop against bounding_step + monotone_update
-        state = init_bounding(self.g0, self.spec, self.cfg)
+        # bounding_run's exact iterate against a loop of monotone_update calls
+        eta = init_bounding(self.g0, self.spec, self.cfg).eta_eff
         g = self.g0.copy()
         hand = {}
         for k in range(1, 2001):
-            state = bounding_step(state)
-            g = monotone_update(g, self.spec.lambdas, state.eta_eff)
+            g = monotone_update(g, self.spec.lambdas, eta)
             if k in (1, 777, 2000):
-                hand[k] = (state, g)
+                hand[k] = g
         run = list(bounding_run(self.g0, self.spec, self.cfg, 2000, (1, 777, 2000)))
         assert [k for k, _, _ in run] == [1, 777, 2000]
         for k, fused, g_fused in run:
-            ref, g_ref = hand[k]
-            assert fused.step == ref.step == k
-            for name in ("t_ref", "lower", "upper"):
-                assert _bits(getattr(fused, name)) == _bits(getattr(ref, name)), (k, name)
-            assert _bits(g_fused) == _bits(g_ref), k
+            assert fused.step == k
+            assert _bits(g_fused) == _bits(hand[k]), k
 
     def test_step_size_guard(self):
         with pytest.raises(ValueError, match="step size too large"):
