@@ -25,8 +25,8 @@ curves = align_curves(f0 @ f0.T, taus * sc.t_eff, params)
 risk = weight_risk_curve(w0, taus * sc.t_eff, params)
 
 print("measured 0.5-crossings vs the predicted 1/lambda_j:")
-rep = extract_transitions(taus, curves[:, :5], [1, 2, 3, 4, 5], spec.lambdas, sc.kappa_eff)
-for tr in rep.transitions:
+transitions = extract_transitions(taus, curves[:, :5], [1, 2, 3, 4, 5], spec.lambdas, sc.kappa_eff)
+for tr in transitions:
     print(f"  j={tr.j}: measured {tr.measured:5.2f}  predicted {tr.predicted:4.1f} "
           f" (rel {tr.relative_error:+.2%})")
 

@@ -8,31 +8,31 @@ version of the tracking experiment (a minute or so).
 
 import numpy as np
 
-from qns import FlowParams, PowerLawSpectrum, TeacherModel, align_curves, effective_scales
+from qns import FlowParams, PowerLawSpectrum, align_curves, effective_scales
 from qns.linalg import rng_stream
 from qns.model import StudentState
-from qns.trainer import SgdConfig, run_training
+from qns.runs import RunConfig
+from qns.trainer import run_training
 
 d, r, r_s, alpha = 256, 4, 4, 1.0
 spec = PowerLawSpectrum(r=r, alpha=alpha)
-teacher = TeacherModel(d=d, spectrum=spec)
 eta = 0.1 / d
 sc = effective_scales(d, r_s, r, alpha)
 steps = int(3.0 * sc.t_eff / eta)
 
-cfg = SgdConfig(eta=eta, steps=steps, batch=1, mode="stiefel-online",
-                record_every=max(steps // 12, 1), seed=4, tracked_js=(1, 2, 4))
+cfg = RunConfig.from_dict(dict(kind="sgd-stiefel", d=d, r=r, r_s=r_s, alpha=alpha, eta=eta,
+                               steps=steps, batch=1, record_every=max(steps // 12, 1),
+                               tracked_j=[1, 2, 4]))
 print(f"running {steps} one-sample steps at eta = 0.1/d ...")
-res = run_training(teacher, cfg, r_s=r_s)
+res = run_training(cfg, 4)
 
 w0 = StudentState.stiefel_init(d, r_s, rng_stream(4, 1)).w
 params = FlowParams.from_spectrum(spec, d, r_s)
-ts = np.array([rec.step * eta for rec in res.records])
-gf = align_curves(w0[:r] @ w0[:r].T, ts, params)
+ts = res.steps * eta
+gf = align_curves(w0[:r] @ w0[:r].T, ts, params)[:, [0, 1, 3]]
 
 print(f"{'step':>8} {'eta*t':>7}   SGD (j=1,2,4)          flow (j=1,2,4)")
-for i, rec in enumerate(res.records):
-    print(f"{rec.step:8d} {ts[i]:7.2f}   {np.round(rec.alignments, 3)}   "
-          f"{np.round(gf[i, [0, 1, 3]], 3)}")
-gap = max(np.abs(rec.alignments - gf[i, [0, 1, 3]]).max() for i, rec in enumerate(res.records))
+for step, t, sgd, flow in zip(res.steps, ts, res.alignments, gf):
+    print(f"{step:8d} {t:7.2f}   {np.round(sgd, 3)}   {np.round(flow, 3)}")
+gap = np.abs(res.alignments - gf).max()
 print(f"\nlargest pointwise gap: {gap:.3f}")

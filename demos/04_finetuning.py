@@ -12,7 +12,8 @@ from qns import PowerLawSpectrum, TeacherModel, opt_risk, population_risk
 from qns.finetune import default_n_ft, finetune, risk_decomposition
 from qns.linalg import rng_stream
 from qns.model import StudentState
-from qns.trainer import SgdConfig, run_training
+from qns.runs import RunConfig
+from qns.trainer import run_training
 
 d, r, r_s, alpha = 128, 8, 4, 1.0
 spec = PowerLawSpectrum(r=r, alpha=alpha)
@@ -21,11 +22,11 @@ teacher = TeacherModel(d=d, spectrum=spec)
 eta = 0.1 / d
 steps = 120_000
 print(f"feature learning: {steps} Stiefel steps ...")
-cfg = SgdConfig(eta=eta, steps=steps, batch=1, mode="stiefel-online",
-                record_every=steps, seed=1, tracked_js=(1, 2, 4))
-res = run_training(teacher, cfg, r_s=r_s)
+cfg = RunConfig.from_dict(dict(kind="sgd-stiefel", d=d, r=r, r_s=r_s, alpha=alpha, eta=eta,
+                               steps=steps, batch=1, record_every=steps, tracked_j=[1, 2, 4]))
+res = run_training(cfg, 1)
 student = res.student
-print(f"  final alignments (j=1,2,4): {np.round(res.records[-1].alignments, 3)}")
+print(f"  final alignments (j=1,2,4): {np.round(res.alignments[-1], 3)}")
 print(f"  risk before fine-tuning:    {population_risk(teacher, student, normalized=True):.4f}")
 print("  (the Stiefel student cannot express the lambda_j amplitudes)")
 

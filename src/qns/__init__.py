@@ -1,6 +1,6 @@
 """Teacher-student quadratic networks: Gram flows, Stiefel SGD, scaling laws."""
 
-from .analysis import FitResult, TransitionReport, extract_transitions, fit_power_law
+from .analysis import FitResult, extract_transitions, fit_power_law
 from .finetune import FineTuneBatch, FineTuneResult, collect_batch, finetune, risk_decomposition
 from .flow import (
     EffectiveScales,
@@ -53,8 +53,6 @@ from .riccati import (
     v_update,
 )
 from .trainer import (
-    SgdConfig,
-    StepRecord,
     TrainResult,
     euclidean_grad,
     run_training,

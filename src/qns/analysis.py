@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "FitResult",
     "Transition",
-    "TransitionReport",
     "fit_power_law",
     "extract_transitions",
 ]
@@ -43,11 +42,6 @@ class Transition:
     @property
     def censored(self) -> bool:
         return self.measured is None
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    transitions: list[Transition]
 
 
 def _ols_loglog(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float, float]:
@@ -146,8 +140,9 @@ def extract_transitions(
     js: list[int],
     lambdas: np.ndarray,
     kappa_eff: float,
-) -> TransitionReport:
-    """Locate the 0.5-crossings of recorded alignment curves.
+) -> list[Transition]:
+    """Locate the 0.5-crossings of recorded alignment curves, one
+    :class:`Transition` per direction of ``js``.
 
     ``times_rescaled`` is the trajectory clock divided by kappa_eff * T_eff,
     so the predicted crossing of direction j sits at ``1/(lambda_j kappa_eff)``.
@@ -173,5 +168,5 @@ def extract_transitions(
             measured = t0 + (0.5 - y0) * (t1 - t0) / (y1 - y0)
         rel = None if measured is None else (measured - pred) / pred
         out.append(Transition(j=j, predicted=pred, measured=measured, relative_error=rel))
-    return TransitionReport(transitions=out)
+    return out
 

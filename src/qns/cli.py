@@ -5,11 +5,12 @@ Run configs are JSON files (runs have too many knobs for positional flags);
 Each seed runs through :func:`qns.runs.run_seed`.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error (among them a config that is
 not a UTF-8 JSON object, sets a field its kind does not read, or sizes an
-array larger than numpy can describe, a command that needs more memory than
-is available, an ``out_dir`` that cannot be created, checked before any
-seed runs, a ``fit`` or ``plot`` input that is no trajectory CSV of finite
-cells, a ``plot --theory`` sidecar whose config gives no theory curve, and a
-``plot -o`` path that cannot be written), 3 numeric failure (divergence, a
+array larger than numpy can describe, a ``verify`` size that would too, a
+command that needs more memory than is available, an ``out_dir`` that
+cannot be created, checked before any seed runs, a ``fit`` or ``plot``
+input that is no trajectory CSV of finite cells, a ``plot --theory``
+sidecar whose config gives no theory curve, and a ``plot -o`` path that
+cannot be written), 3 numeric failure (divergence, a
 Stiefel student that left the manifold, in a run or a ``verify`` suite, a
 rank-deficient student, a closed-form horizon past float64's exp range, or
 non-finite records), 130 interrupted (Ctrl-C: one stderr line and no CSV for
@@ -38,7 +39,7 @@ from .runs import ConfigError, NonFiniteRunError, RunConfig, run_seed
 from .svgplot import line_chart
 from .trainer import DivergenceError, ManifoldError
 from .trajectory import read_trajectory
-from .verify import MAX_DIM, MIN_DIM, SUITES, run_suite
+from .verify import ARRAY_FLOATS, MAX_DIM, MIN_DIM, SUITES, run_suite
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED, EXIT_INTERRUPTED = 0, 1, 2, 3, 130
 
@@ -142,6 +143,13 @@ def cmd_verify(args) -> int:
     # a size of 0 (or no --euler) leaves the suite's default
     kwargs = {name: getattr(args, name) for name in ("dim", "trials", "steps", "euler")
               if getattr(args, name)}
+    # numpy raises a ValueError for an array of more than sys.maxsize bytes
+    n = ARRAY_FLOATS[args.suite](**({k: v.default for k, v in reads.items()} | kwargs))
+    if n > sys.maxsize // 8:
+        flags = " with ".join(f"--{k} {kwargs[k]}" for k in ("dim", "trials") if k in kwargs)
+        print(f"error: {flags} would size an array of {n} floats for the {args.suite} suite, "
+              f"more than the {sys.maxsize // 8} numpy can describe", file=sys.stderr)
+        return EXIT_USAGE
     kwargs["seed"] = args.seed
     try:
         report = run_suite(args.suite, **kwargs)

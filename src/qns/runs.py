@@ -1,8 +1,12 @@
 """The run layer: :class:`RunConfig`, one validated experiment family (all
 seeds), and :func:`run_seed`, which runs one of its seeds and writes that
-seed's trajectory CSV and sidecar.  The command line and the tests run every
-seed through :func:`run_seed`; each error it raises survives pickling, so a
-seed may also run in another process.
+seed's trajectory CSV and sidecar.  The flow kinds run here; the stepped
+kinds run through :func:`qns.trainer.run_training`, which takes the same
+``RunConfig`` and returns its records as columns.  Every kind's time,
+compute and ``risk`` columns are worked out in one place, from those
+records.  The command line and the tests run every seed through
+:func:`run_seed`; each error it raises survives pickling, so a seed may also
+run in another process.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 from .flow import (FlowParams, _reduce, _rk4_dt, align_curves, effective_scales, integrate_rk4,
                    weight_risk_curve)
 from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
-from .model import PowerLawSpectrum, TeacherModel, _factor_risk
-from .trainer import SgdConfig, default_tracked_js, run_training, schedule_eta
+from .model import PowerLawSpectrum, _factor_risk
+from .trainer import default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, write_trajectory
 
 # gf-rk4 configs needing more RK4 sub-steps than this are refused: at the
@@ -195,13 +199,22 @@ def _flow_start(cfg: RunConfig, seed: int):
     return spectrum, params, w0
 
 
-def _trajectory(cfg: RunConfig, steps, time_raw, compute, risk_n, aligns, meta) -> TrajectoryData:
-    """One seed's trajectory; ``risk`` is ``risk_n / 8``."""
+def _trajectory(cfg: RunConfig, points, risk_n, aligns, meta) -> TrajectoryData:
+    """One seed's trajectory, the one place its time, compute and ``risk =
+    risk_n / 8`` are worked out.  A flow records at the times ``points`` of
+    its grid, numbered from 1, with compute ``t d r_s``; a stepped run after
+    the steps ``points``, at time ``step eta`` with compute ``step batch d
+    r_s``."""
+    if cfg.kind in GF_KINDS:
+        steps, time_raw, work = np.arange(1, len(points) + 1), points, points
+    else:
+        steps, time_raw = points, points * cfg.resolved_eta()
+        work = points.astype(float) * cfg.resolved_batch()
     sc = effective_scales(cfg.d, cfg.r_s, cfg.r, cfg.alpha)
     return TrajectoryData(
         steps=steps, time_raw=time_raw, time_rescaled=time_raw / (sc.kappa_eff * sc.t_eff),
-        compute=compute, risk=risk_n / 8.0, risk_normalized=risk_n, alignments=aligns,
-        tracked_js=cfg.resolved_tracked(), meta=meta,
+        compute=work * cfg.d * cfg.r_s, risk=risk_n / 8.0, risk_normalized=risk_n,
+        alignments=aligns, tracked_js=cfg.resolved_tracked(), meta=meta,
     )
 
 
@@ -212,8 +225,7 @@ def _run_gf_closed(cfg: RunConfig, seed: int) -> TrajectoryData:
     # stays alive while the curves run
     f0 = inv_sqrt_gram(w0)[: cfg.r].copy()
     aligns = align_curves(f0 @ f0.T, ts, params)[:, [j - 1 for j in cfg.resolved_tracked()]]
-    return _trajectory(cfg, np.arange(1, len(ts) + 1), ts, ts * cfg.d * cfg.r_s,
-                       weight_risk_curve(w0, ts, params), aligns, {"kind": cfg.kind})
+    return _trajectory(cfg, ts, weight_risk_curve(w0, ts, params), aligns, {"kind": cfg.kind})
 
 
 def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
@@ -234,46 +246,22 @@ def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
     for i, s in enumerate(integrate_rk4(s_rhs, s, ts, _rk4_dt(params))):
         risk_n[i] = _factor_risk(spectrum.lambdas, s)
         aligns[i] = np.sum(inv_sqrt_gram(s)[tracked] ** 2, axis=1)
-    return _trajectory(cfg, np.arange(1, len(ts) + 1), ts, ts * cfg.d * cfg.r_s, risk_n, aligns,
-                       {"kind": cfg.kind})
+    return _trajectory(cfg, ts, risk_n, aligns, {"kind": cfg.kind})
 
 
-def _run_discrete(cfg: RunConfig, seed: int) -> TrajectoryData:
-    teacher = TeacherModel(d=cfg.d, spectrum=PowerLawSpectrum(r=cfg.r, alpha=cfg.alpha))
-    eta = cfg.resolved_eta()
-    mode = {"gd-population": "euclidean-population", "sgd-stiefel": "stiefel-online",
-            "sgd-euclidean": "euclidean-online"}[cfg.kind]
-    sgd_cfg = SgdConfig(
-        eta=eta,
-        steps=cfg.steps,
-        batch=cfg.resolved_batch(),
-        mode=mode,
-        record_every=cfg.record_every,
-        record_points=cfg.record_points,
-        seed=seed,
-        tracked_js=tuple(cfg.resolved_tracked()),
-    )
-    result = run_training(teacher, sgd_cfg, r_s=cfg.r_s)
-    recs = result.records
+def _run_stepped(cfg: RunConfig, seed: int) -> TrajectoryData:
+    result = run_training(cfg, seed)
     meta = {"kind": cfg.kind, "samples_used": result.samples_used}
     # sidecar only: no CSV byte, no config_hash
     if result.ortho_drift is not None:
         meta["edges"] = {"ortho_drift": result.ortho_drift}
     if result.sample_wait_s is not None:
         meta["timing"] = {"sample_wait_s": result.sample_wait_s}
-    steps = np.array([rec.step for rec in recs])
-    return _trajectory(cfg, steps, steps * eta, np.array([rec.compute for rec in recs]),
-                       np.array([rec.risk_normalized for rec in recs]),
-                       np.array([rec.alignments for rec in recs]), meta)
+    return _trajectory(cfg, result.steps, result.risk_normalized, result.alignments, meta)
 
 
-_RUNNERS = {
-    "gf-closed": _run_gf_closed,
-    "gf-rk4": _run_gf_rk4,
-    "gd-population": _run_discrete,
-    "sgd-stiefel": _run_discrete,
-    "sgd-euclidean": _run_discrete,
-}
+_RUNNERS = {"gf-closed": _run_gf_closed, "gf-rk4": _run_gf_rk4,
+            **dict.fromkeys(STEPPED_KINDS, _run_stepped)}
 
 
 def _check_finite(data: TrajectoryData, seed: int) -> None:

@@ -1,30 +1,30 @@
 """Online SGD on the Stiefel manifold and population gradient descent.
 
-One-pass training: every step consumes fresh samples from the teacher.  The
-Stiefel mode keeps ``W.T W = I`` via the polar retraction
-``W <- Wt (Wt.T Wt)^{-1/2}``.  For a single-sample step the gradient is the
-rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation is rank
-one too, so the gradient step and its exact retraction fuse into one rank-1
-update ``W += u v.T``.  Over a segment of consecutive samples ``X`` these
-updates keep ``W = [W0, X.T] C``, so the segment kernel steps the small
+:func:`run_training` runs one seed of a stepped-kind ``RunConfig`` and returns
+its records as columns.  One-pass training: every step consumes fresh samples
+from the teacher.  The ``sgd-stiefel`` kind keeps ``W.T W = I`` via the polar
+retraction ``W <- Wt (Wt.T Wt)^{-1/2}``.  For a single-sample step the gradient
+is the rank-1 matrix ``c0 (I - W W.T) x (W.T x).T`` and the Gram perturbation
+is rank one too, so the gradient step and its exact retraction fuse into one
+rank-1 update ``W += u v.T``.  Over a segment of consecutive samples ``X``
+these updates keep ``W = [W0, X.T] C``, so the segment kernel steps the small
 matrix ``C`` against the sample rows of the Gram of ``[W0, X.T]`` and forms
-``W`` once, at the segment's end: no step touches a d-sized array.  The
-kernel works on the manifold: it reads ``|W v| = |v|`` and ``||W||_F^2 =
-r_s``, so every Stiefel entry point refuses a ``W`` with ``max|W.T W - I|``
-past 1e-8, and a run whose ``W`` drifts that far stops with
-:class:`ManifoldError` at its next 1000-step cleanup or its end.
-``run_training`` feeds the kernel 128-row sample blocks (the same stream as
-one draw per step) in segments of at most 32 rows that end early at a
-record step or a 1000-step cleanup.  One producer thread draws each block
-one block ahead, while the kernel steps through the block before it; it
-alone reads the sample stream, in the same order, so every draw is the one
-the serial loop would make.  ``sgd_step`` feeds the kernel its one row.
-The Euclidean population mode is plain constant-step gradient descent on
-the population risk; it acts on the rows of ``W`` off the teacher span only
-through the right factor ``I - c2 W.T W``, so it runs on the
-(r + min(d - r, r_s)) x r_s reduction ``S = [W[:r]; R]`` (``S.T S = W.T W``),
-which the records and the divergence guard read.  Both Euclidean modes stop
-on divergence.
+``W`` once, at the segment's end: no step touches a d-sized array.  The kernel
+works on the manifold: it reads ``|W v| = |v|`` and ``||W||_F^2 = r_s``, so
+every Stiefel entry point refuses a ``W`` with ``max|W.T W - I|`` past 1e-8,
+and a run whose ``W`` drifts that far stops with :class:`ManifoldError` at its
+next 1000-step cleanup or its end.  ``run_training`` feeds the kernel 128-row
+sample blocks (the same stream as one draw per step) in segments of at most 32
+rows that end early at a record step or a 1000-step cleanup.  One producer
+thread draws each block one block ahead, while the kernel steps through the
+block before it; it alone reads the sample stream, in the same order, so every
+draw is the one the serial loop would make.  ``sgd_step`` feeds the kernel its
+one row.  The ``gd-population`` kind is plain constant-step gradient descent
+on the population risk; it acts on the rows of ``W`` off the teacher span only
+through the right factor ``I - c2 W.T W``, so it runs on the (r + min(d - r,
+r_s)) x r_s reduction ``S = [W[:r]; R]`` (``S.T S = W.T W``), which the
+records and the divergence guard read.  Both Euclidean kinds stop on
+divergence.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from itertools import islice
 import math
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,9 +50,10 @@ from .model import (
     student_output,
 )
 
+if TYPE_CHECKING:  # runs imports this module: no import of it at run time
+    from .runs import RunConfig
+
 __all__ = [
-    "SgdConfig",
-    "StepRecord",
     "TrainResult",
     "DivergenceError",
     "ManifoldError",
@@ -62,8 +64,6 @@ __all__ = [
     "default_tracked_js",
     "run_training",
 ]
-
-MODES = ("stiefel-online", "euclidean-online", "euclidean-population")
 
 DIVERGENCE_NORM = 1e3
 ORTHO_TOL = 1e-8  # the most max|W.T W - I| a Stiefel W may carry
@@ -108,44 +108,16 @@ class ManifoldError(ValueError):
 
 
 @dataclass(frozen=True)
-class SgdConfig:
-    eta: float
-    steps: int
-    batch: int = 1
-    mode: str = "stiefel-online"
-    record_every: int | str = 1      # int cadence or "log" for log-spaced
-    record_points: int = 200          # number of records in "log" mode
-    seed: int = 0
-    tracked_js: tuple[int, ...] = (1,)
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    compute: float                   # step * batch * d * r_s flop proxy
-    risk: float
-    risk_normalized: float
-    alignments: np.ndarray           # one value per tracked j
-
-
-@dataclass(frozen=True)
 class TrainResult:
-    records: list[StepRecord]
+    """One seed's records as columns, row 0 the initialization."""
+
+    steps: np.ndarray
+    risk_normalized: np.ndarray  # the population risk, normalized
+    alignments: np.ndarray       # (records, tracked j): the alignment Gram's diagonal
     student: StudentState
     samples_used: int
-    config: SgdConfig
-    ortho_drift: float | None = None  # Stiefel: worst max|W.T W - I| seen
-    sample_wait_s: float | None = None  # fused Stiefel: seconds blocked on the producer
+    ortho_drift: float | None = None  # sgd-stiefel: worst max|W.T W - I| seen
+    sample_wait_s: float | None = None  # batch-1 sgd-stiefel: seconds blocked on the producer
 
 
 def euclidean_grad(
@@ -155,7 +127,7 @@ def euclidean_grad(
 
     This is the exact derivative of the instantaneous loss (checked against
     central finite differences).  The ``-I`` part is radial -- the Stiefel
-    projection annihilates it -- but it matters for the Euclidean modes.
+    projection annihilates it -- but it matters for the Euclidean kinds.
     Batches average the per-sample gradients.
     """
     x = np.asarray(x, dtype=float)
@@ -168,15 +140,11 @@ def euclidean_grad(
     return -grad / (4.0 * np.sqrt(student.r_s) * len(yb))
 
 
-def _ortho_error(w: np.ndarray) -> float:
-    return float(np.abs(w.T @ w - np.eye(w.shape[1])).max())
-
-
 def _on_manifold(w: np.ndarray, step: int | None = None) -> float:
     """``max|W.T W - I|``; raises :class:`ManifoldError` past ``ORTHO_TOL``.
     A non-finite error (a ``W`` that left float64) passes, for the divergence
     guard and the records check to report."""
-    err = _ortho_error(w)
+    err = float(np.abs(w.T @ w - np.eye(w.shape[1])).max())
     if ORTHO_TOL < err < math.inf:
         raise ManifoldError(err, step)
     return err
@@ -265,23 +233,23 @@ def sgd_step(
     eta: float,
     rng: np.random.Generator,
     batch: int = 1,
-    mode: str = "stiefel-online",
+    mode: str = "sgd-stiefel",
 ) -> int:
     """One online step on fresh samples; returns the number of samples used.
 
-    Stiefel mode: gradient step in the tangent space followed by the polar
+    ``sgd-stiefel``: gradient step in the tangent space followed by the polar
     retraction (the segment kernel on one row when batch == 1); a ``W`` off
     the manifold raises :class:`ManifoldError` before any sample is drawn.
-    Euclidean mode: plain gradient step, no constraint.
+    ``sgd-euclidean``: plain gradient step, no constraint.
     """
-    if mode == "stiefel-online" and batch == 1:  # stiefel_grad checks a batch
+    if mode == "sgd-stiefel" and batch == 1:  # stiefel_grad checks a batch
         _on_manifold(student.w)
     x, y = draw_samples(teacher, batch, rng)
-    if mode == "euclidean-online":
+    if mode == "sgd-euclidean":
         student.w = student.w - eta * euclidean_grad(student, x, y)
         return batch
-    if mode != "stiefel-online":
-        raise ValueError(f"sgd_step handles online modes, not {mode!r}")
+    if mode != "sgd-stiefel":
+        raise ValueError(f"sgd_step runs the sgd-stiefel and sgd-euclidean kinds, not {mode!r}")
     if batch == 1:
         student.w = _stiefel_segment(student.w, x, y.tolist(), eta)
         return 1
@@ -340,89 +308,78 @@ def default_tracked_js(r: int, r_eff: int | None = None) -> tuple[int, ...]:
     return tuple(sorted(set(js)))
 
 
-def _record_steps(cfg: SgdConfig) -> np.ndarray:
+def _record_steps(cfg: RunConfig) -> list[int]:
+    """The steps a run records after: ``record_points`` log-spaced ones, or
+    every ``record_every``-th and the last."""
     if cfg.record_every == "log":
-        pts = np.unique(
-            np.round(
-                np.geomspace(1, max(cfg.steps, 1), num=min(cfg.record_points, cfg.steps))
-            ).astype(int)
-        )
-        return pts
-    every = int(cfg.record_every)
-    if every < 1:
-        raise ValueError("record_every must be >= 1 or 'log'")
-    pts = np.arange(every, cfg.steps + 1, every)
-    if cfg.steps and (len(pts) == 0 or pts[-1] != cfg.steps):
-        pts = np.append(pts, cfg.steps)
-    return pts
-
-
-def _snapshot(
-    spectrum: PowerLawSpectrum, w: np.ndarray, cfg: SgdConfig, step: int, d: int
-) -> StepRecord:
-    """Risk and alignments of ``w``, d x r_s or its reduction ``S``, whose top
-    r rows are those of ``W`` and whose other rows have the same Gram: all
-    that :func:`model._factor_risk` reads of them."""
-    r = spectrum.r
-    risk_n = float(_factor_risk(spectrum.lambdas, w))
-    aligns = np.empty(0)
-    if cfg.tracked_js:
-        # W is orthonormal in the Stiefel mode, so the polar factor is W itself
-        f = (w if cfg.mode == "stiefel-online" else inv_sqrt_gram(w))[:r]
-        gram = f @ f.T
-        aligns = np.array([gram[j - 1, j - 1] for j in cfg.tracked_js])
-    return StepRecord(
-        step=step,
-        compute=float(step) * cfg.batch * d * w.shape[1],
-        risk=risk_n / 8.0,
-        risk_normalized=risk_n,
-        alignments=aligns,
-    )
-
-
-def run_training(
-    teacher: TeacherModel,
-    cfg: SgdConfig,
-    w0: np.ndarray | None = None,
-    r_s: int | None = None,
-) -> TrainResult:
-    """Train a fresh student and record the trajectory.
-
-    Deterministic given ``cfg.seed``: initialization and the sample stream
-    are drawn from separate substreams of the seed.  ``steps = 0`` records
-    just the initialization.  Single-sample Stiefel SGD runs the segment
-    kernel on at most 32 rows at a time, ending early at each record step and
-    cleanup, and writes each new ``W`` into one of two buffers in turn.  Its
-    128-row sample blocks are drawn one block ahead on one producer thread,
-    which alone reads the sample stream once it starts: the blocks, and so
-    every record, are those of a serial loop.  An error in a draw reaches the
-    caller unchanged, and the thread is shut down on every exit (a pending
-    draw cancelled, a running one waited for).  A Stiefel run refuses a
-    ``w0`` off the manifold, and raises :class:`ManifoldError` when its ``W``
-    drifts past ``ORTHO_TOL``, read at each 1000-step cleanup and at the end.
-    ``ortho_drift``: the worst ``max |W.T W - I|`` of a Stiefel run;
-    ``sample_wait_s``: the wall seconds a single-sample Stiefel run waited on
-    the producer.
-    """
-    if w0 is not None:
-        student = StudentState(w0)
-        if cfg.mode == "stiefel-online":
-            _on_manifold(student.w)
+        pts = np.geomspace(1, cfg.steps, num=min(cfg.record_points, cfg.steps))
+        pts = np.unique(np.round(pts).astype(int))
     else:
-        if r_s is None:
-            raise ValueError("need w0 or r_s")
-        if cfg.mode == "stiefel-online":
-            student = StudentState.stiefel_init(teacher.d, r_s, rng_stream(cfg.seed, 1))
-        else:
-            student = StudentState.gaussian_init(teacher.d, r_s, rng_stream(cfg.seed, 1))
-    record_at = [int(s) for s in _record_steps(cfg)]
-    if cfg.mode == "euclidean-population":
-        records = _run_population(teacher, student, cfg, set(record_at))
-        return TrainResult(records=records, student=student, samples_used=0, config=cfg)
-    rng = rng_stream(cfg.seed, 2)
-    spec = teacher.spectrum
-    records = [_snapshot(spec, student.w, cfg, 0, teacher.d)]
-    fused = cfg.mode == "stiefel-online" and cfg.batch == 1
+        pts = np.arange(cfg.record_every, cfg.steps + 1, cfg.record_every)
+        if len(pts) == 0 or pts[-1] != cfg.steps:
+            pts = np.append(pts, cfg.steps)
+    return [int(s) for s in pts]
+
+
+def _snapshot(lam: np.ndarray, w: np.ndarray, tracked: list[int],
+              polar: bool = True) -> tuple[float, np.ndarray]:
+    """Normalized risk and tracked alignments of ``w``, d x r_s or its
+    reduction ``S``, whose top r rows are those of ``W`` and whose other rows
+    have the same Gram: all that :func:`model._factor_risk` reads of them.
+    Without ``polar``, ``w`` is orthonormal and its own polar factor."""
+    risk_n = float(_factor_risk(lam, w))
+    if not tracked:
+        return risk_n, np.empty(0)
+    f = (inv_sqrt_gram(w) if polar else w)[: lam.size]
+    gram = f @ f.T
+    return risk_n, np.array([gram[j - 1, j - 1] for j in tracked])
+
+
+def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> TrainResult:
+    """Run seed ``seed`` of ``cfg``, a validated ``RunConfig`` of a stepped
+    kind, from a fresh student or from ``w0`` (d x r_s), and record it.
+
+    Deterministic given the seed: initialization and the sample stream are
+    drawn from separate substreams of it.  Single-sample Stiefel SGD runs
+    the segment kernel on at most 32 rows at a time, ending early at each
+    record step and cleanup, and writes each new ``W`` into one of two
+    buffers in turn.  Its 128-row sample blocks are drawn one block ahead on
+    one producer thread, which alone reads the sample stream once it starts:
+    the blocks, and so every record, are those of a serial loop.  An error
+    in a draw reaches the caller unchanged, and the thread is shut down on
+    every exit (a pending draw cancelled, a running one waited for).  A
+    Stiefel run refuses a ``w0`` off the manifold, and raises
+    :class:`ManifoldError` when its ``W`` drifts past ``ORTHO_TOL``, read at
+    each 1000-step cleanup and at the end.
+    """
+    stiefel = cfg.kind == "sgd-stiefel"
+    teacher = TeacherModel(d=cfg.d, spectrum=PowerLawSpectrum(r=cfg.r, alpha=cfg.alpha))
+    lam, eta, batch = teacher.spectrum.lambdas, cfg.resolved_eta(), cfg.resolved_batch()
+    tracked = cfg.resolved_tracked()
+    if w0 is not None:
+        if w0.shape != (cfg.d, cfg.r_s):
+            raise ValueError(f"w0 must be d x r_s = {cfg.d} x {cfg.r_s}, got {w0.shape}")
+        student = StudentState(w0)
+        if stiefel:
+            _on_manifold(student.w)
+    elif stiefel:
+        student = StudentState.stiefel_init(cfg.d, cfg.r_s, rng_stream(seed, 1))
+    else:
+        student = StudentState.gaussian_init(cfg.d, cfg.r_s, rng_stream(seed, 1))
+    record_at = _record_steps(cfg)
+    steps = np.array([0, *record_at])
+    if cfg.kind == "gd-population":
+        s, q = _reduce(student.w, cfg.r, with_q=True)  # W is rebuilt once, at the end
+        records, at = [_snapshot(lam, s, tracked)], set(record_at)
+        for step in range(1, cfg.steps + 1):
+            s = _population_gd_reduced(s, lam, teacher.spectrum.frob, eta, step)
+            if step in at:
+                records.append(_snapshot(lam, s, tracked))
+        student.w = _expand(s, q, cfg.r)
+        return TrainResult(steps, *map(np.array, zip(*records)), student, 0)
+    rng = rng_stream(seed, 2)
+    records = [_snapshot(lam, student.w, tracked, not stiefel)]
+    fused = stiefel and batch == 1
     stops = record_at + [cfg.steps + 1]
     samples, step, k, drift, wait = 0, 0, 0, 0.0, 0.0
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qns-draw") if fused else None
@@ -447,12 +404,12 @@ def run_training(
                     samples += len(ys)
                 n = min(_SEGMENT, len(ys) - i, 1000 - step % 1000, stops[k] - step)
                 out = bufs[1] if student.w is bufs[0] else bufs[0]
-                student.w = _stiefel_segment(student.w, xs[i : i + n], ys[i : i + n], cfg.eta, out)
+                student.w = _stiefel_segment(student.w, xs[i : i + n], ys[i : i + n], eta, out)
                 step += n
             else:
                 step += 1
-                samples += sgd_step(student, teacher, cfg.eta, rng, cfg.batch, cfg.mode)
-            if cfg.mode == "euclidean-online":
+                samples += sgd_step(student, teacher, eta, rng, batch, cfg.kind)
+            if not stiefel:
                 _check_norm(float(np.linalg.norm(student.w)), step)
             elif step % 1000 == 0:
                 # the rank-1 step is exact, but rounding in the orthonormality
@@ -464,26 +421,11 @@ def run_training(
                 drift = max(drift, _on_manifold(student.w, step))
                 student.w = inv_sqrt_gram(student.w)
             if step == stops[k]:
-                records.append(_snapshot(spec, student.w, cfg, step, teacher.d))
+                records.append(_snapshot(lam, student.w, tracked, not stiefel))
                 k += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    drift = max(drift, _on_manifold(student.w, step)) if cfg.mode == "stiefel-online" else None
-    return TrainResult(records, student, samples, cfg, drift, wait if fused else None)
-
-
-def _run_population(
-    teacher: TeacherModel, student: StudentState, cfg: SgdConfig, record_at: set[int]
-) -> list[StepRecord]:
-    """Population GD on the reduced factor ``S``; records come from S, whose
-    top r rows are those of ``W``, and ``W`` is rebuilt once, on return."""
-    s, q = _reduce(student.w, teacher.r, with_q=True)
-    spec = teacher.spectrum
-    records = [_snapshot(spec, s, cfg, 0, teacher.d)]
-    for step in range(1, cfg.steps + 1):
-        s = _population_gd_reduced(s, spec.lambdas, spec.frob, cfg.eta, step)
-        if step in record_at:
-            records.append(_snapshot(spec, s, cfg, step, teacher.d))
-    student.w = _expand(s, q, teacher.r)
-    return records
+    drift = max(drift, _on_manifold(student.w, step)) if stiefel else None
+    return TrainResult(steps, *map(np.array, zip(*records)), student, samples, drift,
+                       wait if fused else None)

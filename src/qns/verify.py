@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .linalg import inv_sqrt_gram, loewner_slack, rng_stream, sample_stiefel
-from .model import PowerLawSpectrum, StudentState, TeacherModel, population_risk
+from .model import PowerLawSpectrum, StudentState, TeacherModel, draw_samples, population_risk
 from .riccati import (
     BoundingConfig,
     antisym_blocks,
@@ -31,6 +31,7 @@ from .riccati import (
     riccati_blocks,
     v_update,
 )
+from .trainer import sgd_step, stiefel_grad
 from .finetune import (
     collect_batch,
     erm_minimize,
@@ -41,7 +42,8 @@ from .finetune import (
     s_glob_estimate,
 )
 
-__all__ = ["run_suite", "SUITES", "MIN_DIM", "block_identity_residuals", "closed_form_residual",
+__all__ = ["run_suite", "SUITES", "MIN_DIM", "ARRAY_FLOATS",
+           "block_identity_residuals", "closed_form_residual",
            "power_residual", "monotone_slacks", "decomposition_residual", "erm_gap",
            "bounding_slacks"]
 
@@ -265,21 +267,23 @@ def suite_monotone(
 
 
 def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0) -> list[dict]:
-    """Rank-1 fast retraction vs dense orthonormalization; tangency."""
-    from .trainer import sgd_step, stiefel_grad
-    from .model import draw_samples
+    """Rank-1 fast retraction vs dense orthonormalization; tangency.
 
+    Each trial compares one step: the dense ``W`` starts from a copy of the
+    fast one, and both take the same sample.  Two trajectories compared
+    step after step would measure how their rounding grows apart instead.
+    """
     rng = rng_stream(seed, 33)
     spec = PowerLawSpectrum(r=min(8, dim), alpha=1.0)
     teacher = TeacherModel(d=dim, spectrum=spec)
     r_s = 4
     s_fast = StudentState(sample_stiefel(dim, r_s, rng_stream(seed, 34)))
-    s_dense = StudentState(s_fast.w.copy())
     r1 = rng_stream(seed, 35)
     r2 = rng_stream(seed, 35)
     worst_diff = worst_ortho = worst_tan = 0.0
     for k in range(1, trials + 1):
-        sgd_step(s_fast, teacher, 0.05, r1, batch=1, mode="stiefel-online")
+        s_dense = StudentState(s_fast.w.copy())
+        sgd_step(s_fast, teacher, 0.05, r1, batch=1, mode="sgd-stiefel")
         if k % 1000 == 0:  # run_training's dense cleanup: the rank-1 steps' rounding compounds
             s_fast.w = inv_sqrt_gram(s_fast.w)
         x, y = draw_samples(teacher, 1, r2)
@@ -402,6 +406,16 @@ MIN_DIM = {"riccati": 1, "monotone": 2, "retraction": 4, "finetune": 3, "bounds"
 # above 54 its widened lower spectrum falls below the reference floor's
 # quadratic term, so the floor no longer holds (from 56 it is not positive)
 MAX_DIM = {"bounds": 54}
+# elements of the largest float64 array each suite sizes from --dim and --trials
+# (riccati's spectra and Gram, monotone's trial stacks, retraction's student,
+# finetune's 3000-sample batch)
+ARRAY_FLOATS = {
+    "riccati": lambda dim, trials, **_: max(dim, trials) * dim,
+    "monotone": lambda dim, trials, **_: min(trials, TRIAL_CHUNK) * dim * dim,
+    "retraction": lambda dim, **_: dim * 4,
+    "finetune": lambda dim, **_: 3000 * dim,
+    "bounds": lambda dim, **_: dim * dim,
+}
 
 SUITES = {
     "riccati": suite_riccati,

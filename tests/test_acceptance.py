@@ -26,8 +26,9 @@ from qns.flow import (
 from qns.linalg import inv_sqrt_gram, loewner_slack, rng_stream, sample_gaussian_mat, sample_stiefel
 from qns.model import PowerLawSpectrum, StudentState, TeacherModel, opt_risk, population_risk
 from qns.riccati import BoundingConfig, euler_update, monotone_update
-from qns.trainer import SgdConfig, run_training
 from qns.finetune import collect_batch, default_n_ft, finetune, risk_decomposition
+from qns.runs import RunConfig, run_seed
+from qns.trajectory import read_trajectory
 from qns.verify import (
     block_identity_residuals,
     bounding_slacks,
@@ -173,11 +174,11 @@ def test_criterion_06_gf_staircase():
     taus = np.geomspace(0.05, 25.0, 1600)
     j_max = int(np.floor(r_s * (1.0 - 1.0 / np.sqrt(np.log(d)))))
     curves = align_curves(f0 @ f0.T, taus * sc.t_eff, params)
-    rep = extract_transitions(
+    transitions = extract_transitions(
         taus, curves[:, :j_max], list(range(1, j_max + 1)), spec.lambdas, sc.kappa_eff
     )
-    cross_rel = [abs(t.relative_error) for t in rep.transitions]
-    ok_cross = all(t.measured is not None for t in rep.transitions) and max(cross_rel) <= 0.2
+    cross_rel = [abs(t.relative_error) for t in transitions]
+    ok_cross = all(t.measured is not None for t in transitions) and max(cross_rel) <= 0.2
 
     # decrement attributable to direction j: the drop of its diagonal risk
     # share (lambda_j - c0 Gw_jj)^2 across its own transition window
@@ -207,26 +208,28 @@ def test_criterion_06_gf_staircase():
     )
 
 
-def test_criterion_07_scaling_exponents():
-    """Population-GD compute scaling: alpha=1 and alpha=1.5 exponent bands."""
+def test_criterion_07_scaling_exponents(tmp_path):
+    """Population-GD compute scaling: alpha=1 and alpha=1.5 exponent bands.
+
+    Each width runs as a gd-population config through ``run_seed``, the path
+    ``qns run`` takes, and is read back from its CSV.
+    """
     start = time.perf_counter()
 
     def sweep(d, r, alpha, widths, k_cap, seed=2):
-        spec = PowerLawSpectrum(r=r, alpha=alpha)
-        teacher = TeacherModel(d=d, spectrum=spec)
-        eta = 0.5 / np.sqrt(r)
+        eta = float(0.5 / np.sqrt(r))
         exponents = []
         for r_s in widths:
             sc = effective_scales(d, r_s, r, alpha)
             horizon = sc.t_eff * min(r_s, k_cap) ** alpha * 1.2
-            cfg = SgdConfig(
-                eta=eta, steps=int(horizon / eta), batch=d, mode="euclidean-population",
-                record_every="log", record_points=240, seed=seed, tracked_js=(),
-            )
-            res = run_training(teacher, cfg, r_s=r_s)
-            comp = np.array([rec.compute for rec in res.records[1:]])
-            risk = np.array([rec.risk_normalized for rec in res.records[1:]])
-            exponents.append(fit_power_law(comp, risk).exponent)
+            cfg = RunConfig.from_dict({
+                "kind": "gd-population", "d": d, "r": r, "r_s": r_s, "alpha": alpha, "eta": eta,
+                "steps": int(horizon / eta), "seeds": [seed], "record_every": "log",
+                "record_points": 240, "tracked_j": [], "out_dir": str(tmp_path),
+                "tag": f"gd_d{d}_rs{r_s}",
+            })
+            data = read_trajectory(run_seed(cfg, seed))
+            exponents.append(fit_power_law(data.compute[1:], data.risk_normalized[1:]).exponent)
         return exponents
 
     exps_1 = sweep(d=1000, r=600, alpha=1.0, widths=(16, 32, 64, 128), k_cap=36)
@@ -244,8 +247,12 @@ def test_criterion_07_scaling_exponents():
     )
 
 
-def test_criterion_08_sgd_tracks_gf():
-    """Online Stiefel SGD stays within 0.05 of the flow outside transitions."""
+def test_criterion_08_sgd_tracks_gf(tmp_path):
+    """Online Stiefel SGD stays within 0.05 of the flow outside transitions.
+
+    The run goes through ``run_seed``, the path ``qns run`` takes, and is
+    read back from its CSV.
+    """
     start = time.perf_counter()
     d, r, alpha = 512, 8, 1.0
     # r_s and the seed are not pinned by the criterion; r_s=16 avoids the
@@ -253,24 +260,24 @@ def test_criterion_08_sgd_tracks_gf():
     # seed-to-seed spread at this size straddles the band)
     r_s, seed = 16, 4
     spec = PowerLawSpectrum(r=r, alpha=alpha)
-    teacher = TeacherModel(d=d, spectrum=spec)
     eta = 0.1 / d
     sc = effective_scales(d, r_s, r, alpha)
     steps = int(5.0 * sc.t_eff / eta)
-    cfg = SgdConfig(
-        eta=eta, steps=steps, batch=1, mode="stiefel-online",
-        record_every=max(steps // 300, 1), seed=seed, tracked_js=tuple(range(1, r + 1)),
-    )
-    res = run_training(teacher, cfg, r_s=r_s)
+    cfg = RunConfig.from_dict({
+        "kind": "sgd-stiefel", "d": d, "r": r, "r_s": r_s, "alpha": alpha, "eta": eta,
+        "steps": steps, "batch": 1, "seeds": [seed], "record_every": max(steps // 300, 1),
+        "tracked_j": list(range(1, r + 1)), "out_dir": str(tmp_path),
+    })
+    data = read_trajectory(run_seed(cfg, seed))
     w0 = StudentState.stiefel_init(d, r_s, rng_stream(seed, 1)).w
     params = FlowParams.from_spectrum(spec, d, r_s)
-    ts = np.array([rec.step * eta for rec in res.records])
+    ts = data.time_raw  # step * eta
     gf = align_curves(w0[:r] @ w0[:r].T, ts, params)
     taus = ts / sc.t_eff
     worst = 0.0
     for j in range(1, r + 1):
         mask = np.abs(taus - j) >= 0.1  # delta-exclusion around transitions
-        diffs = np.abs(np.array([rec.alignments[j - 1] for rec in res.records]) - gf[:, j - 1])
+        diffs = np.abs(data.alignments[:, j - 1] - gf[:, j - 1])
         worst = max(worst, float(diffs[mask].max()))
     elapsed = time.perf_counter() - start
     report(

@@ -77,8 +77,8 @@ class TestExtractTransitions:
         taus = np.linspace(0.01, 8.0, 4000)
         js = [1, 2, 3, 4]
         curves = step_curves(taus, js, sc, spec)
-        rep = extract_transitions(taus, curves, js, spec.lambdas, sc.kappa_eff)
-        for tr in rep.transitions:
+        transitions = extract_transitions(taus, curves, js, spec.lambdas, sc.kappa_eff)
+        for tr in transitions:
             assert tr.measured is not None
             assert abs(tr.relative_error) <= 2e-3  # grid resolution only
 
@@ -86,16 +86,16 @@ class TestExtractTransitions:
         spec = PowerLawSpectrum(r=4, alpha=1.0)
         taus = np.linspace(0.0, 5.0, 10)
         curves = np.zeros((10, 1))
-        rep = extract_transitions(taus, curves, [2], spec.lambdas, 1.0)
-        assert rep.transitions[0].predicted == pytest.approx(2.0)
+        transitions = extract_transitions(taus, curves, [2], spec.lambdas, 1.0)
+        assert transitions[0].predicted == pytest.approx(2.0)
 
     def test_censored_reported_not_extrapolated(self):
         spec = PowerLawSpectrum(r=2, alpha=1.0)
         taus = np.linspace(0.0, 1.0, 20)
         curves = np.column_stack([np.linspace(0, 0.4, 20)])  # never crosses 0.5
-        rep = extract_transitions(taus, curves, [1], spec.lambdas, 1.0)
-        assert rep.transitions[0].censored
-        assert rep.transitions[0].measured is None
+        transitions = extract_transitions(taus, curves, [1], spec.lambdas, 1.0)
+        assert transitions[0].censored
+        assert transitions[0].measured is None
 
     def test_ordering_matches_spectrum(self):
         spec = PowerLawSpectrum(r=3, alpha=0.8)
@@ -103,15 +103,15 @@ class TestExtractTransitions:
         taus = np.linspace(0.01, 6.0, 2000)
         js = [1, 2, 3]
         curves = step_curves(taus, js, sc, spec)
-        rep = extract_transitions(taus, curves, js, spec.lambdas, sc.kappa_eff)
-        times = [t.measured for t in rep.transitions if t.measured is not None]
+        transitions = extract_transitions(taus, curves, js, spec.lambdas, sc.kappa_eff)
+        times = [t.measured for t in transitions if t.measured is not None]
         assert times == sorted(times)
 
     def test_linear_interpolation(self):
         taus = np.array([0.0, 1.0, 2.0])
         curves = np.array([[0.0], [0.25], [0.75]])
-        rep = extract_transitions(taus, curves, [1], np.array([1.0]), 1.0)
-        assert rep.transitions[0].measured == pytest.approx(1.5)
+        transitions = extract_transitions(taus, curves, [1], np.array([1.0]), 1.0)
+        assert transitions[0].measured == pytest.approx(1.5)
 
 
 class TestCompareToLimit:

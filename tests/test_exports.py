@@ -1,8 +1,10 @@
 """Every name a module exports resolves, the package re-exports only names
-its modules export, and it depends on numpy and the standard library alone."""
+its modules export, every ``qns`` name a demo imports resolves, and the
+package depends on numpy and the standard library alone."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 import pkgutil
 import re
@@ -53,3 +55,20 @@ def test_package_depends_on_numpy_alone():
     with open(root / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]
+
+
+def test_demo_imports_resolve():
+    # the demos are not run here: each name they import from qns must exist
+    root = Path(__file__).resolve().parents[1]
+    demos = sorted((root / "demos").glob("*.py"))
+    missing = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qns":
+                if importlib.util.find_spec(node.module) is None:
+                    missing.append(f"{path.name}: {node.module}")
+                    continue
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert demos and missing == []

@@ -19,7 +19,7 @@ from qns.model import (
     student_output,
     teacher_output,
 )
-from qns.trainer import SgdConfig, _snapshot
+from qns.trainer import _snapshot
 
 
 class TestSpectrum:
@@ -175,12 +175,11 @@ class TestRiskKernel:
         w = np.vstack([top, 3e-7 * rng.standard_normal((d - r, r_s))]) @ rot
         ref = float(dense_risk_longdouble(spec.lambdas, w))
         assert 1e-13 < ref < 1e-11
-        cfg = SgdConfig(eta=0.1, steps=1, mode="euclidean-population", tracked_js=())
         risks = [
             population_risk(teacher, StudentState(w), normalized=True),
             8.0 * population_risk(teacher, StudentState(w)),
-            _snapshot(spec, _reduce(w, r), cfg, 0, d).risk_normalized,  # the gd-population record
-            _snapshot(spec, w, cfg, 0, d).risk_normalized,
+            _snapshot(spec.lambdas, _reduce(w, r), [])[0],  # the gd-population record
+            _snapshot(spec.lambdas, w, [])[0],
         ]
         np.testing.assert_allclose(risks, ref, rtol=1e-14, atol=0)
 

@@ -1,17 +1,44 @@
-"""The run layer in other processes: every error a seed can raise survives
-pickling, and a seed run in a spawned process writes the same CSV bytes as
-``qns run`` in-process."""
+"""The run layer: every kind's time, compute and risk columns, and seeds in
+other processes: every error a seed can raise survives pickling, and a seed
+run in a spawned process writes the same CSV bytes as ``qns run``
+in-process."""
 
 import json
 import multiprocessing
 import os
 import pickle
 
+import numpy as np
+import pytest
+
 from qns.cli import EXIT_OK, main
 from qns.flow import FlowNumericsError
 from qns.linalg import RankDeficientError
-from qns.runs import ConfigError, NonFiniteRunError, RunConfig, run_seed
+from qns.runs import GF_KINDS, KINDS, ConfigError, NonFiniteRunError, RunConfig, run_seed
 from qns.trainer import DivergenceError, ManifoldError
+from qns.trajectory import read_trajectory
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_time_compute_and_risk_columns(tmp_path, kind):
+    # a flow records at its grid times t, numbered from 1, with compute
+    # t d r_s; a stepped run after its record steps, at time step eta with
+    # compute step batch d r_s
+    d, r_s = 32, 2
+    fields = ({"horizon": 20.0, "steps": 10} if kind in GF_KINDS
+              else {"eta": 0.01, "steps": 30, "record_every": 7})
+    cfg = RunConfig.from_dict({"kind": kind, "d": d, "r": 4, "r_s": r_s, "alpha": 1.0,
+                               "seeds": [3], "out_dir": str(tmp_path), **fields})
+    data = read_trajectory(run_seed(cfg, 3))
+    if kind in GF_KINDS:
+        np.testing.assert_array_equal(data.steps, range(1, 11))
+        work = data.time_raw
+    else:
+        np.testing.assert_array_equal(data.steps, [0, 7, 14, 21, 28, 30])
+        np.testing.assert_array_equal(data.time_raw, data.steps * 0.01)
+        work = data.steps * float(cfg.resolved_batch())
+    np.testing.assert_array_equal(data.compute, work * d * r_s)
+    np.testing.assert_array_equal(data.risk, data.risk_normalized / 8.0)
 
 
 def test_run_errors_survive_pickling():

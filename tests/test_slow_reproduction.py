@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qns.analysis import fit_power_law
-from qns.model import PowerLawSpectrum, TeacherModel
-from qns.trainer import SgdConfig, run_training
+from qns.runs import RunConfig
+from qns.trainer import run_training
 
 
 @pytest.mark.slow
@@ -17,20 +17,18 @@ def test_euclidean_sgd_batch_d_power_law():
     exponent lands in [-1.3, -0.7].
     """
     d, r, r_s, alpha = 800, 600, 32, 1.0
-    spec = PowerLawSpectrum(r=r, alpha=alpha)
-    teacher = TeacherModel(d=d, spectrum=spec)
-    eta = 0.5 / np.sqrt(r)
+    eta = float(0.5 / np.sqrt(r))
     from qns.flow import effective_scales
 
     sc = effective_scales(d, r_s, r, alpha)
     steps = int(sc.t_eff * 24 * 1.2 / eta)
-    cfg = SgdConfig(
-        eta=eta, steps=steps, batch=d, mode="euclidean-online",
-        record_every="log", record_points=200, seed=1, tracked_js=(),
-    )
-    res = run_training(teacher, cfg, r_s=r_s)
-    comp = np.array([h.compute for h in res.records[1:]])
-    risk = np.array([h.risk_normalized for h in res.records[1:]])
-    fit = fit_power_law(comp, risk)
+    cfg = RunConfig.from_dict({
+        "kind": "sgd-euclidean", "d": d, "r": r, "r_s": r_s, "alpha": alpha, "eta": eta,
+        "steps": steps, "batch": d, "record_every": "log", "record_points": 200,
+        "tracked_j": [],
+    })
+    res = run_training(cfg, 1)
+    comp = res.steps[1:] * float(d * d * r_s)  # samples seen times d r_s
+    fit = fit_power_law(comp, res.risk_normalized[1:])
     print(f"euclidean batch-d SGD exponent: {fit.exponent:.3f} (r2={fit.r2:.4f})")
     assert -1.3 <= fit.exponent <= -0.7
