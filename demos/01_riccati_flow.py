@@ -12,7 +12,7 @@ solution.  Three things are worth seeing side by side:
 
 import numpy as np
 
-from qns import FlowParams, align_curves, closed_form_align_gram, gram_rhs_align, integrate_rk4
+from qns.flow import FlowParams, align_curves, closed_form_align_gram, gram_rhs_align, integrate_rk4
 from qns.linalg import inv_sqrt_gram, loewner_slack, rng_stream, sample_gaussian_mat
 
 rng = rng_stream(0, 0)

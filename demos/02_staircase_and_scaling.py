@@ -8,9 +8,10 @@ curve whose exponent is (1-2*alpha)/alpha.
 
 import numpy as np
 
-from qns import PowerLawSpectrum, effective_scales, FlowParams, weight_risk_curve, align_curves
 from qns.analysis import extract_transitions, fit_power_law
+from qns.flow import FlowParams, align_curves, effective_scales, weight_risk_curve
 from qns.linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
+from qns.model import PowerLawSpectrum
 from qns.svgplot import line_chart
 
 d, r, r_s, alpha = 4000, 8, 8, 1.0

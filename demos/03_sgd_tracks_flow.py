@@ -8,9 +8,9 @@ version of the tracking experiment (a minute or so).
 
 import numpy as np
 
-from qns import FlowParams, PowerLawSpectrum, align_curves, effective_scales
+from qns.flow import FlowParams, align_curves, effective_scales
 from qns.linalg import rng_stream
-from qns.model import StudentState
+from qns.model import PowerLawSpectrum, StudentState
 from qns.runs import RunConfig
 from qns.trainer import run_training
 

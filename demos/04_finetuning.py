@@ -8,10 +8,9 @@ covariate average onto the PSD cone and take its matrix square root.
 
 import numpy as np
 
-from qns import PowerLawSpectrum, TeacherModel, opt_risk, population_risk
 from qns.finetune import default_n_ft, finetune, risk_decomposition
 from qns.linalg import rng_stream
-from qns.model import StudentState
+from qns.model import PowerLawSpectrum, StudentState, TeacherModel, opt_risk, population_risk
 from qns.runs import RunConfig
 from qns.trainer import run_training
 

@@ -5,46 +5,40 @@ Run configs are JSON files (runs have too many knobs for positional flags);
 Each seed runs through :func:`qns.runs.run_seed`.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error (among them a config that is
 not a UTF-8 JSON object, sets a field its kind does not read, or sizes an
-array larger than numpy can describe, a ``verify`` size that would too, a
-command that needs more memory than is available, an ``out_dir`` that
-cannot be created, checked before any seed runs, a ``fit`` or ``plot``
-input that is no trajectory CSV of finite cells, a ``plot --theory``
-sidecar whose config gives no theory curve, and a ``plot -o`` path that
-cannot be written), 3 numeric failure (divergence, a
+array larger than numpy can describe, an unknown ``verify`` suite, a
+negative ``verify`` seed or size, a ``verify`` size past its cap, a command
+that needs more memory than is available, an ``out_dir`` that cannot be
+created, checked before any seed runs, a ``fit`` or ``plot`` input that is
+no trajectory CSV of finite cells, a ``plot --theory`` sidecar whose
+config gives no theory curve, and a ``plot -o`` path that cannot be
+written), 3 numeric failure (divergence, a
 Stiefel student that left the manifold, in a run or a ``verify`` suite, a
 rank-deficient student, a closed-form horizon past float64's exp range, or
 non-finite records), 130 interrupted (Ctrl-C: one stderr line and no CSV for
-an unfinished seed).  :func:`main` maps the typed numeric errors and
-``MemoryError`` of every command to exit 3 and 2 with one stderr line.
-Seeds run one after another (a batch-1 sgd-stiefel run adds its own sample
-producer thread).  No environment variable is read.
+an unfinished seed).  :func:`main` maps the typed numeric errors
+(:class:`qns.linalg.NumericError`) and ``MemoryError`` of every command to
+exit 3 and 2 with one stderr line.  Each command imports only the modules it
+runs.  Seeds run one after another (a batch-1 sgd-stiefel run adds its own
+sample producer thread).  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
-from .analysis import fit_power_law
-from .flow import FlowNumericsError, effective_scales, theory_risk_curve
-from .linalg import RankDeficientError
-from .model import PowerLawSpectrum
-from .runs import ConfigError, NonFiniteRunError, RunConfig, run_seed
-from .svgplot import line_chart
-from .trainer import DivergenceError, ManifoldError
-from .trajectory import read_trajectory
-from .verify import ARRAY_FLOATS, MAX_DIM, MIN_DIM, SUITES, run_suite
+from .linalg import NumericError
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED, EXIT_INTERRUPTED = 0, 1, 2, 3, 130
 
 
 def cmd_run(args) -> int:
+    from .runs import ConfigError, RunConfig, run_seed
+
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -82,6 +76,8 @@ def cmd_run(args) -> int:
 
 def _read_trajectories(paths: list[str]) -> list | None:
     """Each CSV's trajectory, or None after one stderr line on the first bad one."""
+    from .trajectory import read_trajectory
+
     try:
         return [read_trajectory(path) for path in paths]
     except (OSError, ValueError) as exc:  # each message names the file
@@ -90,6 +86,8 @@ def _read_trajectories(paths: list[str]) -> list | None:
 
 
 def cmd_fit(args) -> int:
+    from .analysis import fit_power_law
+
     datas = _read_trajectories(args.csv)
     if datas is None:
         return EXIT_USAGE
@@ -121,11 +119,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import inspect
+
+    from .verify import MAX_DIM, MAX_STEPS, MAX_TRIALS, MIN_DIM, SUITES, run_suite
+
+    if args.suite not in SUITES:
+        print(f"error: unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}",
+              file=sys.stderr)
+        return EXIT_USAGE
     for name in ("dim", "trials", "steps"):
         value = getattr(args, name)
         if value < 0:
             print(f"error: --{name} must be >= 0 (0 is the suite default), got {value}", file=sys.stderr)
             return EXIT_USAGE
+    if args.seed < 0:  # a negative entropy ends in a SeedSequence traceback
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     # each suite's signature is the one list of the sizes and modes it reads
     reads = inspect.signature(SUITES[args.suite]).parameters
     for name in ("trials", "steps", "euler"):
@@ -136,31 +145,22 @@ def cmd_verify(args) -> int:
         print(f"error: --dim must be >= {MIN_DIM[args.suite]} for the {args.suite} suite, "
               f"got {args.dim}", file=sys.stderr)
         return EXIT_USAGE
-    if args.dim > MAX_DIM.get(args.suite, args.dim):
-        print(f"error: --dim must be <= {MAX_DIM[args.suite]} for the {args.suite} suite, "
-              f"got {args.dim}", file=sys.stderr)
-        return EXIT_USAGE
+    for name, cap in (("dim", MAX_DIM[args.suite]), ("trials", MAX_TRIALS), ("steps", MAX_STEPS)):
+        if (value := getattr(args, name)) > cap:
+            print(f"error: --{name} must be <= {cap} for the {args.suite} suite, got {value}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     # a size of 0 (or no --euler) leaves the suite's default
     kwargs = {name: getattr(args, name) for name in ("dim", "trials", "steps", "euler")
               if getattr(args, name)}
-    # numpy raises a ValueError for an array of more than sys.maxsize bytes
-    n = ARRAY_FLOATS[args.suite](**({k: v.default for k, v in reads.items()} | kwargs))
-    if n > sys.maxsize // 8:
-        flags = " with ".join(f"--{k} {kwargs[k]}" for k in ("dim", "trials") if k in kwargs)
-        print(f"error: {flags} would size an array of {n} floats for the {args.suite} suite, "
-              f"more than the {sys.maxsize // 8} numpy can describe", file=sys.stderr)
-        return EXIT_USAGE
-    kwargs["seed"] = args.seed
-    try:
-        report = run_suite(args.suite, **kwargs)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_suite(args.suite, seed=args.seed, **kwargs)
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import line_chart
+
     datas = _read_trajectories(args.csv)
     if datas is None:
         return EXIT_USAGE
@@ -171,6 +171,12 @@ def cmd_plot(args) -> int:
         x = data.time_rescaled if args.x == "time" else data.compute
         series.append({"x": x, "y": data.risk_normalized, "label": os.path.basename(path)})
         if args.theory and i == theory_at:
+            from dataclasses import fields
+
+            from .flow import effective_scales, theory_risk_curve
+            from .model import PowerLawSpectrum
+            from .runs import ConfigError, RunConfig
+
             c = data.meta.get("config")
             try:  # a config qns run accepts, the keys it does not know (eta_resolved) aside
                 if type(c) is not dict:
@@ -216,7 +222,7 @@ def main(argv=None) -> int:
     p_fit.set_defaults(func=cmd_fit)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=sorted(SUITES))
+    p_ver.add_argument("suite", help="the suite to run (an unknown name lists them)")
     p_ver.add_argument("--dim", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=0)
     p_ver.add_argument("--steps", type=int, default=0)
@@ -238,8 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DivergenceError, FlowNumericsError, ManifoldError, NonFiniteRunError,
-            RankDeficientError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except MemoryError:

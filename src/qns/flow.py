@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_symmetric
+from .linalg import NumericError, check_symmetric
 from .model import PowerLawSpectrum, _factor_risk
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-class FlowNumericsError(RuntimeError):
+class FlowNumericsError(NumericError, RuntimeError):
     """A flow left float64: exp overflow in a closed form or a non-finite RK4 state."""
 
 

@@ -13,6 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "NumericError",
+    "RankDeficientError",
     "EigenPair",
     "check_symmetric",
     "sym_eigen",
@@ -28,7 +30,13 @@ __all__ = [
 SYM_TOL = 1e-12
 
 
-class RankDeficientError(np.linalg.LinAlgError):
+class NumericError(Exception):
+    """Base of the typed numeric failures: divergence, a Stiefel ``W`` off the
+    manifold, rank deficiency, a flow past float64's range and non-finite
+    records.  The command line maps each to exit 3."""
+
+
+class RankDeficientError(NumericError, np.linalg.LinAlgError):
     """Gram matrix is numerically singular; carries the offending eigenvalue."""
 
     def __init__(self, min_eig: float):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .flow import (FlowParams, _reduce, _rk4_dt, align_curves, effective_scales, integrate_rk4,
                    weight_risk_curve)
-from .linalg import inv_sqrt_gram, rng_stream, sample_gaussian_mat
+from .linalg import NumericError, inv_sqrt_gram, rng_stream, sample_gaussian_mat
 from .model import PowerLawSpectrum, _factor_risk
 from .trainer import default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, write_trajectory
@@ -36,7 +36,7 @@ class ConfigError(ValueError):
     pass
 
 
-class NonFiniteRunError(ArithmeticError):
+class NonFiniteRunError(NumericError, ArithmeticError):
     pass
 
 

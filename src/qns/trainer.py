@@ -30,7 +30,6 @@ divergence.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 import math
@@ -40,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .flow import _expand, _reduce
-from .linalg import inv_sqrt_gram, rng_stream
+from .linalg import NumericError, inv_sqrt_gram, rng_stream
 from .model import (
     PowerLawSpectrum,
     StudentState,
@@ -80,7 +79,7 @@ _DRAWS_AHEAD = 1  # sample blocks drawn ahead of the kernel, on one producer thr
 _NEAR_SPAN = 1e-3
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericError, RuntimeError):
     """Weight norm blew past the guard; carries the offending step."""
 
     def __init__(self, step: int, norm: float):
@@ -93,7 +92,7 @@ class DivergenceError(RuntimeError):
         return type(self), (self.step, self.norm)
 
 
-class ManifoldError(ValueError):
+class ManifoldError(NumericError, ValueError):
     """A Stiefel ``W`` off the manifold: ``max|W.T W - I|`` past ``ORTHO_TOL``,
     either given so or drifted there by the run's ``step``."""
 
@@ -382,9 +381,12 @@ def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> Tra
     fused = stiefel and batch == 1
     stops = record_at + [cfg.steps + 1]
     samples, step, k, drift, wait = 0, 0, 0, 0.0, 0.0
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qns-draw") if fused else None
+    pool = None
     try:
         if fused:
+            from concurrent.futures import ThreadPoolExecutor  # only this branch starts a thread
+
+            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qns-draw")
             # submitted lazily, in stream order, to the one producer thread
             blocks = (pool.submit(draw_samples, teacher, min(_SAMPLE_BLOCK, cfg.steps - s), rng)
                       for s in range(0, cfg.steps, _SAMPLE_BLOCK))

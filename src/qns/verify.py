@@ -42,7 +42,7 @@ from .finetune import (
     s_glob_estimate,
 )
 
-__all__ = ["run_suite", "SUITES", "MIN_DIM", "ARRAY_FLOATS",
+__all__ = ["run_suite", "SUITES", "MIN_DIM", "MAX_DIM", "MAX_TRIALS", "MAX_STEPS",
            "block_identity_residuals", "closed_form_residual",
            "power_residual", "monotone_slacks", "decomposition_residual", "erm_gap",
            "bounding_slacks"]
@@ -402,20 +402,15 @@ def suite_bounds(dim: int = 8, steps: int = 10000, seed: int = 0) -> list[dict]:
 # smallest --dim each suite can check: monotone draws sizes from 2..dim, and
 # retraction and finetune need dim >= their student widths (4 and 3)
 MIN_DIM = {"riccati": 1, "monotone": 2, "retraction": 4, "finetune": 3, "bounds": 1}
-# largest --dim: bounds fixes d = 1000 and eta = 1e-4, and for a teacher rank
-# above 54 its widened lower spectrum falls below the reference floor's
-# quadratic term, so the floor no longer holds (from 56 it is not positive)
-MAX_DIM = {"bounds": 54}
-# elements of the largest float64 array each suite sizes from --dim and --trials
-# (riccati's spectra and Gram, monotone's trial stacks, retraction's student,
-# finetune's 3000-sample batch)
-ARRAY_FLOATS = {
-    "riccati": lambda dim, trials, **_: max(dim, trials) * dim,
-    "monotone": lambda dim, trials, **_: min(trials, TRIAL_CHUNK) * dim * dim,
-    "retraction": lambda dim, **_: dim * 4,
-    "finetune": lambda dim, **_: 3000 * dim,
-    "bounds": lambda dim, **_: dim * dim,
-}
+# largest size each suite accepts: every cap bounds the suite's arrays to a
+# few hundred MB, and at every flag's cap a suite finishes in minutes on one
+# core (about 3 minutes for retraction at 10,000 x 100,000, the slowest).
+# bounds fixes d = 1000 and eta = 1e-4, and for a teacher rank above 54 its
+# widened lower spectrum falls below the reference floor's quadratic term,
+# so the floor no longer holds (from 56 it is not positive)
+MAX_DIM = {"riccati": 256, "monotone": 64, "retraction": 10_000, "finetune": 2_000, "bounds": 54}
+MAX_TRIALS = 100_000
+MAX_STEPS = 100_000
 
 SUITES = {
     "riccati": suite_riccati,

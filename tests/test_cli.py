@@ -613,6 +613,16 @@ class TestVerifyCommand:
             (["monotone", "--dim", str(2**62)], "--dim"),
             (["retraction", "--dim", str(2**62)], "--dim"),
             (["finetune", "--dim", str(2**62)], "--dim"),
+            # sizes that used to run without bound
+            (["monotone", "--trials", str(2**62)], "--trials must be <= 100000"),
+            (["monotone", "--trials", str(10**11)], "--trials must be <= 100000"),
+            (["finetune", "--trials", str(2**62)], "--trials must be <= 100000"),
+            (["retraction", "--trials", str(2**62)], "--trials must be <= 100000"),
+            (["bounds", "--steps", str(2**62)], "--steps must be <= 100000"),
+            # a negative seed used to end in a SeedSequence traceback
+            (["riccati", "--seed", "-1"], "--seed must be >= 0"),
+            # with argparse's choices this printed the usage and a second line
+            (["nosuch"], "choose from bounds, finetune, monotone, retraction, riccati"),
         ],
     )
     def test_refuses_sizes_it_cannot_check(self, argv, needle, capsys):

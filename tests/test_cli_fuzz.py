@@ -1,4 +1,5 @@
-"""Fuzz the exit-code contracts of ``qns run``, ``qns fit`` and ``qns plot``.
+"""Fuzz the exit-code contracts of ``qns run``, ``qns fit``, ``qns plot`` and
+``qns verify``.
 
 Configs are drawn from ``RunConfig``'s own annotations and lower bounds, at
 small sizes, for all five kinds; each holds only the fields its kind reads,
@@ -15,9 +16,17 @@ NaN or inf cell, a file of a single line, a row of the wrong width, random
 bytes, or a sidecar that is no JSON object (for ``plot --theory`` also one
 whose config gives no theory curve).  Each must exit 2 with one stderr line
 naming the file, and leave no SVG.
+
+Each ``qns verify`` command line sets every size flag (``--dim``,
+``--trials``, ``--steps``) to nothing, a small size, a negative one, or one
+past its cap up to 2**63 - 1, and ``--seed`` to a small seed, negative or
+not.  Each must end in 0-3, with one stderr line on a failure; a negative
+seed or size, or a size past its cap, exits 2 naming a flag (that one, or
+another the suite refuses), and its suite never starts.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -32,9 +41,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from qns.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from qns.model import PowerLawSpectrum
 from qns.runs import _HINTS, _LOWER, _READ_BY, _STRICT, KINDS
+from qns.verify import MAX_DIM, MAX_STEPS, MAX_TRIALS, SUITES
 
 # how far above its lower bound an integer field is drawn: small, fast runs
 # (steps reach past 1000, where the Stiefel loop checks its norm)
@@ -233,3 +243,56 @@ def test_fit_and_plot_refuse_malformed_input(argv, defect, data, tmp_path):
     assert len(lines) == 1 and str(path) in lines[0], err.getvalue()
     assert out.getvalue() == "" and not caught, [str(w.message) for w in caught]
     assert not svg.exists()
+
+
+# the largest small size drawn: every suite finishes within a second or so
+# at these, and at each default
+VERIFY_SMALL = {"dim": 12, "trials": 300, "steps": 300}
+
+
+@st.composite
+def verify_argvs(draw):
+    """A ``qns verify`` command line, and whether its seed or one of its sizes
+    is negative or a size is past its cap."""
+    suite = draw(st.sampled_from(sorted(SUITES)))
+    caps = {"dim": MAX_DIM[suite], "trials": MAX_TRIALS, "steps": MAX_STEPS}
+    seed = draw(st.integers(-3, 3))
+    argv, refused = ["verify", suite, "--seed", str(seed)], seed < 0
+    for flag, cap in caps.items():
+        size = draw(st.sampled_from(["none", "small", "negative", "past_cap"]))
+        if size != "none":
+            argv += [f"--{flag}", str(draw(
+                st.integers(0, VERIFY_SMALL[flag]) if size == "small" else
+                st.integers(-(2**63), -1) if size == "negative" else
+                st.integers(cap + 1, 2**63 - 1)))]
+        refused |= size in ("negative", "past_cap")
+    if draw(st.booleans()):
+        argv.append("--euler")
+    return argv, refused
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=verify_argvs())
+def test_verify_exit_code_contract(drawn, monkeypatch):
+    argv, refused = drawn
+    suite = argv[1]
+    if refused:  # a refused size must never start its suite
+        @functools.wraps(SUITES[suite])
+        def never(*args, **kwargs):
+            raise AssertionError(f"qns {' '.join(argv)} started its suite")
+
+        monkeypatch.setitem(SUITES, suite, never)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    monkeypatch.undo()
+    lines = err.getvalue().strip().splitlines()
+    assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_DIVERGED), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert len(lines) == (code in (EXIT_USAGE, EXIT_DIVERGED)), err.getvalue()
+    if refused:
+        assert code == EXIT_USAGE and out.getvalue() == ""
+        assert any(f"--{flag}" in lines[0] for flag in (*VERIFY_SMALL, "euler", "seed")), lines[0]

@@ -1,13 +1,16 @@
-"""Every name a module exports resolves, the package re-exports only names
-its modules export, every ``qns`` name a demo imports resolves, and the
-package depends on numpy and the standard library alone."""
+"""Every name a module exports resolves, every ``qns`` name a demo imports
+resolves, the package depends on numpy and the standard library alone, and
+each command loads only the modules it runs."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 from pathlib import Path
 import pkgutil
 import re
+import subprocess
 import sys
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 import qns
 
 MODULES = [m.name for m in pkgutil.iter_modules(qns.__path__)]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,17 +27,37 @@ def test_all_names_resolve(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_package_imports_only_exported_names():
-    with open(qns.__file__) as fh:
-        tree = ast.parse(fh.read())
-    stray = [
-        f"{node.module}.{alias.name}"
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-        if alias.name not in importlib.import_module(f"qns.{node.module}").__all__
-    ]
-    assert stray == []
+def loaded_after(code):
+    """The ``qns.*`` and ``concurrent.futures`` modules a fresh interpreter has
+    loaded after running ``code``."""
+    probe = (f"import sys\n{code}\nprint(sorted(m for m in sys.modules "
+             "if m.startswith('qns.') or m == 'concurrent.futures'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_package_import_loads_no_module():
+    assert loaded_after("import qns") == set()
+
+
+def test_run_loads_only_the_run_layer(tmp_path):
+    cfg = {"kind": "gd-population", "d": 16, "r": 4, "r_s": 2, "alpha": 1.0, "steps": 20,
+           "out_dir": str(tmp_path / "runs")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    loaded = loaded_after(f"import qns.cli\nassert qns.cli.main(['run', {str(path)!r}]) == 0")
+    assert "qns.runs" in loaded
+    assert loaded.isdisjoint({"qns.verify", "qns.riccati", "qns.finetune", "qns.analysis",
+                              "qns.svgplot", "concurrent.futures"})
+
+
+def test_verify_loads_no_plot_or_fit_module():
+    loaded = loaded_after("import qns.cli\n"
+                          "assert qns.cli.main(['verify', 'riccati', '--trials', '2']) == 0")
+    assert "qns.verify" in loaded
+    assert loaded.isdisjoint({"qns.svgplot", "qns.analysis", "concurrent.futures"})
 
 
 def test_package_depends_on_numpy_alone():
