@@ -69,18 +69,11 @@ def check_symmetric(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if m.ndim == 2:
-        mt = m.T
-        asym = np.abs(m - mt).max()
-        bad = asym > SYM_TOL * max(np.abs(m).max(), 1e-300)
-    else:
-        mt = m.swapaxes(-1, -2)
-        asyms = np.abs(m - mt).max(axis=(-2, -1))
-        flags = asyms > SYM_TOL * np.maximum(np.abs(m).max(axis=(-2, -1)), 1e-300)
-        bad = flags.any()
-        asym = asyms[flags][0] if bad else 0.0
-    if bad:
-        raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym:.3e}")
+    mt = m.swapaxes(-1, -2)
+    asyms = np.abs(m - mt).max(axis=(-2, -1))
+    flags = asyms > SYM_TOL * np.maximum(np.abs(m).max(axis=(-2, -1)), 1e-300)
+    if flags.any():
+        raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asyms[flags][0]:.3e}")
     return 0.5 * (m + mt)
 
 

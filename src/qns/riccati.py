@@ -15,22 +15,25 @@ has determinant 1, so its powers have an exact eigen closed form, evaluated
 in a scaled representation that cannot overflow;
 ``closed_form_discrete_gram(g0, lam, eta, t)`` maps t steps of the V
 recursion of the one spectrum ``lam`` back to G.  Spectra are vectors
-throughout, one per matrix of a stack.  A deterministic reference/bounding
-recursion harness built on the same map sandwiches iterates between
-decoupled systems.
+throughout, one per matrix of a stack.
 
 The maps take stacks of matrices ``(..., r, r)`` and solve them with one
-LAPACK call, giving each matrix the floats of a 2-D call.  ``bounding_run``
-runs the noise-free sandwich as one loop: the step's constants are computed
-once, and each step solves the lower and upper iterates and the exact Gram
-iterate as one ``(3, r, r)`` stack.  ``riccati_blocks`` broadcasts
-array-valued ``eta`` and ``t`` against a stack of spectra, so many trials
-are one call.
+LAPACK call, giving each matrix the floats of a 2-D call.
+``riccati_blocks`` broadcasts array-valued ``eta`` and ``t`` against a
+stack of spectra, so many trials are one call.
+
+The sandwich harness is one generator, ``bounding_run``.  It computes the
+harness's constants once (the floor constant, the widened spectra, the
+effective step and the starting brackets) and then yields plain arrays at
+the requested steps: the reference sequence's diagonal, the lower and upper
+bounding iterates in Gram coordinates, and the exact Gram iterate.  Each
+step solves the two bounding iterates and the exact iterate as one
+``(3, r, r)`` stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -41,7 +44,6 @@ from .model import PowerLawSpectrum
 __all__ = [
     "RiccatiBlocks",
     "BoundingConfig",
-    "BoundingState",
     "monotone_update",
     "euler_update",
     "v_update",
@@ -49,7 +51,6 @@ __all__ = [
     "antisym_blocks",
     "closed_form_discrete_gram",
     "default_kappa_d",
-    "init_bounding",
     "bounding_run",
 ]
 
@@ -323,150 +324,75 @@ class BoundingConfig:
     eta: float
 
 
-@dataclass(frozen=True)
-class BoundingState:
-    """Reference sequence plus lower/upper bounding iterates.
-
-    ``t_ref`` starts at ``(kappa_d r_s / d) I`` and never drops below it;
-    ``lower``/``upper`` evolve by resolvent steps with widened/narrowed
-    spectra so that noisy Gram iterates stay sandwiched between them.
-    """
-
-    t_ref: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    kappa_d: float
-    eta_eff: float
-    lam_lo: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    lam_up: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    lam: np.ndarray = field(repr=False, default=None)     # type: ignore[assignment]
-    r_s: int = 1
-    step: int = 0
-
-    def _gram_of(self, v: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        inv_sq = 1.0 / np.sqrt(self.lam)
-        g = (v + np.diag(offset)) * 0.5
-        return inv_sq[:, None] * g * inv_sq[None, :]
-
-    def lower_gram(self) -> np.ndarray:
-        """Lower bounding iterate mapped back to Gram coordinates."""
-        return self._gram_of(self.lower, self.lam_lo / (1.0 + 2.0 * self.kappa_d))
-
-    def upper_gram(self) -> np.ndarray:
-        """Upper bounding iterate mapped back to Gram coordinates."""
-        return self._gram_of(self.upper, self.lam_up / (1.0 - 2.0 * self.kappa_d))
-
-    def order_slack(self) -> float:
-        """Smallest eigenvalue of upper - lower, in Gram coordinates.
-
-        The raw V iterates live in different affine coordinates (their
-        offsets differ), so the bracket is only meaningful on the Grams.
-        """
-        return float(np.linalg.eigvalsh(self.upper_gram() - self.lower_gram())[0])
-
-    def sandwich_slack(self, g: np.ndarray) -> float:
-        """Margin of ``lower + T <= G <= upper - T`` for an exact iterate."""
-        lo = float(np.linalg.eigvalsh(g - self.lower_gram() - self.t_ref)[0])
-        hi = float(np.linalg.eigvalsh(self.upper_gram() - self.t_ref - g)[0])
-        return min(lo, hi)
-
-    def floor_ok(self, d: int) -> bool:
-        floor = self.kappa_d * self.r_s / d
-        return float(np.linalg.eigvalsh(self.t_ref)[0]) >= floor - 1e-12
-
-
-def _widened_spectra(spectrum: PowerLawSpectrum, cfg: BoundingConfig):
-    lam = spectrum.lambdas
-    shift = _C_DRIFT * spectrum.frob * cfg.eta * cfg.d / np.sqrt(cfg.r_s)
-    lam_lo = lam - shift
-    lam_up = lam + shift
-    if np.any(lam_lo <= 0):
-        raise ValueError(
-            "step size too large: widened lower spectrum is not positive "
-            f"(shift {shift:.3e} >= lambda_r {lam[-1]:.3e})"
-        )
-    return lam_lo, lam_up
-
-
-def init_bounding(
-    g0: np.ndarray, spectrum: PowerLawSpectrum, cfg: BoundingConfig
-) -> BoundingState:
-    """Build the harness state from an initial alignment Gram ``g0``.
-
-    The bounding iterates start from the tightest admissible brackets
-    ``G0 -/+ T0`` with ``T0 = (kappa_d r_s / d) I``.
-    """
-    g0 = check_symmetric(g0)
-    r = spectrum.r
-    if g0.shape[0] != r:
-        raise ValueError(f"Gram must be {r} x {r}")
-    kappa = default_kappa_d(cfg.d, r, spectrum.alpha)
-    lam_lo, lam_up = _widened_spectra(spectrum, cfg)
-    eta_eff = cfg.eta / (2.0 * np.sqrt(cfg.r_s) * spectrum.frob)
-    t0 = (kappa * cfg.r_s / cfg.d) * np.eye(r)
-    lam = spectrum.lambdas
-    g_lo = g0 - t0
-    g_up = g0 + t0
-    sq = np.sqrt(lam)
-    v_lo = 2.0 * (sq[:, None] * g_lo * sq[None, :]) - np.diag(lam_lo / (1.0 + 2.0 * kappa))
-    v_up = 2.0 * (sq[:, None] * g_up * sq[None, :]) - np.diag(lam_up / (1.0 - 2.0 * kappa))
-    return BoundingState(
-        t_ref=t0,
-        lower=0.5 * (v_lo + v_lo.T),
-        upper=0.5 * (v_up + v_up.T),
-        kappa_d=kappa,
-        eta_eff=float(eta_eff),
-        lam_lo=lam_lo,
-        lam_up=lam_up,
-        lam=lam.copy(),
-        r_s=cfg.r_s,
-        step=0,
-    )
-
-
 def bounding_run(
     g0: np.ndarray,
     spectrum: PowerLawSpectrum,
     cfg: BoundingConfig,
     steps: int,
     at,
-) -> Iterator[tuple[int, BoundingState, np.ndarray]]:
-    """Noise-free sandwich run: yield ``(k, state, g)`` at each step k in ``at``.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Noise-free sandwich run: yield ``(k, t_ref, lower, upper, g)`` at each
+    step k in ``at`` (``k = 0`` is the start).
 
-    Starts from :func:`init_bounding` of ``g0`` and takes ``steps`` steps.  A
-    step takes the reference sequence through a logistic-type recursion (it
-    stays diagonal from ``T0``), the lower and upper V iterates through
-    ``V' = V (I + a V)^{-1} + diag(add)``, and ``g`` through the
-    :func:`monotone_update` arithmetic with the harness's spectrum and
-    ``eta_eff``, so ``g`` is ``g0`` after k calls of :func:`monotone_update`,
-    to the last bit.  The constants are computed once, each step solves
-    lower, upper and ``g`` as one ``(3, r, r)`` stack, and nothing is
-    validated or built inside the loop except the yielded states.
+    ``t_ref`` is the diagonal of the reference sequence, which starts at
+    ``T0 = (kappa_d r_s / d) I`` with ``kappa_d`` of :func:`default_kappa_d`
+    and stays diagonal.  ``lower`` and ``upper`` are the bounding iterates in
+    Gram coordinates.  They start from the tightest admissible brackets
+    ``G0 -/+ T0`` and evolve as V iterates with the widened and narrowed
+    spectra ``lambda -/+ shift``, by ``V' = V (I + a V)^{-1} + diag(add)``.
+    ``g`` takes the :func:`monotone_update` arithmetic with the spectrum and
+    ``eta_eff = eta / (2 sqrt(r_s) ||lambda||)``, so it is ``g0`` after k
+    calls of :func:`monotone_update`, to the last bit.  A step size whose
+    widened lower spectrum is not positive raises ``ValueError``.  The
+    constants are computed once, and each step solves lower, upper and ``g``
+    as one ``(3, r, r)`` stack.
     """
-    state = init_bounding(g0, spectrum, cfg)
-    kappa, ue, lam = state.kappa_d, state.eta_eff, state.lam
-    lam_lo, lam_up = state.lam_lo, state.lam_up
-    # reference sequence: t' = t + coef (lam_lo t - quad lam t^2)
+    g0 = check_symmetric(g0)
+    lam = spectrum.lambdas
+    r = lam.size
+    if g0.shape[0] != r:
+        raise ValueError(f"Gram must be {r} x {r}")
+    kappa = default_kappa_d(cfg.d, r, spectrum.alpha)
+    shift = _C_DRIFT * spectrum.frob * cfg.eta * cfg.d / np.sqrt(cfg.r_s)
+    lam_lo, lam_up = lam - shift, lam + shift
+    if np.any(lam_lo <= 0):
+        raise ValueError(
+            "step size too large: widened lower spectrum is not positive "
+            f"(shift {shift:.3e} >= lambda_r {lam[-1]:.3e})"
+        )
+    ue = float(cfg.eta / (2.0 * np.sqrt(cfg.r_s) * spectrum.frob))
+    # reference sequence, per mode: t' = t + coef (lam_lo t - quad t^2)
+    t_ref = np.full(r, kappa * cfg.r_s / cfg.d)
     coef = 2.0 * (1.0 - 2.0 * kappa) * ue
-    lo_col = lam_lo[:, None]
-    quad_lam = (3.0 * kappa + 1.0) / (kappa * (1.0 - 2.0 * kappa)) * lam[:, None]
-    # resolvent weights and diagonal drifts of lower and upper
+    quad = (3.0 * kappa + 1.0) / (kappa * (1.0 - 2.0 * kappa)) * lam
+    # lower and upper V iterates: Gram offsets, resolvent weights and drifts
+    offset = np.stack([np.diag(lam_lo / (1.0 + 2.0 * kappa)),
+                       np.diag(lam_up / (1.0 - 2.0 * kappa))])
     a_lo = ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue)
     a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
-    second = _C_TILDE * ue * float(np.sum(lam**2)) * state.r_s
+    second = _C_TILDE * ue * spectrum.frob_sq * cfg.r_s
     add = np.stack([np.diag(a_lo * (lam_lo**2 / (1.0 + 2.0 * kappa) ** 2 - second * lam_lo)),
                     np.diag(a_up * (lam_up**2 / (1.0 - 2.0 * kappa) ** 2 + second * lam_up))])
     a = np.array([a_lo, a_up])[:, None, None]
-    eye = np.eye(lam.size)
+    sq = np.sqrt(lam)
+    inv_sq = 1.0 / sq
+    eye = np.eye(r)
     half_eta, drift = _monotone_drift(lam, ue, eye)
+    # each step solves the stacks lhs and rhs; rhs[:2] carries the lower and
+    # upper V iterates from one step to the next
+    lhs, rhs = np.empty((2, 3, r, r))
+    t0 = np.diag(t_ref)
+    rhs[:2] = _sym(2.0 * (sq[:, None] * np.stack([g0 - t0, g0 + t0]) * sq[None, :]) - offset)
     at = frozenset(at)
-    t_ref, bounds, g = state.t_ref, np.stack([state.lower, state.upper]), check_symmetric(g0)
-    for k in range(1, steps + 1):
-        t_ref = _sym(t_ref + coef * (lo_col * t_ref - quad_lam * (t_ref @ t_ref)))
-        resolvent, mid = _monotone_system(g, lam, ue, eye)
-        solved = _solve_right(np.concatenate([eye + a * bounds, resolvent[None]]),
-                              np.concatenate([bounds, mid[None]]))
-        bounds = _sym(solved[:2] + add)
-        g = _monotone_finish(g, solved[2], half_eta, drift)
+    g = g0
+    for k in range(steps + 1):
+        if k:
+            t_ref = t_ref + coef * (lam_lo * t_ref - quad * (t_ref * t_ref))
+            lhs[:2] = eye + a * rhs[:2]
+            lhs[2], rhs[2] = _monotone_system(g, lam, ue, eye)
+            solved = _solve_right(lhs, rhs)
+            rhs[:2] = _sym(solved[:2] + add)
+            g = _monotone_finish(g, solved[2], half_eta, drift)
         if k in at:
-            yield k, replace(state, t_ref=t_ref, lower=bounds[0], upper=bounds[1], step=k), g
+            lower, upper = inv_sq[:, None] * ((rhs[:2] + offset) * 0.5) * inv_sq[None, :]
+            yield k, t_ref, lower, upper, g

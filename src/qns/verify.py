@@ -362,17 +362,18 @@ def suite_finetune(dim: int = 64, trials: int = 10, seed: int = 0) -> list[dict]
 def bounding_slacks(
     g0: np.ndarray, spectrum: PowerLawSpectrum, cfg: BoundingConfig, steps: int, at
 ) -> tuple[float, float, bool]:
-    """``(worst_order, worst_sandwich, floor_ok)`` over the states that
-    :func:`bounding_run` yields at the steps in ``at``: the smallest order
-    slack, the smallest sandwich slack of the exact iterate, and whether the
-    reference floor held at every one of them."""
-    worst_order = worst_sand = np.inf
-    floor_ok = True
-    for _, state, g in bounding_run(g0, spectrum, cfg, steps, at):
-        worst_order = min(worst_order, state.order_slack())
-        worst_sand = min(worst_sand, state.sandwich_slack(g))
-        floor_ok &= state.floor_ok(cfg.d)
-    return worst_order, worst_sand, floor_ok
+    """``(worst_order, worst_sandwich, floor_ok)`` over the steps in ``at`` of
+    :func:`bounding_run`: the smallest eigenvalue of ``upper - lower``, the
+    smallest margin of ``lower + T <= g <= upper - T``, and whether the
+    reference ``T`` stayed at or above its floor ``kappa_d r_s / d``."""
+    floor = default_kappa_d(cfg.d, spectrum.r, spectrum.alpha) * cfg.r_s / cfg.d
+    worst_order = worst_sand = lowest_ref = np.inf
+    for _, t_ref, lower, upper, g in bounding_run(g0, spectrum, cfg, steps, at):
+        t = np.diag(t_ref)
+        order, *sand = np.linalg.eigvalsh(np.stack([upper - lower, g - lower - t, upper - t - g]))[:, 0]
+        worst_order, worst_sand = min(worst_order, order), min(worst_sand, *sand)
+        lowest_ref = min(lowest_ref, t_ref.min())
+    return float(worst_order), float(worst_sand), bool(lowest_ref >= floor - 1e-12)
 
 
 def suite_bounds(dim: int = 8, steps: int = 10000, seed: int = 0) -> list[dict]:

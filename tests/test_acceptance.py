@@ -7,6 +7,8 @@ is noted in the test body.
 """
 
 import json
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -208,33 +210,45 @@ def test_criterion_06_gf_staircase():
     )
 
 
-def test_criterion_07_scaling_exponents(tmp_path):
+def test_criterion_07_scaling_exponents(tmp_path, monkeypatch):
     """Population-GD compute scaling: alpha=1 and alpha=1.5 exponent bands.
 
     Each width runs as a gd-population config through ``run_seed``, the path
-    ``qns run`` takes, and is read back from its CSV.
+    ``qns run`` takes, and is read back from its CSV.  The seven runs go to a
+    spawn pool with one worker per usable core, largest first, and each
+    worker runs on one BLAS thread.
     """
     start = time.perf_counter()
-
-    def sweep(d, r, alpha, widths, k_cap, seed=2):
+    seed = 2
+    sweeps = {1.0: (1000, 600, (16, 32, 64, 128), 36), 1.5: (500, 300, (16, 32, 64), 20)}
+    cfgs = {}
+    for alpha, (d, r, widths, k_cap) in sweeps.items():
         eta = float(0.5 / np.sqrt(r))
-        exponents = []
         for r_s in widths:
             sc = effective_scales(d, r_s, r, alpha)
             horizon = sc.t_eff * min(r_s, k_cap) ** alpha * 1.2
-            cfg = RunConfig.from_dict({
+            cfgs[alpha, r_s] = RunConfig.from_dict({
                 "kind": "gd-population", "d": d, "r": r, "r_s": r_s, "alpha": alpha, "eta": eta,
                 "steps": int(horizon / eta), "seeds": [seed], "record_every": "log",
                 "record_points": 240, "tracked_j": [], "out_dir": str(tmp_path),
                 "tag": f"gd_d{d}_rs{r_s}",
             })
-            data = read_trajectory(run_seed(cfg, seed))
-            exponents.append(fit_power_law(data.compute[1:], data.risk_normalized[1:]).exponent)
-        return exponents
-
-    exps_1 = sweep(d=1000, r=600, alpha=1.0, widths=(16, 32, 64, 128), k_cap=36)
+    # a step costs about d r_s, so the largest run starts first
+    order = sorted(cfgs, key=lambda key: -cfgs[key].steps * cfgs[key].d * cfgs[key].r_s)
+    # spawned workers read the thread counts when they load numpy
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    workers = min(len(os.sched_getaffinity(0)), len(order))
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        paths = pool.starmap_async(run_seed, [(cfgs[key], seed) for key in order],
+                                   chunksize=1).get(timeout=600)
+    exponents = {}
+    for key, path in zip(order, paths):
+        data = read_trajectory(path)
+        exponents[key] = fit_power_law(data.compute[1:], data.risk_normalized[1:]).exponent
+    exps_1 = [exponents[1.0, r_s] for r_s in sweeps[1.0][2]]
     med_1 = float(np.median(exps_1))
-    exps_15 = sweep(d=500, r=300, alpha=1.5, widths=(16, 32, 64), k_cap=20)
+    exps_15 = [exponents[1.5, r_s] for r_s in sweeps[1.5][2]]
     med_15 = float(np.median(exps_15))
     elapsed = time.perf_counter() - start
     ok = -1.3 <= med_1 <= -0.8 and -1.7 <= med_15 <= -1.0 and elapsed < 600.0

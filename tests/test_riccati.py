@@ -13,12 +13,16 @@ from qns.riccati import (
     closed_form_discrete_gram,
     default_kappa_d,
     euler_update,
-    init_bounding,
     monotone_update,
     riccati_blocks,
     v_update,
 )
-from qns.verify import block_identity_residuals, closed_form_residual, power_residual
+from qns.verify import (
+    block_identity_residuals,
+    bounding_slacks,
+    closed_form_residual,
+    power_residual,
+)
 
 
 class TestMonotoneUpdate:
@@ -329,58 +333,72 @@ class TestBoundingHarness:
         rng = rng_stream(5, 40)
         z = rng.standard_normal((1000, 4)) / np.sqrt(1000)
         self.g0 = z[:6] @ z[:6].T
+        # the harness's constants, from their definitions: kappa_d, the
+        # effective step eta / (2 sqrt(r_s) ||lambda||) and the widened lower
+        # spectrum lambda - 2 ||lambda|| eta d / sqrt(r_s)
+        self.kappa = default_kappa_d(1000, 6, 0.25)
+        self.eta_eff = self.cfg.eta / (2.0 * np.sqrt(self.cfg.r_s) * self.spec.frob)
+        shift = 2.0 * self.spec.frob * self.cfg.eta * self.cfg.d / np.sqrt(self.cfg.r_s)
+        self.lam_lo = self.spec.lambdas - shift
+        self.floor = self.kappa * self.cfg.r_s / self.cfg.d
+
+    def run(self, steps, at):
+        return bounding_run(self.g0, self.spec, self.cfg, steps, at)
 
     def test_initial_reference_floor(self):
-        state = init_bounding(self.g0, self.spec, self.cfg)
-        kappa = default_kappa_d(1000, 6, 0.25)
-        np.testing.assert_allclose(state.t_ref, kappa * 4 / 1000 * np.eye(6))
-        assert state.floor_ok(1000)
+        [(k, t_ref, lower, upper, g)] = self.run(0, (0,))
+        assert k == 0
+        np.testing.assert_allclose(t_ref, np.full(6, self.floor))
+        np.testing.assert_array_equal(g, self.g0)
+        # the brackets start at G0 -/+ T0
+        np.testing.assert_allclose(lower, self.g0 - np.diag(t_ref), atol=1e-15)
+        np.testing.assert_allclose(upper, self.g0 + np.diag(t_ref), atol=1e-15)
+        assert bounding_slacks(self.g0, self.spec, self.cfg, 0, (0,))[2]
 
     def test_reference_nondecreasing_and_floored(self):
-        prev = init_bounding(self.g0, self.spec, self.cfg).t_ref
-        for _, state, _ in bounding_run(self.g0, self.spec, self.cfg, 2000, range(1, 2001)):
-            assert loewner_slack(state.t_ref, prev) >= -1e-15
-            prev = state.t_ref
-        assert state.floor_ok(1000)
+        prev = np.full(6, self.floor)
+        for _, t_ref, _, _, _ in self.run(2000, range(1, 2001)):
+            assert np.all(t_ref >= prev - 1e-15)
+            prev = t_ref
+        assert bounding_slacks(self.g0, self.spec, self.cfg, 2000, range(1, 2001))[2]
 
     def test_reference_matches_scalar_logistic_bound(self):
         # per mode the reference recursion is the logistic
         # u' = u + a u (1 - u / u_star); it stays in [u_0, u_star (1 + a^2/4)]
-        state = init_bounding(self.g0, self.spec, self.cfg)
-        kappa = state.kappa_d
-        ue = state.eta_eff
+        kappa = self.kappa
         quad = (3 * kappa + 1) / (kappa * (1 - 2 * kappa))
-        a = 2 * (1 - 2 * kappa) * ue * state.lam_lo
-        u_star = state.lam_lo / (quad * self.spec.lambdas)
-        u0 = np.diag(state.t_ref).copy()
-        for _, state, _ in bounding_run(self.g0, self.spec, self.cfg, 5000, range(1, 5001)):
-            diag = np.diag(state.t_ref)
-            assert np.all(diag >= u0 - 1e-18)
-            assert np.all(diag <= u_star * (1 + np.max(a) ** 2 / 4) + 1e-15)
+        a = 2 * (1 - 2 * kappa) * self.eta_eff * self.lam_lo
+        u_star = self.lam_lo / (quad * self.spec.lambdas)
+        u0 = np.full(6, self.floor)
+        for _, t_ref, _, _, _ in self.run(5000, range(1, 5001)):
+            assert np.all(t_ref >= u0 - 1e-18)
+            assert np.all(t_ref <= u_star * (1 + np.max(a) ** 2 / 4) + 1e-15)
 
     def test_noise_free_sandwich(self):
-        for _, state, g in bounding_run(self.g0, self.spec, self.cfg, 2000, range(1, 2000, 100)):
-            assert state.order_slack() >= -1e-8
-            assert state.sandwich_slack(g) >= -1e-8
+        for _, t_ref, lower, upper, g in self.run(2000, range(1, 2000, 100)):
+            t = np.diag(t_ref)
+            assert loewner_slack(upper, lower) >= -1e-8
+            assert loewner_slack(g, lower + t) >= -1e-8
+            assert loewner_slack(upper - t, g) >= -1e-8
+        order, sandwich, _ = bounding_slacks(self.g0, self.spec, self.cfg, 2000, range(1, 2000, 100))
+        assert order >= -1e-8 and sandwich >= -1e-8
 
     def test_run_matches_step_loop(self):
         # bounding_run's exact iterate against a loop of monotone_update calls
-        eta = init_bounding(self.g0, self.spec, self.cfg).eta_eff
         g = self.g0.copy()
         hand = {}
         for k in range(1, 2001):
-            g = monotone_update(g, self.spec.lambdas, eta)
+            g = monotone_update(g, self.spec.lambdas, self.eta_eff)
             if k in (1, 777, 2000):
                 hand[k] = g
-        run = list(bounding_run(self.g0, self.spec, self.cfg, 2000, (1, 777, 2000)))
-        assert [k for k, _, _ in run] == [1, 777, 2000]
-        for k, fused, g_fused in run:
-            assert fused.step == k
+        run = list(self.run(2000, (1, 777, 2000)))
+        assert [k for k, *_ in run] == [1, 777, 2000]
+        for k, *_, g_fused in run:
             assert _bits(g_fused) == _bits(hand[k]), k
 
     def test_step_size_guard(self):
         with pytest.raises(ValueError, match="step size too large"):
-            init_bounding(self.g0, self.spec, BoundingConfig(d=1000, r_s=4, eta=2e-3))
+            next(bounding_run(self.g0, self.spec, BoundingConfig(d=1000, r_s=4, eta=2e-3), 1, (1,)))
 
     def test_kappa_defaults(self):
         ld = np.log(1000)
