@@ -30,6 +30,9 @@ from .trajectory import TrajectoryData, write_trajectory
 # gf-rk4 configs needing more RK4 sub-steps than this are refused: at the
 # default step dt <= 0.01, a horizon of 1e7 would take about 1e9 of them
 MAX_RK4_SUBSTEPS = 1_000_000
+# configs of more steps (grid points of a flow) than this are refused: 23x
+# criterion 8's 438k SGD steps, and minutes of work at desk scale
+MAX_RUN_STEPS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -90,11 +93,15 @@ class RunConfig:
         for name, (kinds, default) in _READ_BY.items():
             if self.kind not in kinds and getattr(self, name) != default:
                 fail(name, f"the {self.kind} kind does not read it (only {', '.join(kinds)})")
+        if self.record_every != "log" and self.record_points != _READ_BY["record_points"][1]:
+            fail("record_points", f"record_every {self.record_every} does not read it, only \"log\" does")
         for name, lo in _LOWER.items():
             values = getattr(self, name)
             for value in values if type(values) is list else [values]:
                 if type(value) in (int, float) and (value <= lo if name in _STRICT else value < lo):
                     fail(name, f"must be {'>' if name in _STRICT else '>='} {lo}, got {value!r}")
+        if self.steps > MAX_RUN_STEPS:
+            fail("steps", f"must be <= {MAX_RUN_STEPS:,}, the cap on a run's work, got {self.steps}")
         if self.r > self.d:
             fail("r", f"must satisfy r <= d, got r={self.r}, d={self.d}")
         if self.r_s >= self.d:
@@ -112,9 +119,8 @@ class RunConfig:
             fail("horizon", "gf kinds need a time horizon with horizon / steps > 0")
         # numpy cannot describe a float64 array of more than sys.maxsize bytes
         # and raises a ValueError for one; these are the arrays a run sizes
-        # (the time grid and the record steps are never longer than steps)
-        sizes = [("d", "the initial W (d * r_s)", self.d * self.r_s),
-                 ("steps", "the time grid or record steps", self.steps)]
+        # that the steps cap leaves unbounded
+        sizes = [("d", "the initial W (d * r_s)", self.d * self.r_s)]
         if self.kind in SGD_KINDS:
             sizes.append(("batch", "a sample block (batch * d)", self.resolved_batch() * self.d))
         for name, what, n in sizes:
@@ -123,10 +129,12 @@ class RunConfig:
                            f"{sys.maxsize // 8} numpy can describe")
         if self.kind == "gf-rk4":
             spectrum = PowerLawSpectrum(r=self.r, alpha=self.alpha)
-            n_sub = self.horizon / _rk4_dt(FlowParams.from_spectrum(spectrum, self.d, self.r_s))
-            if n_sub > MAX_RK4_SUBSTEPS:
-                fail("horizon", f"gf-rk4 would take horizon / dt = {n_sub:.3g} RK4 sub-steps, "
-                                f"past the cap of {MAX_RK4_SUBSTEPS:.0e}")
+            # each grid gap takes max(ceil(gap / dt), 1) sub-steps
+            span = self.horizon / _rk4_dt(FlowParams.from_spectrum(spectrum, self.d, self.r_s))
+            if span + self.steps > MAX_RK4_SUBSTEPS:
+                fail("horizon" if span >= self.steps else "steps",
+                     f"gf-rk4 would take up to horizon / dt + steps = {span + self.steps:,.0f} "
+                     f"RK4 sub-steps, past the cap of {MAX_RK4_SUBSTEPS:,}")
 
     def resolved_eta(self) -> float:
         if self.eta is not None:

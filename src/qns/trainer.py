@@ -13,25 +13,21 @@ matrix ``C`` against the sample rows of the Gram of ``[W0, X.T]`` and forms
 works on the manifold: it reads ``|W v| = |v|`` and ``||W||_F^2 = r_s``, so
 every Stiefel entry point refuses a ``W`` with ``max|W.T W - I|`` past 1e-8,
 and a run whose ``W`` drifts that far stops with :class:`ManifoldError` at its
-next 1000-step cleanup or its end.  ``run_training`` feeds the kernel 128-row
-sample blocks (the same stream as one draw per step) in segments of at most 32
-rows that end early at a record step or a 1000-step cleanup.  One producer
-thread draws each block one block ahead, while the kernel steps through the
-block before it; it alone reads the sample stream, in the same order, so every
-draw is the one the serial loop would make.  ``sgd_step`` feeds the kernel its
-one row.  The ``gd-population`` kind is plain constant-step gradient descent
-on the population risk; it acts on the rows of ``W`` off the teacher span only
-through the right factor ``I - c2 W.T W``, so it runs on the (r + min(d - r,
-r_s)) x r_s reduction ``S = [W[:r]; R]`` (``S.T S = W.T W``), which the
-records and the divergence guard read.  Both Euclidean kinds stop on
-divergence.
+next 1000-step cleanup or its end.  Every SGD kind runs one loop: a producer
+thread alone reads the sample stream, in order, in blocks of about 128 rows
+(``batch`` rows a step) drawn one block ahead, and one update takes up to 32
+single-sample Stiefel steps through the kernel, or one step of another SGD
+kind; :func:`sgd_step` draws one batch and calls the same update.  The
+``gd-population`` kind is plain constant-step gradient descent on the
+population risk; it acts on the rows of ``W`` off the teacher span only through
+the right factor ``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x
+r_s reduction ``S = [W[:r]; R]`` (``S.T S = W.T W``), which the records and the
+divergence guard read.  Both Euclidean kinds stop on divergence.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 import math
 import time
 from typing import TYPE_CHECKING
@@ -67,13 +63,12 @@ __all__ = [
 DIVERGENCE_NORM = 1e3
 ORTHO_TOL = 1e-8  # the most max|W.T W - I| a Stiefel W may carry
 
-# rows per sample draw of the fused single-sample Stiefel loop: each block is
-# one hand-off between the producer thread and the kernel, so fewer blocks
-# mean fewer interpreter-lock switches; at d = 512 a block holds 0.5 MB, and
-# two are alive at once (1000 rows would add about 8 MB of peak memory)
+# rows per sample draw of the SGD loop (one batch, when a batch holds more):
+# each block is one hand-off between the producer thread and the steps, so
+# fewer blocks mean fewer interpreter-lock switches; at d = 512 a block holds
+# 0.5 MB, and two are alive at once (1000 rows would add about 8 MB of peak memory)
 _SAMPLE_BLOCK = 128
 _SEGMENT = 32  # most rows per segment-kernel call: 64 ran no faster, with more memory
-_DRAWS_AHEAD = 1  # sample blocks drawn ahead of the kernel, on one producer thread
 # below this share of |x|^2, |px|^2 = |x|^2 - |v|^2 cancels (x almost in
 # span W), so the kernel reads |px|^2 from the whole Gram instead
 _NEAR_SPAN = 1e-3
@@ -116,7 +111,7 @@ class TrainResult:
     student: StudentState
     samples_used: int
     ortho_drift: float | None = None  # sgd-stiefel: worst max|W.T W - I| seen
-    sample_wait_s: float | None = None  # batch-1 sgd-stiefel: seconds blocked on the producer
+    sample_wait_s: float | None = None  # SGD kinds: seconds blocked on the producer
 
 
 def euclidean_grad(
@@ -226,6 +221,19 @@ def _stiefel_segment(
     return out
 
 
+def _sgd_update(student: StudentState, xs: np.ndarray, ys: list[float], eta: float,
+                kind: str, batch: int, out: np.ndarray | None = None) -> None:
+    """The SGD steps of ``kind`` on the rows of ``xs``, ``batch`` rows a step:
+    the segment kernel at batch-1 ``sgd-stiefel`` (writing into ``out``),
+    else one Riemannian or plain gradient step."""
+    if kind == "sgd-euclidean":
+        student.w = student.w - eta * euclidean_grad(student, xs, ys)
+    elif batch == 1:
+        student.w = _stiefel_segment(student.w, xs, ys, eta, out)
+    else:
+        student.w = inv_sqrt_gram(student.w - eta * stiefel_grad(student, xs, ys))
+
+
 def sgd_step(
     student: StudentState,
     teacher: TeacherModel,
@@ -234,26 +242,16 @@ def sgd_step(
     batch: int = 1,
     mode: str = "sgd-stiefel",
 ) -> int:
-    """One online step on fresh samples; returns the number of samples used.
-
-    ``sgd-stiefel``: gradient step in the tangent space followed by the polar
-    retraction (the segment kernel on one row when batch == 1); a ``W`` off
-    the manifold raises :class:`ManifoldError` before any sample is drawn.
-    ``sgd-euclidean``: plain gradient step, no constraint.
+    """One online step of kind ``mode`` on ``batch`` fresh samples; returns
+    the number of samples used.  A Stiefel ``W`` off the manifold raises
+    :class:`ManifoldError` before any sample is drawn.
     """
-    if mode == "sgd-stiefel" and batch == 1:  # stiefel_grad checks a batch
+    if mode not in ("sgd-stiefel", "sgd-euclidean"):
+        raise ValueError(f"sgd_step runs the sgd-stiefel and sgd-euclidean kinds, not {mode!r}")
+    if mode == "sgd-stiefel":
         _on_manifold(student.w)
     x, y = draw_samples(teacher, batch, rng)
-    if mode == "sgd-euclidean":
-        student.w = student.w - eta * euclidean_grad(student, x, y)
-        return batch
-    if mode != "sgd-stiefel":
-        raise ValueError(f"sgd_step runs the sgd-stiefel and sgd-euclidean kinds, not {mode!r}")
-    if batch == 1:
-        student.w = _stiefel_segment(student.w, x, y.tolist(), eta)
-        return 1
-    g = stiefel_grad(student, x, y)
-    student.w = inv_sqrt_gram(student.w - eta * g)
+    _sgd_update(student, x, y.tolist(), eta, mode, batch)
     return batch
 
 
@@ -339,17 +337,18 @@ def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> Tra
     kind, from a fresh student or from ``w0`` (d x r_s), and record it.
 
     Deterministic given the seed: initialization and the sample stream are
-    drawn from separate substreams of it.  Single-sample Stiefel SGD runs
-    the segment kernel on at most 32 rows at a time, ending early at each
-    record step and cleanup, and writes each new ``W`` into one of two
-    buffers in turn.  Its 128-row sample blocks are drawn one block ahead on
+    drawn from separate substreams of it.  An SGD kind takes its samples in
+    blocks of ``max(128 // batch, 1)`` steps, each drawn one block ahead on
     one producer thread, which alone reads the sample stream once it starts:
-    the blocks, and so every record, are those of a serial loop.  An error
-    in a draw reaches the caller unchanged, and the thread is shut down on
-    every exit (a pending draw cancelled, a running one waited for).  A
-    Stiefel run refuses a ``w0`` off the manifold, and raises
-    :class:`ManifoldError` when its ``W`` drifts past ``ORTHO_TOL``, read at
-    each 1000-step cleanup and at the end.
+    the blocks, and so every record, are those of a step-by-step loop.  Each
+    update call takes one step, or up to 32 single-sample Stiefel steps
+    through the segment kernel, which writes each new ``W`` into one of two
+    buffers in turn; a call ends early at the block's end, at each record
+    step and at each 1000-step cleanup.  An error in a draw reaches the
+    caller unchanged, and the thread is shut down on every exit (a pending
+    draw cancelled, a running one waited for).  A Stiefel run refuses a
+    ``w0`` off the manifold, and raises :class:`ManifoldError` when its ``W``
+    drifts past ``ORTHO_TOL``, read at each 1000-step cleanup and at the end.
     """
     stiefel = cfg.kind == "sgd-stiefel"
     teacher = TeacherModel(d=cfg.d, spectrum=PowerLawSpectrum(r=cfg.r, alpha=cfg.alpha))
@@ -376,41 +375,35 @@ def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> Tra
                 records.append(_snapshot(lam, s, tracked))
         student.w = _expand(s, q, cfg.r)
         return TrainResult(steps, *map(np.array, zip(*records)), student, 0)
-    rng = rng_stream(seed, 2)
-    records = [_snapshot(lam, student.w, tracked, not stiefel)]
-    fused = stiefel and batch == 1
-    stops = record_at + [cfg.steps + 1]
-    samples, step, k, drift, wait = 0, 0, 0, 0.0, 0.0
-    pool = None
-    try:
-        if fused:
-            from concurrent.futures import ThreadPoolExecutor  # only this branch starts a thread
+    from concurrent.futures import ThreadPoolExecutor  # only the SGD kinds start a thread
 
-            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qns-draw")
-            # submitted lazily, in stream order, to the one producer thread
-            blocks = (pool.submit(draw_samples, teacher, min(_SAMPLE_BLOCK, cfg.steps - s), rng)
-                      for s in range(0, cfg.steps, _SAMPLE_BLOCK))
-            ahead = deque(islice(blocks, _DRAWS_AHEAD))
-            bufs = (np.empty_like(student.w), np.empty_like(student.w))
+    records = [_snapshot(lam, student.w, tracked, not stiefel)]
+    per_block = max(_SAMPLE_BLOCK // batch, 1)  # steps per sample block
+    per_call = _SEGMENT if stiefel and batch == 1 else 1  # most steps per update call
+    stops = record_at + [cfg.steps + 1]
+    step, k, drift, wait = 0, 0, 0.0, 0.0
+    bufs = (np.empty_like(student.w), np.empty_like(student.w))
+    rng, pool = rng_stream(seed, 2), ThreadPoolExecutor(1, thread_name_prefix="qns-draw")
+    # submitted lazily, in stream order, to the one producer thread
+    blocks = (pool.submit(draw_samples, teacher, min(per_block, cfg.steps - s) * batch, rng)
+              for s in range(0, cfg.steps, per_block))
+    try:
+        pending = next(blocks)
         while step < cfg.steps:
-            if fused:
-                # a block of n rows is the same stream as n one-row draws; a
-                # segment ends at the block's end, a cleanup or a record step
-                i = step % _SAMPLE_BLOCK
-                if i == 0:
-                    t = time.perf_counter()
-                    xs, ys = ahead.popleft().result()
-                    wait += time.perf_counter() - t
-                    ahead.extend(islice(blocks, 1))  # the next block, drawn while this one runs
-                    ys = ys.tolist()
-                    samples += len(ys)
-                n = min(_SEGMENT, len(ys) - i, 1000 - step % 1000, stops[k] - step)
-                out = bufs[1] if student.w is bufs[0] else bufs[0]
-                student.w = _stiefel_segment(student.w, xs[i : i + n], ys[i : i + n], eta, out)
-                step += n
-            else:
-                step += 1
-                samples += sgd_step(student, teacher, eta, rng, batch, cfg.kind)
+            # a block of n steps is the same stream as n one-step draws; a
+            # call ends at the block's end, a cleanup or a record step
+            i = step % per_block
+            if i == 0:
+                t = time.perf_counter()
+                xs, ys = pending.result()
+                wait += time.perf_counter() - t
+                ys = ys.tolist()
+                pending = next(blocks, None)  # the next block, drawn while this one runs
+            n = min(per_call, len(ys) // batch - i, 1000 - step % 1000, stops[k] - step)
+            out = bufs[1] if student.w is bufs[0] else bufs[0]
+            rows = slice(i * batch, (i + n) * batch)
+            _sgd_update(student, xs[rows], ys[rows], eta, cfg.kind, batch, out)
+            step += n
             if not stiefel:
                 _check_norm(float(np.linalg.norm(student.w)), step)
             elif step % 1000 == 0:
@@ -426,8 +419,6 @@ def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> Tra
                 records.append(_snapshot(lam, student.w, tracked, not stiefel))
                 k += 1
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     drift = max(drift, _on_manifold(student.w, step)) if stiefel else None
-    return TrainResult(steps, *map(np.array, zip(*records)), student, samples, drift,
-                       wait if fused else None)
+    return TrainResult(steps, *map(np.array, zip(*records)), student, cfg.steps * batch, drift, wait)

@@ -200,10 +200,11 @@ class TestRun:
               "steps": 1000}, EXIT_DIVERGED, "W is not orthonormal at step 1000"),
             # -O on a config that is not an object used to end in a TypeError traceback
             ({"CONFIG": [1], "-O": "steps=3"}, EXIT_USAGE, "must be a JSON object"),
-            # a 2**40-point time grid (8 TiB) used to end in a MemoryError
-            # traceback; the 16 GiB address-space limit makes the allocation
-            # fail whatever the host's overcommit policy
-            ({"RLIMIT_AS": 2**34, "steps": 2**40}, EXIT_USAGE, "more memory"),
+            # an initial W of 2**40 floats (8 TiB) fails to allocate: the
+            # 16 GiB address-space limit makes it fail whatever the host's
+            # overcommit policy (a 2**40-point time grid, which used to end in
+            # a MemoryError traceback, is now past the steps cap)
+            ({"RLIMIT_AS": 2**34, "d": 2**40, "r_s": 1}, EXIT_USAGE, "more memory"),
             # batch only relabelled the compute column of a population run
             ({**SMALL_SGD, "kind": "gd-population", "batch": 5}, EXIT_USAGE, "config field 'batch'"),
             # arrays of more than sys.maxsize bytes, which numpy cannot describe:
@@ -220,6 +221,20 @@ class TestRun:
             # kind of its own reaches it
             ({**SMALL_SGD, "steps": 0}, EXIT_USAGE, "config field 'steps'"),
             ({**SMALL_SGD, "kind": "online"}, EXIT_USAGE, "config field 'kind'"),
+            # record_points beside an integer record_every was never read
+            ({**SMALL_SGD, "record_every": 5, "record_points": 3}, EXIT_USAGE,
+             "config field 'record_points'"),
+            # the sub-step count used to read horizon / dt = 100 alone, and
+            # the run, at one sub-step per grid point, was still going after 10 s
+            ({"kind": "gf-rk4", "d": 16, "r": 4, "r_s": 2, "horizon": 1.0, "steps": 10**6},
+             EXIT_USAGE, "config field 'steps'"),
+            # each was still running after 8 s (2**31 steps) or 10 s (a
+            # gf-closed grid of 2**24 points); 2**62 used to be refused only
+            # where an array of steps floats was too big for numpy
+            *[({**SMALL_SGD, "kind": kind, "steps": steps,
+                **({"horizon": 40.0} if kind in runs.GF_KINDS else {})},
+               EXIT_USAGE, "config field 'steps'")
+              for kind in runs.KINDS for steps in (runs.MAX_RUN_STEPS + 1, 2**62)],
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -248,7 +263,8 @@ class TestRun:
     def interrupt_run(tmp_path, seeds):
         """SIGINT a ``qns run`` of ``seeds`` that never finish, 0.5 s into
         training: ``(stdout, stderr, seconds from the signal to the exit)``."""
-        path, _ = base_config(tmp_path, **{**SMALL_SGD, "d": 64, "steps": 10**8, "seeds": seeds})
+        path, _ = base_config(tmp_path, **{**SMALL_SGD, "d": 64, "steps": runs.MAX_RUN_STEPS,
+                                           "seeds": seeds})
         src = os.path.dirname(os.path.dirname(os.path.abspath(qns.__file__)))
         proc = subprocess.Popen([sys.executable, "-m", "qns.cli", "run", path], text=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -357,14 +373,15 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", runs.KINDS)
     def test_sidecar_timing_and_resolved_step(self, tmp_path, kind):
-        # every kind records its wall seconds; only a stepped kind resolves
-        # the step size and batch it runs with
+        # every kind records its wall seconds, and an SGD kind its waits on
+        # the sample producer; only a stepped kind resolves the step size and
+        # batch it runs with
         fields = {"kind": kind} if kind in runs.GF_KINDS else {**SMALL_SGD, "kind": kind, "steps": 20}
         path, _ = base_config(tmp_path, **fields)
         assert main(["run", path]) == EXIT_OK
         sidecar = json.loads((tmp_path / "runs" / f"{kind}_seed1.csv.json").read_text())
         timing = sidecar["timing"]
-        assert sorted(timing) == ["run_s", "sample_wait_s"][: 2 if kind == "sgd-stiefel" else 1]
+        assert sorted(timing) == ["run_s", "sample_wait_s"][: 2 if kind in runs.SGD_KINDS else 1]
         assert all(np.isfinite(v) and v >= 0.0 for v in timing.values())
         resolved = {"eta_resolved", "batch_resolved"} & set(sidecar["config"])
         assert resolved == (set() if kind in runs.GF_KINDS else {"eta_resolved", "batch_resolved"})

@@ -2,13 +2,14 @@
 ``qns verify``.
 
 Configs are drawn from ``RunConfig``'s own annotations and lower bounds, at
-small sizes, for all five kinds; each holds only the fields its kind reads,
-with at most one field pushed to an edge: below its bound, NaN, inf, a huge
-float, a value of the wrong type, or any value of a field the kind does not
-read.  Each config goes through ``cli.main`` in-process, and must end in
-exit 0, 2 or 3; a failure prints exactly one stderr line, no warning escapes,
-a set field the kind does not read exits 2 naming it, and a success leaves
-only finite CSV cells.
+small sizes, for all five kinds; each holds only the fields its kind reads
+(``record_points`` only beside ``record_every`` "log"), with at most one
+field pushed to an edge: below its bound, NaN, inf, a huge float, a value of
+the wrong type, or any value of a field the kind does not read.  Each config
+goes through ``cli.main`` in-process, and must end in exit 0, 2 or 3; a
+failure prints exactly one stderr line, no warning escapes, a set field the
+kind does not read exits 2 naming it, and a success leaves only finite CSV
+cells.
 
 The ``fit`` and ``plot`` inputs start from a valid trajectory CSV and its
 sidecar and carry one defect: a missing or an extra column, a non-numeric,
@@ -93,6 +94,8 @@ def configs(draw):
     kind = draw(st.sampled_from(KINDS))
     cfg = {name: draw(values(name, hint)) for name, hint in _HINTS.items()
            if kind in _READ_BY.get(name, (KINDS,))[0]}
+    if type(cfg.get("record_every")) is int:  # only record_every "log" reads record_points
+        del cfg["record_points"]
     d = cfg["d"]
     cfg["kind"] = kind
     cfg["r"] = r = draw(st.integers(1, d + 1))      # r = d and r = d + 1

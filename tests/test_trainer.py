@@ -200,7 +200,7 @@ class TestSgdStep:
         assert np.linalg.norm(mean) <= band
 
     def test_block_draws_equal_row_draws(self):
-        # the fused loop draws its samples in blocks; Philox must give the
+        # the SGD loop draws its samples in blocks; Philox must give the
         # same stream as one draw per step
         t = small_teacher(d=40, r=6)
         xb, yb = draw_samples(t, 150, rng_stream(5, 2))
@@ -381,17 +381,48 @@ def serial_fused_run(cfg, seed):
     return w, records
 
 
+def per_step_run(cfg, seed):
+    """``run_training``'s SGD as first written, for every kind but batch-1
+    Stiefel: ``batch`` fresh rows drawn from the sample stream for each
+    step, then the kind's update, with the Stiefel 1000-step cleanup: the
+    final W and the records, as ``(step, risk_normalized, alignments)``."""
+    t = small_teacher(d=cfg.d, r=cfg.r)
+    stiefel, batch, lam = cfg.kind == "sgd-stiefel", cfg.resolved_batch(), t.spectrum.lambdas
+    init = StudentState.stiefel_init if stiefel else StudentState.gaussian_init
+    s = init(cfg.d, cfg.r_s, rng_stream(seed, 1))
+    rng = rng_stream(seed, 2)
+    every = cfg.record_every
+    stops = {*range(every, cfg.steps + 1, every), cfg.steps}
+    records = [(0, *_snapshot(lam, s.w, cfg.tracked_j, not stiefel))]
+    for step in range(1, cfg.steps + 1):
+        x, y = draw_samples(t, batch, rng)
+        if stiefel:
+            s.w = inv_sqrt_gram(s.w - cfg.eta * stiefel_grad(s, x, y))
+            if step % 1000 == 0:
+                s.w = inv_sqrt_gram(s.w)
+        else:
+            s.w = s.w - cfg.eta * euclidean_grad(s, x, y)
+        if step in stops:
+            records.append((step, *_snapshot(lam, s.w, cfg.tracked_j, not stiefel)))
+    return s.w, records
+
+
+# the SGD runs other than batch-1 Stiefel, each on its own update path
+OTHER_SGD = {"sgd-stiefel-batch3": {"batch": 3},
+             "sgd-euclidean": {"kind": "sgd-euclidean", "batch": 2, "eta": 0.002}}
+
+
 class TestSampleProducer:
-    """The single-sample Stiefel loop draws each sample block one block ahead
-    on a producer thread: the same bytes as a serial loop, and no thread left
-    behind on any exit."""
+    """Every SGD kind draws its sample blocks one block ahead on a producer
+    thread: the same bytes as a serial loop, and no thread left behind on
+    any exit."""
 
     # 2,100 steps: 16 full blocks and a partial one, cleanups at 1000 and
     # 2000, and records every 7 steps, most of them in mid-block
     SHAPE = dict(d=64, r=4, r_s=4, eta=0.05, steps=2100, record_every=7)
 
-    def cfg(self):
-        return stepped(**self.SHAPE, tracked_j=[1, 2, 4])
+    def cfg(self, kind="sgd-stiefel", **fields):
+        return stepped(kind, **{**self.SHAPE, **fields}, tracked_j=[1, 2, 4])
 
     def test_bitwise_equal_to_serial_loop(self):
         res = run_training(self.cfg(), 1)
@@ -402,6 +433,26 @@ class TestSampleProducer:
         np.testing.assert_array_equal(res.steps, steps)
         np.testing.assert_array_equal(res.risk_normalized, risks)
         np.testing.assert_array_equal(res.alignments, aligns)
+
+    @pytest.mark.parametrize("kind, batch, rtol", [
+        ("sgd-euclidean", 2, 0.0), ("sgd-euclidean", 3, 0.0), ("sgd-euclidean", 4, 0.0),
+        ("sgd-euclidean", 5, 0.0), ("sgd-stiefel", 3, 0.0),
+        # a 128-row block's labels come from one (128, r) product, against a
+        # (1, r) one per step: equal to rounding, not bit for bit
+        ("sgd-euclidean", 1, 1e-13)])
+    def test_matches_per_step_loop(self, kind, batch, rtol):
+        # 1,100 steps: blocks of max(128 // batch, 1) steps, records every 7
+        # steps across the block boundaries, and the Stiefel cleanup at step
+        # 1000; from batch 2 on, a block's labels are the per-step draws' to
+        # the last bit
+        cfg = self.cfg(kind, batch=batch, steps=1100, eta=0.002 if kind == "sgd-euclidean" else 0.05)
+        res = run_training(cfg, 2)
+        w, records = per_step_run(cfg, 2)
+        assert res.samples_used == 1100 * batch
+        steps, risks, aligns = zip(*records)
+        np.testing.assert_array_equal(res.steps, steps)
+        for got, want in [(res.student.w, w), (res.risk_normalized, risks), (res.alignments, aligns)]:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
     def test_cli_bitwise_equal_to_serial_loop(self, tmp_path):
         # four seeds in turn, each with its own producer, and the interpreter
@@ -425,17 +476,24 @@ class TestSampleProducer:
             np.testing.assert_array_equal(data.alignments, aligns)
 
     def test_normal_run_leaves_no_thread(self):
-        before = threading.active_count()
-        res = run_training(self.cfg(), 1)
-        assert res.samples_used == 2100
-        assert threading.active_count() == before
+        for fields in [{}, *OTHER_SGD.values()]:
+            before = threading.active_count()
+            res = run_training(self.cfg(**fields), 1)
+            assert res.samples_used == 2100 * fields.get("batch", 1)
+            assert threading.active_count() == before
 
-    @pytest.mark.parametrize("target, call, error", [
-        ("_stiefel_segment", 5, RuntimeError("kernel failed")),
-        ("_stiefel_segment", 5, KeyboardInterrupt()),
-        ("_check_norm", 1, DivergenceError(step=1000, norm=math.inf)),  # at the first cleanup
-    ], ids=["kernel_error", "interrupt", "divergence"])
-    def test_error_in_step_loop_leaves_no_thread(self, monkeypatch, target, call, error):
+    @pytest.mark.parametrize("fields, target, call, error", [
+        (fields, target, call, error)
+        for fields, kernel in [({}, "_stiefel_segment"), *zip(OTHER_SGD.values(),
+                                                               ["stiefel_grad", "euclidean_grad"])]
+        for target, call, error in [
+            (kernel, 5, RuntimeError("kernel failed")),
+            (kernel, 5, KeyboardInterrupt()),
+            # at the first cleanup, or the first Euclidean step
+            ("_check_norm", 1, DivergenceError(step=1000, norm=math.inf))]
+    ], ids=[prefix + case for prefix in ["", *(f"{name}-" for name in OTHER_SGD)]
+            for case in ["kernel_error", "interrupt", "divergence"]])
+    def test_error_in_step_loop_leaves_no_thread(self, monkeypatch, fields, target, call, error):
         original, calls = getattr(trainer, target), []
 
         def fails_on_nth_call(*args):
@@ -447,7 +505,7 @@ class TestSampleProducer:
         monkeypatch.setattr(trainer, target, fails_on_nth_call)
         before = threading.active_count()
         with pytest.raises(type(error)) as info:
-            run_training(self.cfg(), 1)
+            run_training(self.cfg(**fields), 1)
         assert info.value is error
         assert threading.active_count() == before
 
@@ -461,12 +519,14 @@ class TestSampleProducer:
             return draw_samples(*args)
 
         monkeypatch.setattr(trainer, "draw_samples", fails_on_third_draw)
-        before = threading.active_count()
-        with pytest.raises(MemoryError) as info:
-            run_training(self.cfg(), 1)
-        assert info.value is error
-        assert threading.active_count() == before
-        assert len(calls) == 3  # nothing drawn after the failed block
+        for fields in [{}, *OTHER_SGD.values()]:
+            calls.clear()
+            before = threading.active_count()
+            with pytest.raises(MemoryError) as info:
+                run_training(self.cfg(**fields), 1)
+            assert info.value is error
+            assert threading.active_count() == before
+            assert len(calls) == 3  # nothing drawn after the failed block
 
 
 def gd_run(w0, r, eta, steps, **fields):
