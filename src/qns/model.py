@@ -105,34 +105,32 @@ class StudentState:
         return StudentState(inv_sqrt_gram(z))
 
 
-def teacher_output(teacher: TeacherModel, x: np.ndarray) -> np.ndarray | float:
-    """Teacher labels ``y = (1/||L||_F) sum_j lambda_j (x_j^2 - 1)``, j = 1..r.
-
-    Accepts a single input of shape (d,) or a batch of shape (n, d).
-    """
+def _batch(x: np.ndarray, d: int) -> np.ndarray:
+    """``x`` as a float batch of shape (n, d); raises ``ValueError`` otherwise."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != teacher.d:
-        raise ValueError(f"input dimension {xb.shape[1]} != d={teacher.d}")
-    proj = xb[:, : teacher.r]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"x must be an (n, d) batch with d = {d}, got shape {x.shape}")
+    return x
+
+
+def teacher_output(teacher: TeacherModel, x: np.ndarray) -> np.ndarray:
+    """Teacher labels ``y = (1/||L||_F) sum_j lambda_j (x_j^2 - 1)``, j = 1..r,
+    of a batch ``x`` of shape (n, d): shape (n,)."""
+    proj = _batch(x, teacher.d)[:, : teacher.r]
     lam = teacher.spectrum.lambdas
-    y = ((proj**2 - 1.0) @ lam) / teacher.spectrum.frob
-    return float(y[0]) if single else y
+    return ((proj**2 - 1.0) @ lam) / teacher.spectrum.frob
 
 
-def student_output(student: StudentState, x: np.ndarray) -> np.ndarray | float:
-    """Student predictions ``(1/sqrt(r_s)) sum_j (<w_j, x>^2 - ||w_j||^2)``."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != student.d:
-        raise ValueError(f"input dimension {xb.shape[1]} != d={student.d}")
-    w = student.w
-    proj = xb @ w
+def _predict(w: np.ndarray, xw: np.ndarray) -> np.ndarray:
+    """Student predictions from the product ``xw = x @ W`` of a batch."""
     norms = np.sum(w**2, axis=0)
-    out = (np.sum(proj**2, axis=1) - norms.sum()) / np.sqrt(student.r_s)
-    return float(out[0]) if single else out
+    return (np.sum(xw**2, axis=1) - norms.sum()) / np.sqrt(w.shape[1])
+
+
+def student_output(student: StudentState, x: np.ndarray) -> np.ndarray:
+    """Student predictions ``(1/sqrt(r_s)) sum_j (<w_j, x>^2 - ||w_j||^2)`` of
+    a batch ``x`` of shape (n, d): shape (n,)."""
+    return _predict(student.w, _batch(x, student.d) @ student.w)
 
 
 def draw_samples(
@@ -145,8 +143,9 @@ def draw_samples(
 
 def instantaneous_loss(
     student: StudentState, x: np.ndarray, y: np.ndarray | float
-) -> np.ndarray | float:
-    """Squared loss ``(y - yhat)^2 / 16``; the prefactor keeps gradients tidy."""
+) -> np.ndarray:
+    """Squared loss ``(y - yhat)^2 / 16`` of each row of a batch ``x``; the
+    prefactor keeps gradients tidy."""
     yhat = student_output(student, x)
     return (np.asarray(y) - yhat) ** 2 / 16.0
 

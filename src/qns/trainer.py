@@ -12,12 +12,12 @@ matrix ``C`` against the sample rows of the Gram of ``[W0, X.T]`` and forms
 ``W`` once, at the segment's end: no step touches a d-sized array.  The kernel
 works on the manifold: it reads ``|W v| = |v|`` and ``||W||_F^2 = r_s``, so
 every Stiefel entry point refuses a ``W`` with ``max|W.T W - I|`` past 1e-8,
-and a run whose ``W`` drifts that far stops with :class:`ManifoldError` at its
-next 1000-step cleanup or its end.  Every SGD kind runs one loop: a producer
-thread alone reads the sample stream, in order, in blocks of about 128 rows
-(``batch`` rows a step) drawn one block ahead, and one update takes up to 32
-single-sample Stiefel steps through the kernel, or one step of another SGD
-kind; :func:`sgd_step` draws one batch and calls the same update.  The
+and a run whose ``W`` drifts that far stops with :class:`ManifoldError`: at
+batch 1 at its next 1000-step cleanup or its end, at a larger batch at its
+next step.  Every SGD kind runs one loop: a producer thread alone reads the
+sample stream, in order, in blocks of about 128 rows (``batch`` rows a step)
+drawn one block ahead, and one update takes up to 32 single-sample Stiefel
+steps through the kernel, or one step of another SGD kind.  The
 ``gd-population`` kind is plain constant-step gradient descent on the
 population risk; it acts on the rows of ``W`` off the teacher span only through
 the right factor ``I - c2 W.T W``, so it runs on the (r + min(d - r, r_s)) x
@@ -40,9 +40,10 @@ from .model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
+    _batch,
     _factor_risk,
+    _predict,
     draw_samples,
-    student_output,
 )
 
 if TYPE_CHECKING:  # runs imports this module: no import of it at run time
@@ -54,7 +55,6 @@ __all__ = [
     "ManifoldError",
     "euclidean_grad",
     "stiefel_grad",
-    "sgd_step",
     "schedule_eta",
     "default_tracked_js",
     "run_training",
@@ -114,24 +114,23 @@ class TrainResult:
     sample_wait_s: float | None = None  # SGD kinds: seconds blocked on the producer
 
 
-def euclidean_grad(
-    student: StudentState, x: np.ndarray, y: np.ndarray | float
-) -> np.ndarray:
-    """Gradient of the (1/16)-squared loss: ``-(y-yhat)(x x.T - I) W / (4 sqrt(r_s))``.
+def euclidean_grad(student: StudentState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the (1/16)-squared loss: ``-(y-yhat)(x x.T - I) W / (4 sqrt(r_s))``,
+    averaged over the rows of a batch ``x`` of shape (n, d) with labels ``y``
+    of shape (n,).
 
     This is the exact derivative of the instantaneous loss (checked against
     central finite differences).  The ``-I`` part is radial -- the Stiefel
     projection annihilates it -- but it matters for the Euclidean kinds.
-    Batches average the per-sample gradients.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    yb = np.atleast_1d(np.asarray(y, dtype=float))
-    resid = yb - np.atleast_1d(student_output(student, xb))
-    xw = xb @ student.w                       # (n, r_s)
-    grad = xb.T @ (resid[:, None] * xw) - resid.sum() * student.w
-    return -grad / (4.0 * np.sqrt(student.r_s) * len(yb))
+    x, w = _batch(x, student.d), student.w
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(x),):
+        raise ValueError(f"y must hold one label per row of x, shape ({len(x)},), got {y.shape}")
+    xw = x @ w  # (n, r_s)
+    resid = y - _predict(w, xw)
+    grad = x.T @ (resid[:, None] * xw) - resid.sum() * w
+    return -grad / (4.0 * np.sqrt(student.r_s) * len(y))
 
 
 def _on_manifold(w: np.ndarray, step: int | None = None) -> float:
@@ -144,9 +143,7 @@ def _on_manifold(w: np.ndarray, step: int | None = None) -> float:
     return err
 
 
-def stiefel_grad(
-    student: StudentState, x: np.ndarray, y: np.ndarray | float
-) -> np.ndarray:
+def stiefel_grad(student: StudentState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Riemannian gradient ``g - W sym(W.T g)`` for orthonormal ``W``.
 
     The tangency residual ``W.T G + G.T W`` vanishes to rounding.  Raises
@@ -232,27 +229,6 @@ def _sgd_update(student: StudentState, xs: np.ndarray, ys: list[float], eta: flo
         student.w = _stiefel_segment(student.w, xs, ys, eta, out)
     else:
         student.w = inv_sqrt_gram(student.w - eta * stiefel_grad(student, xs, ys))
-
-
-def sgd_step(
-    student: StudentState,
-    teacher: TeacherModel,
-    eta: float,
-    rng: np.random.Generator,
-    batch: int = 1,
-    mode: str = "sgd-stiefel",
-) -> int:
-    """One online step of kind ``mode`` on ``batch`` fresh samples; returns
-    the number of samples used.  A Stiefel ``W`` off the manifold raises
-    :class:`ManifoldError` before any sample is drawn.
-    """
-    if mode not in ("sgd-stiefel", "sgd-euclidean"):
-        raise ValueError(f"sgd_step runs the sgd-stiefel and sgd-euclidean kinds, not {mode!r}")
-    if mode == "sgd-stiefel":
-        _on_manifold(student.w)
-    x, y = draw_samples(teacher, batch, rng)
-    _sgd_update(student, x, y.tolist(), eta, mode, batch)
-    return batch
 
 
 def _check_norm(norm: float, step: int) -> None:
@@ -347,8 +323,9 @@ def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> Tra
     step and at each 1000-step cleanup.  An error in a draw reaches the
     caller unchanged, and the thread is shut down on every exit (a pending
     draw cancelled, a running one waited for).  A Stiefel run refuses a
-    ``w0`` off the manifold, and raises :class:`ManifoldError` when its ``W``
-    drifts past ``ORTHO_TOL``, read at each 1000-step cleanup and at the end.
+    ``w0`` off the manifold, and raises :class:`ManifoldError` naming the
+    step whose ``W`` drifted past ``ORTHO_TOL``, read at each 1000-step
+    cleanup and at the end, and at a batch above 1 by each step's gradient.
     """
     stiefel = cfg.kind == "sgd-stiefel"
     teacher = TeacherModel(d=cfg.d, spectrum=PowerLawSpectrum(r=cfg.r, alpha=cfg.alpha))
@@ -402,7 +379,10 @@ def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> Tra
             n = min(per_call, len(ys) // batch - i, 1000 - step % 1000, stops[k] - step)
             out = bufs[1] if student.w is bufs[0] else bufs[0]
             rows = slice(i * batch, (i + n) * batch)
-            _sgd_update(student, xs[rows], ys[rows], eta, cfg.kind, batch, out)
+            try:
+                _sgd_update(student, xs[rows], ys[rows], eta, cfg.kind, batch, out)
+            except ManifoldError as err:  # stiefel_grad refused the W that step `step` left
+                raise ManifoldError(err.err, step) from None
             step += n
             if not stiefel:
                 _check_norm(float(np.linalg.norm(student.w)), step)

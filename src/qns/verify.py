@@ -31,7 +31,7 @@ from .riccati import (
     riccati_blocks,
     v_update,
 )
-from .trainer import sgd_step, stiefel_grad
+from .trainer import _sgd_update, stiefel_grad
 from .finetune import (
     collect_batch,
     erm_minimize,
@@ -269,9 +269,11 @@ def suite_monotone(
 def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0) -> list[dict]:
     """Rank-1 fast retraction vs dense orthonormalization; tangency.
 
-    Each trial compares one step: the dense ``W`` starts from a copy of the
-    fast one, and both take the same sample.  Two trajectories compared
-    step after step would measure how their rounding grows apart instead.
+    The fast path is the training loop's own update, ``trainer._sgd_update``
+    at batch-1 ``sgd-stiefel``, which runs the segment kernel.  Each trial
+    compares one step: the dense ``W`` starts from a copy of the fast one,
+    and both take the same sample.  Two trajectories compared step after
+    step would measure how their rounding grows apart instead.
     """
     rng = rng_stream(seed, 33)
     spec = PowerLawSpectrum(r=min(8, dim), alpha=1.0)
@@ -279,14 +281,13 @@ def suite_retraction(dim: int = 64, trials: int = 50, seed: int = 0) -> list[dic
     r_s = 4
     s_fast = StudentState(sample_stiefel(dim, r_s, rng_stream(seed, 34)))
     r1 = rng_stream(seed, 35)
-    r2 = rng_stream(seed, 35)
     worst_diff = worst_ortho = worst_tan = 0.0
     for k in range(1, trials + 1):
         s_dense = StudentState(s_fast.w.copy())
-        sgd_step(s_fast, teacher, 0.05, r1, batch=1, mode="sgd-stiefel")
+        x, y = draw_samples(teacher, 1, r1)
+        _sgd_update(s_fast, x, y.tolist(), 0.05, "sgd-stiefel", 1)
         if k % 1000 == 0:  # run_training's dense cleanup: the rank-1 steps' rounding compounds
             s_fast.w = inv_sqrt_gram(s_fast.w)
-        x, y = draw_samples(teacher, 1, r2)
         g = stiefel_grad(s_dense, x, y)
         tan = np.abs(s_dense.w.T @ g + g.T @ s_dense.w).max()
         worst_tan = max(worst_tan, float(tan))

@@ -235,6 +235,10 @@ class TestRun:
                 **({"horizon": 40.0} if kind in runs.GF_KINDS else {})},
                EXIT_USAGE, "config field 'steps'")
               for kind in runs.KINDS for steps in (runs.MAX_RUN_STEPS + 1, 2**62)],
+            # step 4's polar retraction leaves the manifold, and step 5's
+            # gradient used to refuse its W without naming a step
+            ({**SMALL_SGD, "r_s": 4, "batch": 3, "eta": 1e4, "seeds": [0]}, EXIT_DIVERGED,
+             "W is not orthonormal at step 4"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):

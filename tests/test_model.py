@@ -45,20 +45,20 @@ class TestTeacherOutput:
         t = TeacherModel(d=6, spectrum=PowerLawSpectrum(r=1, alpha=0.0))
         x = np.zeros(6)
         x[0] = 2.0
-        assert teacher_output(t, x) == pytest.approx(3.0)
+        assert teacher_output(t, x[None, :])[0] == pytest.approx(3.0)
 
     def test_orthogonal_input(self):
         s = PowerLawSpectrum(r=3, alpha=1.0)
         t = TeacherModel(d=8, spectrum=s)
         x = np.zeros(8)
         x[5] = 1.7
-        assert teacher_output(t, x) == pytest.approx(-s.lambdas.sum() / s.frob)
+        assert teacher_output(t, x[None, :])[0] == pytest.approx(-s.lambdas.sum() / s.frob)
 
     def test_hand_two_directions(self):
         # r=2, alpha=1: y = (1*(1-1) + 0.5*(1-1)) / sqrt(1.25) = 0
         t = TeacherModel(d=5, spectrum=PowerLawSpectrum(r=2, alpha=1.0))
         x = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-        assert teacher_output(t, x) == pytest.approx(0.0, abs=1e-14)
+        assert teacher_output(t, x[None, :])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_moments_match_normalization(self):
         # E y = 0 and E y^2 = 2 under the Hermite-2 normalization
@@ -73,14 +73,14 @@ class TestTeacherOutput:
 class TestStudentOutput:
     def test_zero_weights(self):
         s = StudentState(np.zeros((5, 2)))
-        assert student_output(s, np.ones(5)) == 0.0
+        assert student_output(s, np.ones(5)[None, :])[0] == 0.0
 
     def test_single_neuron(self):
         w = np.zeros((6, 1))
         w[0, 0] = 1.0
         x = np.zeros(6)
         x[0] = 2.0
-        assert student_output(StudentState(w), x) == pytest.approx(3.0)
+        assert student_output(StudentState(w), x[None, :])[0] == pytest.approx(3.0)
 
     def test_zero_mean_monte_carlo(self):
         w = sample_stiefel(32, 4, seed=5)
@@ -93,11 +93,11 @@ class TestStudentOutput:
 class TestLossAndRisk:
     def test_zero_residual(self):
         s = StudentState(np.zeros((4, 1)))
-        assert instantaneous_loss(s, np.ones(4), 0.0) == 0.0
+        assert instantaneous_loss(s, np.ones(4)[None, :], 0.0)[0] == 0.0
 
     def test_residual_four_gives_one(self):
         s = StudentState(np.zeros((4, 1)))
-        assert instantaneous_loss(s, np.ones(4), 4.0) == pytest.approx(1.0)
+        assert instantaneous_loss(s, np.ones(4)[None, :], 4.0)[0] == pytest.approx(1.0)
 
     def test_batch_mean_matches_population_risk(self):
         spec = PowerLawSpectrum(r=6, alpha=1.0)

@@ -19,6 +19,8 @@ from qns.model import (
     draw_samples,
     instantaneous_loss,
     population_risk,
+    student_output,
+    teacher_output,
 )
 from qns.runs import RunConfig
 from qns.trainer import (
@@ -32,7 +34,6 @@ from qns.trainer import (
     euclidean_grad,
     run_training,
     schedule_eta,
-    sgd_step,
     stiefel_grad,
 )
 from qns.trajectory import read_trajectory
@@ -49,25 +50,32 @@ def stepped(kind="sgd-stiefel", **fields):
                                 "tracked_j": [1], **fields})
 
 
+def stiefel_step(s, t, eta, rng, batch=1):
+    """One ``sgd-stiefel`` step of ``run_training``'s update on ``batch``
+    fresh rows of ``rng``'s sample stream."""
+    x, y = draw_samples(t, batch, rng)
+    trainer._sgd_update(s, x, y.tolist(), eta, "sgd-stiefel", batch)
+
+
 class TestEuclideanGrad:
     def test_zero_residual(self):
         t = small_teacher()
         s = StudentState(np.zeros((24, 2)))
-        x = np.ones(24)
-        g = euclidean_grad(s, x, 0.0)  # yhat = 0 too
+        x = np.ones((1, 24))
+        g = euclidean_grad(s, x, np.zeros(1))  # yhat = 0 too
         np.testing.assert_array_equal(g, np.zeros((24, 2)))
 
     def test_scalar_hand_value(self):
         # d=1, r_s=1, w=1, x=2, y - yhat = 1: -(1/4)(x^2 - 1)w = -3/4
         s = StudentState(np.array([[1.0]]))
         yhat = float(2.0**2 - 1.0)  # student output at x=2
-        g = euclidean_grad(s, np.array([2.0]), yhat + 1.0)
+        g = euclidean_grad(s, np.array([[2.0]]), np.array([yhat + 1.0]))
         assert g[0, 0] == pytest.approx(-(4.0 - 1.0) / 4.0)
 
     def test_matches_finite_differences(self, rng):
         s = StudentState(rng.standard_normal((10, 2)) * 0.3)
-        x = rng.standard_normal(10)
-        y = 0.7
+        x = rng.standard_normal((1, 10))
+        y = np.array([0.7])
         g = euclidean_grad(s, x, y)
         w0 = s.w.copy()
         h = 1e-5 * np.linalg.norm(w0)
@@ -80,7 +88,7 @@ class TestEuclideanGrad:
                 fd[i, j] = (
                     instantaneous_loss(StudentState(wp), x, y)
                     - instantaneous_loss(StudentState(wm), x, y)
-                ) / (2 * h)
+                )[0] / (2 * h)
         assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-5
 
     def test_batch_averages(self, rng):
@@ -88,16 +96,25 @@ class TestEuclideanGrad:
         t = small_teacher(d=8, r=2)
         x, y = draw_samples(t, 5, rng)
         g_batch = euclidean_grad(s, x, y)
-        g_mean = np.mean([euclidean_grad(s, x[i], y[i]) for i in range(5)], axis=0)
+        g_mean = np.mean([euclidean_grad(s, x[i : i + 1], y[i : i + 1]) for i in range(5)], axis=0)
         np.testing.assert_allclose(g_batch, g_mean, atol=1e-14)
+
+    @pytest.mark.parametrize("grad", [euclidean_grad, stiefel_grad])
+    @pytest.mark.parametrize("y", [0.5, np.full((4, 1), 0.5), np.full(3, 0.5)])
+    def test_labels_not_one_per_row_refused(self, grad, y):
+        # a scalar label used to count as a batch of one: 4 times the mean
+        s = StudentState(sample_stiefel(8, 2, seed=1))
+        x = rng_stream(2, 0).standard_normal((4, 8))
+        with pytest.raises(ValueError, match=r"one label per row of x, shape \(4,\)"):
+            grad(s, x, y)
 
 
 class TestStiefelGrad:
     def test_zero_gradient(self):
         w = sample_stiefel(12, 3, seed=1)
         s = StudentState(w)
-        x = np.zeros(12)
-        g = stiefel_grad(s, x, 0.0)
+        x = np.zeros((1, 12))
+        g = stiefel_grad(s, x, np.zeros(1))
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
     def test_radial_direction_annihilated(self, rng):
@@ -120,7 +137,23 @@ class TestStiefelGrad:
     def test_rejects_non_orthonormal(self, rng):
         s = StudentState(rng.standard_normal((10, 2)))
         with pytest.raises(ValueError, match="orthonormal"):
-            stiefel_grad(s, np.ones(10), 1.0)
+            stiefel_grad(s, np.ones((1, 10)), np.ones(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, s, x: teacher_output(t, x),
+    lambda t, s, x: student_output(s, x),
+    lambda t, s, x: instantaneous_loss(s, x, np.zeros(1)),
+    lambda t, s, x: euclidean_grad(s, x, np.zeros(1)),
+    lambda t, s, x: stiefel_grad(s, x, np.zeros(1)),
+], ids=["teacher_output", "student_output", "instantaneous_loss", "euclidean_grad",
+        "stiefel_grad"])
+@pytest.mark.parametrize("shape", [(24,), (1, 23), (1, 1, 24)])
+def test_input_not_a_batch_refused(call, shape):
+    # every model and gradient path takes an (n, d) batch alone
+    t, s = small_teacher(), StudentState(sample_stiefel(24, 2, seed=1))
+    with pytest.raises(ValueError, match=r"x must be an \(n, d\) batch with d = 24, got shape"):
+        call(t, s, np.ones(shape))
 
 
 class TestSgdStep:
@@ -128,7 +161,7 @@ class TestSgdStep:
         t = small_teacher()
         w = sample_stiefel(24, 3, rng)
         s = StudentState(w.copy())
-        sgd_step(s, t, 0.0, rng, batch=1, mode="sgd-stiefel")
+        stiefel_step(s, t, 0.0, rng)
         np.testing.assert_allclose(s.w, w, atol=1e-12)
         assert np.abs(s.w.T @ s.w - np.eye(3)).max() <= 1e-9
 
@@ -138,7 +171,7 @@ class TestSgdStep:
         s_dense = StudentState(s_fast.w.copy())
         r1, r2 = rng_stream(99, 0), rng_stream(99, 0)
         for _ in range(40):
-            sgd_step(s_fast, t, 0.05, r1, batch=1, mode="sgd-stiefel")
+            stiefel_step(s_fast, t, 0.05, r1)
             x, y = draw_samples(t, 1, r2)
             g = stiefel_grad(s_dense, x, y)
             s_dense.w = inv_sqrt_gram(s_dense.w - 0.05 * g)
@@ -148,14 +181,14 @@ class TestSgdStep:
         t = small_teacher()
         s = StudentState(sample_stiefel(24, 4, rng))
         for _ in range(200):
-            sgd_step(s, t, 0.1, rng, batch=1, mode="sgd-stiefel")
+            stiefel_step(s, t, 0.1, rng)
             assert np.abs(s.w.T @ s.w - np.eye(4)).max() <= 1e-9
 
     def test_batch_mode_orthonormal(self, rng):
         t = small_teacher()
         s = StudentState(sample_stiefel(24, 3, rng))
         for _ in range(20):
-            sgd_step(s, t, 0.05, rng, batch=8, mode="sgd-stiefel")
+            stiefel_step(s, t, 0.05, rng, batch=8)
         assert np.abs(s.w.T @ s.w - np.eye(3)).max() <= 1e-9
 
     def test_noise_mean_matches_projected_drift(self):
@@ -192,7 +225,7 @@ class TestSgdStep:
         deltas = np.zeros((reps, r, r))
         for k in range(reps):
             s = StudentState(w.copy())
-            sgd_step(s, t, eta, rng, batch=1, mode="sgd-stiefel")
+            stiefel_step(s, t, eta, rng)
             g1 = s.w[:r] @ s.w[:r].T
             deltas[k] = g1 - drift
         mean = deltas.mean(axis=0)
@@ -232,20 +265,14 @@ class TestSgdStep:
         np.testing.assert_allclose(res.risk_normalized, risks, rtol=1e-10)
 
     def test_off_manifold_w_refused(self):
-        # the segment kernel reads |W v| = |v| and ||W||_F^2 = r_s: both entry
-        # points refuse a W past 1e-8, with one message
-        t = small_teacher()
+        # the segment kernel reads |W v| = |v| and ||W||_F^2 = r_s: a run
+        # refuses a W past 1e-8
         w = sample_stiefel(24, 3, seed=2)
         w[0, 0] += 1e-7
         cfg = stepped(r_s=3, eta=0.01, steps=10)
-        messages = []
-        for refuse in (lambda: sgd_step(StudentState(w), t, 0.01, rng_stream(1, 2)),
-                       lambda: run_training(cfg, 1, w0=w)):
-            with pytest.raises(ManifoldError) as info:
-                refuse()
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("W is not orthonormal: max|W.T W - I| = ")
+        with pytest.raises(ManifoldError) as info:
+            run_training(cfg, 1, w0=w)
+        assert str(info.value).startswith("W is not orthonormal: max|W.T W - I| = ")
         w = sample_stiefel(24, 3, seed=2)
         w[0, 0] += 1e-10  # within the tolerance: taken
         assert run_training(cfg, 1, w0=w).samples_used == 10
