@@ -8,7 +8,7 @@ covariate average onto the PSD cone and take its matrix square root.
 
 import numpy as np
 
-from qns.finetune import default_n_ft, finetune, risk_decomposition
+from qns.finetune import collect_batch, default_n_ft, finetune, risk_decomposition
 from qns.linalg import rng_stream
 from qns.model import PowerLawSpectrum, StudentState, TeacherModel, opt_risk, population_risk
 from qns.runs import RunConfig
@@ -30,7 +30,7 @@ print(f"  risk before fine-tuning:    {population_risk(teacher, student, normali
 print("  (the Stiefel student cannot express the lambda_j amplitudes)")
 
 n_ft = default_n_ft(d, r_s)
-ft = finetune(teacher, student, n_ft=n_ft, rng=rng_stream(1, 9))
+ft = finetune(student, collect_batch(teacher, student, n_ft, rng_stream(1, 9)))
 final = StudentState(student.w @ ft.omega_hat)
 risk = population_risk(teacher, final, normalized=True)
 _, fit_term, subspace_term = risk_decomposition(teacher, student, ft.omega_hat)

@@ -18,8 +18,8 @@ non-finite records), 130 interrupted (Ctrl-C: one stderr line and no CSV for
 an unfinished seed).  :func:`main` maps the typed numeric errors
 (:class:`qns.linalg.NumericError`) and ``MemoryError`` of every command to
 exit 3 and 2 with one stderr line.  Each command imports only the modules it
-runs.  Seeds run one after another (a batch-1 sgd-stiefel run adds its own
-sample producer thread).  No environment variable is read.
+runs.  Seeds run one after another (each SGD run adds its own sample
+producer thread).  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ def cmd_verify(args) -> int:
     if args.seed < 0:  # a negative entropy ends in a SeedSequence traceback
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
-    # each suite's signature is the one list of the sizes and modes it reads
+    # each suite's signature is the one list of the sizes it reads
     reads = inspect.signature(SUITES[args.suite]).parameters
-    for name in ("trials", "steps", "euler"):
+    for name in ("trials", "steps"):
         if getattr(args, name) and name not in reads:
             print(f"error: the {args.suite} suite does not read --{name}", file=sys.stderr)
             return EXIT_USAGE
@@ -150,9 +150,8 @@ def cmd_verify(args) -> int:
             print(f"error: --{name} must be <= {cap} for the {args.suite} suite, got {value}",
                   file=sys.stderr)
             return EXIT_USAGE
-    # a size of 0 (or no --euler) leaves the suite's default
-    kwargs = {name: getattr(args, name) for name in ("dim", "trials", "steps", "euler")
-              if getattr(args, name)}
+    # a size of 0 leaves the suite's default
+    kwargs = {name: getattr(args, name) for name in ("dim", "trials", "steps") if getattr(args, name)}
     report = run_suite(args.suite, seed=args.seed, **kwargs)
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK if report["passed"] else EXIT_VERIFY
@@ -227,9 +226,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=int, default=0)
     p_ver.add_argument("--steps", type=int, default=0)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--euler", action="store_true",
-                       help="monotone suite: drive the plain Euler map instead, "
-                            "exhibiting its order violation")
     p_ver.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("plot", help="render trajectories to SVG")

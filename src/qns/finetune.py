@@ -137,27 +137,15 @@ def l_operator_gap(batch: FineTuneBatch) -> float:
     return val
 
 
-def finetune(
-    teacher: TeacherModel,
-    student: StudentState,
-    n_ft: int | None = None,
-    rng: np.random.Generator | None = None,
-    batch: FineTuneBatch | None = None,
-) -> FineTuneResult:
-    """Closed-form fine-tuning: ``Omega_hat = (Pi . L(S_glob))^{1/2}``.
+def finetune(student: StudentState, batch: FineTuneBatch) -> FineTuneResult:
+    """Closed-form fine-tuning on a :func:`collect_batch` result:
+    ``Omega_hat = (Pi . L(S_glob))^{1/2}``.
 
     ``W`` must be orthonormal (post feature-learning), or a
-    :class:`~qns.trainer.ManifoldError` is raised.  Supply either a
-    pre-collected batch or ``(n_ft, rng)``.  The mixing is invariant to the
-    sample order (it enters through sums only).
+    :class:`~qns.trainer.ManifoldError` is raised.  The mixing is invariant
+    to the sample order (it enters through sums only).
     """
     _on_manifold(student.w)
-    if batch is None:
-        if rng is None:
-            raise ValueError("need a batch or an rng to draw one")
-        if n_ft is None:
-            n_ft = default_n_ft(teacher.d, student.r_s)
-        batch = collect_batch(teacher, student, n_ft, rng)
     s_hat = psd_project(s_glob_estimate(batch))
     omega = psd_sqrt(s_hat)
     return FineTuneResult(s_hat=s_hat, omega_hat=omega, op_gap=l_operator_gap(batch))

@@ -1,23 +1,19 @@
 """Dense symmetric/rectangular matrix kernel.
 
-Eigendecomposition with a descending-order convention, PSD matrix functions,
-Loewner-order predicates, polar-type orthonormalization, and seeded random
-matrix sampling.  Everything operates on plain float64 ndarrays; validation
-helpers enforce the symmetry/orthonormality contracts at API boundaries.
+PSD matrix functions by eigenvalue clipping, Loewner-order predicates,
+polar-type orthonormalization, and seeded random matrix sampling.
+Everything operates on plain float64 ndarrays; validation helpers enforce
+the symmetry/orthonormality contracts at API boundaries.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "NumericError",
     "RankDeficientError",
-    "EigenPair",
     "check_symmetric",
-    "sym_eigen",
     "psd_sqrt",
     "psd_project",
     "inv_sqrt_gram",
@@ -49,13 +45,6 @@ class RankDeficientError(NumericError, np.linalg.LinAlgError):
         return type(self), (self.min_eig,)
 
 
-class EigenPair(NamedTuple):
-    """Spectral decomposition with eigenvalues sorted in descending order."""
-
-    values: np.ndarray   # (n,), descending
-    vectors: np.ndarray  # (n, n), columns are orthonormal eigenvectors
-
-
 def check_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate that ``m`` is square and symmetric; return its symmetric part.
 
@@ -77,14 +66,13 @@ def check_symmetric(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + mt)
 
 
-def sym_eigen(m: np.ndarray) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Satisfies ``V diag(w) V.T ~= M`` and ``V.T V ~= I`` to ~1e-10 relative.
-    """
-    m = check_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    return EigenPair(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+def _clip_rebuild(m: np.ndarray, root: bool) -> np.ndarray:
+    """``V f(max(w, 0)) V.T``, symmetrized, of a symmetric ``m = V diag(w) V.T``
+    with eigenvalues descending; ``f`` is the square root when ``root``."""
+    w, v = np.linalg.eigh(check_symmetric(m))
+    w, v = np.maximum(w[::-1], 0.0), v[:, ::-1]
+    out = (v * (np.sqrt(w) if root else w)) @ v.T
+    return 0.5 * (out + out.T)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -93,18 +81,12 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Negative eigenvalues are treated as exactly zero, so slightly indefinite
     inputs (rounding noise) are absorbed instead of raising.
     """
-    w, v = sym_eigen(m)
-    w = np.maximum(w, 0.0)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    return _clip_rebuild(m, root=True)
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
-    w, v = sym_eigen(m)
-    w = np.maximum(w, 0.0)
-    proj = (v * w) @ v.T
-    return 0.5 * (proj + proj.T)
+    return _clip_rebuild(m, root=False)
 
 
 def inv_sqrt_gram(w: np.ndarray) -> np.ndarray:

@@ -190,6 +190,16 @@ def _factor_risk(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return risk / frob_sq
 
 
+def _factor_alignments(w: np.ndarray, tracked: list[int], polar: bool = True) -> np.ndarray:
+    """Alignments of the tracked teacher directions ``j`` (from 1) with the span
+    of a factor ``w``: the squared norms of rows ``j`` of its polar factor (of
+    ``w`` itself without ``polar``), the diagonal of :func:`alignment_gram`."""
+    if not tracked:
+        return np.empty(0)
+    u = inv_sqrt_gram(w) if polar else w
+    return np.sum(u[[j - 1 for j in tracked]] ** 2, axis=1)
+
+
 def alignment_gram(teacher: TeacherModel, student: StudentState) -> np.ndarray:
     """Alignment Gram ``U[:r] U[:r].T`` (r x r) of the polar factor
     ``U = W (W.T W)^{-1/2}``: its diagonal entry j is the squared projection

@@ -23,7 +23,7 @@ import numpy as np
 from .flow import (FlowParams, _reduce, _rk4_dt, align_curves, effective_scales, integrate_rk4,
                    weight_risk_curve)
 from .linalg import NumericError, inv_sqrt_gram, rng_stream, sample_gaussian_mat
-from .model import PowerLawSpectrum, _factor_risk
+from .model import PowerLawSpectrum, _factor_alignments, _factor_risk
 from .trainer import default_tracked_js, run_training, schedule_eta
 from .trajectory import TrajectoryData, write_trajectory
 
@@ -33,6 +33,9 @@ MAX_RK4_SUBSTEPS = 1_000_000
 # configs of more steps (grid points of a flow) than this are refused: 23x
 # criterion 8's 438k SGD steps, and minutes of work at desk scale
 MAX_RUN_STEPS = 10_000_000
+# SGD configs drawing more normals (steps * batch * d) than this are refused:
+# about 28 minutes of fills at 17 ns a normal, 5x the slow test's 2.1e10
+MAX_SGD_NORMALS = 10**11
 
 
 class ConfigError(ValueError):
@@ -118,15 +121,15 @@ class RunConfig:
         if self.kind in GF_KINDS and (self.horizon is None or self.horizon / self.steps <= 0):
             fail("horizon", "gf kinds need a time horizon with horizon / steps > 0")
         # numpy cannot describe a float64 array of more than sys.maxsize bytes
-        # and raises a ValueError for one; these are the arrays a run sizes
-        # that the steps cap leaves unbounded
-        sizes = [("d", "the initial W (d * r_s)", self.d * self.r_s)]
-        if self.kind in SGD_KINDS:
-            sizes.append(("batch", "a sample block (batch * d)", self.resolved_batch() * self.d))
-        for name, what, n in sizes:
-            if n > sys.maxsize // 8:
-                fail(name, f"{what} would hold {n} floats, more than the "
-                           f"{sys.maxsize // 8} numpy can describe")
+        # and raises a ValueError for one; the initial W is the one array a
+        # run sizes that no cap bounds (a sample block is within the one below)
+        if self.d * self.r_s > sys.maxsize // 8:
+            fail("d", f"the initial W (d * r_s) would hold {self.d * self.r_s} floats, "
+                      f"more than the {sys.maxsize // 8} numpy can describe")
+        normals = self.steps * self.resolved_batch() * self.d if self.kind in SGD_KINDS else 0
+        if normals > MAX_SGD_NORMALS:
+            fail("batch" if self.resolved_batch() > 1 else "steps", f"the run would draw steps "
+                 f"* batch * d = {normals:,} normals, past the cap of {MAX_SGD_NORMALS:,}")
         if self.kind == "gf-rk4":
             spectrum = PowerLawSpectrum(r=self.r, alpha=self.alpha)
             # each grid gap takes max(ceil(gap / dt), 1) sub-steps
@@ -248,13 +251,10 @@ def _run_gf_rk4(cfg: RunConfig, seed: int) -> TrajectoryData:
     def s_rhs(s_now):  # [L S_top; 0] / (2 sqrt(r_s) ||lam||) - S S.T S / (2 r_s)
         return lin * s_now + s_now @ ((s_now.T @ s_now) * cubic)
 
-    ts = _time_grid(cfg)
-    tracked = [j - 1 for j in cfg.resolved_tracked()]
-    risk_n, aligns = np.empty(len(ts)), np.empty((len(ts), len(tracked)))
-    for i, s in enumerate(integrate_rk4(s_rhs, s, ts, _rk4_dt(params))):
-        risk_n[i] = _factor_risk(spectrum.lambdas, s)
-        aligns[i] = np.sum(inv_sqrt_gram(s)[tracked] ** 2, axis=1)
-    return _trajectory(cfg, ts, risk_n, aligns, {"kind": cfg.kind})
+    ts, tracked = _time_grid(cfg), cfg.resolved_tracked()
+    records = [(_factor_risk(spectrum.lambdas, s), _factor_alignments(s, tracked))
+               for s in integrate_rk4(s_rhs, s, ts, _rk4_dt(params))]
+    return _trajectory(cfg, ts, *map(np.array, zip(*records)), {"kind": cfg.kind})
 
 
 def _run_stepped(cfg: RunConfig, seed: int) -> TrajectoryData:

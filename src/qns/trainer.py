@@ -41,6 +41,7 @@ from .model import (
     StudentState,
     TeacherModel,
     _batch,
+    _factor_alignments,
     _factor_risk,
     _predict,
     draw_samples,
@@ -297,15 +298,10 @@ def _record_steps(cfg: RunConfig) -> list[int]:
 def _snapshot(lam: np.ndarray, w: np.ndarray, tracked: list[int],
               polar: bool = True) -> tuple[float, np.ndarray]:
     """Normalized risk and tracked alignments of ``w``, d x r_s or its
-    reduction ``S``, whose top r rows are those of ``W`` and whose other rows
-    have the same Gram: all that :func:`model._factor_risk` reads of them.
-    Without ``polar``, ``w`` is orthonormal and its own polar factor."""
-    risk_n = float(_factor_risk(lam, w))
-    if not tracked:
-        return risk_n, np.empty(0)
-    f = (inv_sqrt_gram(w) if polar else w)[: lam.size]
-    gram = f @ f.T
-    return risk_n, np.array([gram[j - 1, j - 1] for j in tracked])
+    reduction ``S`` (the top r rows of ``W`` and rows of the same Gram: all
+    that the factor kernels of :mod:`model` read).  Without ``polar``, ``w``
+    is orthonormal and its own polar factor."""
+    return float(_factor_risk(lam, w)), _factor_alignments(w, tracked, polar)
 
 
 def run_training(cfg: RunConfig, seed: int, w0: np.ndarray | None = None) -> TrainResult:

@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import inv_sqrt_gram, loewner_slack, rng_stream, sample_stiefel
+from .linalg import inv_sqrt_gram, loewner_slack, psd_project, rng_stream, sample_stiefel
 from .model import PowerLawSpectrum, StudentState, TeacherModel, draw_samples, population_risk
 from .riccati import (
     BoundingConfig,
@@ -37,7 +37,6 @@ from .finetune import (
     erm_minimize,
     l_operator_apply,
     l_operator_gap,
-    psd_project,
     risk_decomposition,
     s_glob_estimate,
 )
@@ -225,43 +224,29 @@ def _monotone_draws(dim: int, trials: int, seed: int):
         yield lam, eta, g_plus, g_minus
 
 
-def suite_monotone(
-    dim: int = 8, trials: int = 1000, seed: int = 0, euler: bool = False
-) -> list[dict]:
+def suite_monotone(dim: int = 8, trials: int = 1000, seed: int = 0) -> list[dict]:
     """Order preservation of the resolvent map; Euler counterexample search.
 
-    Without ``euler`` both maps run on the same trials: the resolvent map must
-    keep every pair ordered, and plain Euler must break the order somewhere.
+    Both maps run on the same trials: the resolvent map must keep every pair
+    ordered, and plain Euler must break the order somewhere.  The Euler
+    check's ``witness`` is the trial, slack and eta of its first violation.
     """
-    updates = (euler_update,) if euler else (monotone_update, euler_update)
-    slacks, etas = monotone_slacks(_monotone_draws(dim, trials, seed), updates)
+    slacks, etas = monotone_slacks(_monotone_draws(dim, trials, seed),
+                                   (monotone_update, euler_update))
     # 0.0 - worst: a run without negative slacks reports 0.0, not -0.0
     worst = float(slacks[0].min(initial=0.0))
-    violated = np.flatnonzero(slacks[0] < -1e-10)
-    if euler:
-        witness = None
-        if violated.size:
-            k = int(violated[0])
-            witness = {"trial": k, "slack": float(slacks[0, k]), "eta": float(etas[k])}
-        return [
-            {
-                "name": "euler_violation_exhibited",
-                "passed": violated.size > 0,
-                "residual": 0.0 - worst,
-                "tolerance": 1e-10,
-                "detail": {"violations": violated.size, "trials": trials, "witness": witness},
-            }
-        ]
-    euler_viol = int(np.count_nonzero(slacks[1] < -1e-10))
+    violated, euler_viol = (np.flatnonzero(row < -1e-10) for row in slacks)
+    k = int(euler_viol[0]) if euler_viol.size else None
+    witness = None if k is None else {"trial": k, "slack": float(slacks[1, k]), "eta": float(etas[k])}
     return [
         _check("order_preserved", 0.0 - worst, 1e-10, trials=trials, violations=violated.size),
         # the same trial distribution must expose Euler as non-monotone
         {
             "name": "euler_counterexample_found",
-            "passed": euler_viol > 0,
-            "residual": float(euler_viol),
+            "passed": euler_viol.size > 0,
+            "residual": float(euler_viol.size),
             "tolerance": 1.0,
-            "detail": {"violations": euler_viol, "trials": trials},
+            "detail": {"violations": euler_viol.size, "trials": trials, "witness": witness},
         },
     ]
 

@@ -312,7 +312,7 @@ def test_criterion_09_finetuning():
     # aligned features: fine-tuned risk must land at the optimal tail
     q = sample_stiefel(r_s, r_s, rng_stream(9, 3))
     w = np.eye(d, r_s) @ q
-    res = finetune(teacher, StudentState(w), n_ft=n_ft, rng=rng_stream(9, 4))
+    res = finetune(StudentState(w), collect_batch(teacher, StudentState(w), n_ft, rng_stream(9, 4)))
     risk = population_risk(teacher, StudentState(w @ res.omega_hat), normalized=True)
     _, _, subspace = risk_decomposition(teacher, StudentState(w), res.omega_hat)
     ok_bound = risk <= subspace + 0.1

@@ -239,6 +239,9 @@ class TestRun:
             # gradient used to refuse its W without naming a step
             ({**SMALL_SGD, "r_s": 4, "batch": 3, "eta": 1e4, "seeds": [0]}, EXIT_DIVERGED,
              "W is not orthonormal at step 4"),
+            # 1.6e13 normals at about 38 ms a step: 4-5 days of sample draws
+            ({"kind": "sgd-euclidean", "d": 16, "r": 4, "r_s": 2, "alpha": 1.0, "batch": 100000,
+              "steps": 10**7, "horizon": None}, EXIT_USAGE, "config field 'batch'"),
         ],
     )
     def test_failure_exit_code_and_one_line(self, tmp_path, overrides, code, needle):
@@ -585,11 +588,16 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert all("residual" in c for c in report["checks"])
 
-    def test_monotone_euler_flag_exhibits_violation(self, capsys):
-        assert main(["verify", "monotone", "--trials", "150", "--euler"]) == EXIT_OK
+    def test_monotone_report_exhibits_euler_violation(self, capsys):
+        assert main(["verify", "monotone", "--trials", "150"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        names = {c["name"]: c for c in report["checks"]}
-        assert names["euler_violation_exhibited"]["detail"]["violations"] >= 1
+        euler = {c["name"]: c for c in report["checks"]}["euler_counterexample_found"]["detail"]
+        assert euler["violations"] >= 1
+        assert euler["witness"]["slack"] < -1e-10 and 0 <= euler["witness"]["trial"] < 150
+        # the report has no second mode: the --euler flag is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "monotone", "--euler"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_monotone_default_pass(self, capsys):
         assert main(["verify", "monotone", "--trials", "100"]) == EXIT_OK
@@ -623,10 +631,11 @@ class TestVerifyCommand:
             (["retraction", "--steps", "3"], "--steps"),
             (["finetune", "--steps", "3"], "--steps"),
             (["bounds", "--trials", "5"], "--trials"),
-            (["riccati", "--euler"], "--euler"),
-            (["retraction", "--euler"], "--euler"),
-            (["finetune", "--euler"], "--euler"),
-            (["bounds", "--euler"], "--euler"),
+            # one past each --dim cap, placed here so the ids of the rows below stay
+            (["riccati", "--dim", "257"], "--dim must be <= 256"),
+            (["monotone", "--dim", "65"], "--dim must be <= 64"),
+            (["retraction", "--dim", "10001"], "--dim must be <= 10000"),
+            (["finetune", "--dim", "2001"], "--dim must be <= 2000"),
             # arrays numpy cannot describe used to end in an "array is too
             # big" traceback with exit 1
             (["riccati", "--trials", str(2**62)], "--trials"),

@@ -269,8 +269,6 @@ def verify_argvs(draw):
                 st.integers(-(2**63), -1) if size == "negative" else
                 st.integers(cap + 1, 2**63 - 1)))]
         refused |= size in ("negative", "past_cap")
-    if draw(st.booleans()):
-        argv.append("--euler")
     return argv, refused
 
 
@@ -298,4 +296,4 @@ def test_verify_exit_code_contract(drawn, monkeypatch):
     assert len(lines) == (code in (EXIT_USAGE, EXIT_DIVERGED)), err.getvalue()
     if refused:
         assert code == EXIT_USAGE and out.getvalue() == ""
-        assert any(f"--{flag}" in lines[0] for flag in (*VERIFY_SMALL, "euler", "seed")), lines[0]
+        assert any(f"--{flag}" in lines[0] for flag in (*VERIFY_SMALL, "seed")), lines[0]

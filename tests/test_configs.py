@@ -1,5 +1,6 @@
-"""Every config the demos and the benchmark workloads hand to ``qns run`` is a
-valid ``RunConfig``, so that removing or narrowing a field cannot break them.
+"""Every config the demos, the slow test and the benchmark workloads hand to
+``qns run`` is a valid ``RunConfig``, so that removing or narrowing a field
+cannot break them.
 
 The benchmark's workload classes write their configs when built; they are
 built here into a temporary directory, and no run is started.
@@ -19,6 +20,13 @@ ROOT = Path(__file__).resolve().parents[1]
                          ids=lambda p: p.name)
 def test_demo_config_is_valid(path):
     RunConfig.from_dict(json.loads(path.read_text()))
+
+
+def test_slow_test_config_is_valid():
+    # the largest SGD run of the tests: 2.1e10 normals, within runs.MAX_SGD_NORMALS
+    from test_slow_reproduction import batch_d_config
+
+    RunConfig.from_dict(batch_d_config())
 
 
 def run_configs(ops):

@@ -139,7 +139,8 @@ class TestFinetune:
         t = TeacherModel(d=d, spectrum=spec)
         q = sample_stiefel(r_s, r_s, seed=5)
         w = np.eye(d, r_s) @ q
-        res = finetune(t, StudentState(w), n_ft=default_n_ft(d, r_s), rng=rng_stream(5, 4))
+        s = StudentState(w)
+        res = finetune(s, collect_batch(t, s, default_n_ft(d, r_s), rng_stream(5, 4)))
         risk = population_risk(t, StudentState(w @ res.omega_hat), normalized=True)
         assert abs(risk - opt_risk(spec, r_s)) <= 0.05
 
@@ -148,7 +149,8 @@ class TestFinetune:
         spec = PowerLawSpectrum(r=r, alpha=1.0)
         t = TeacherModel(d=d, spectrum=spec)
         w = sample_stiefel(d, r_s, seed=9)  # un-adapted subspace
-        res = finetune(t, StudentState(w), n_ft=default_n_ft(d, r_s), rng=rng_stream(9, 4))
+        s = StudentState(w)
+        res = finetune(s, collect_batch(t, s, default_n_ft(d, r_s), rng_stream(9, 4)))
         risk = population_risk(t, StudentState(w @ res.omega_hat), normalized=True)
         _, _, subspace = risk_decomposition(t, StudentState(w), res.omega_hat)
         assert risk <= subspace + 0.1
@@ -158,23 +160,22 @@ class TestFinetune:
         b = collect_batch(t, s, 500, rng_stream(10, 0))
         perm = rng_stream(10, 1).permutation(b.n_ft)
         shuffled = FineTuneBatch(a_mats=b.a_mats[perm], ys=b.ys[perm])
-        r1 = finetune(t, s, batch=b)
-        r2 = finetune(t, s, batch=shuffled)
+        r1 = finetune(s, b)
+        r2 = finetune(s, shuffled)
         np.testing.assert_allclose(r1.omega_hat, r2.omega_hat, atol=1e-12)
 
     def test_omega_factorization(self):
         t, s = teacher(), stiefel_student()
-        res = finetune(t, s, n_ft=2000, rng=rng_stream(11, 0))
+        res = finetune(s, collect_batch(t, s, 2000, rng_stream(11, 0)))
         np.testing.assert_allclose(
             res.omega_hat @ res.omega_hat.T, res.s_hat, atol=1e-9
         )
         assert np.linalg.eigvalsh(res.s_hat)[0] >= -1e-12
 
     def test_rejects_non_orthonormal(self, rng):
-        t = teacher()
+        s = StudentState(rng.standard_normal((32, 3)))
         with pytest.raises(ValueError, match="orthonormal"):
-            finetune(t, StudentState(rng.standard_normal((32, 3))), n_ft=10,
-                     rng=rng_stream(0, 0))
+            finetune(s, collect_batch(teacher(), s, 10, rng_stream(0, 0)))
 
 
 class TestIdentityAndOracle:

@@ -12,46 +12,9 @@ from qns.linalg import (
     rng_stream,
     sample_gaussian_mat,
     sample_stiefel,
-    sym_eigen,
 )
 
 SQ3 = np.sqrt(3.0)
-
-
-class TestSymEigen:
-    def test_already_diagonal(self):
-        pair = sym_eigen(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(pair.values, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(pair.vectors), np.eye(2), atol=1e-14)
-
-    def test_two_by_two_offdiagonal(self):
-        # characteristic polynomial by hand: eigenvalues +-1,
-        # eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2
-        pair = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(pair.values, [1.0, -1.0], atol=1e-14)
-        v0 = pair.vectors[:, 0] * np.sign(pair.vectors[0, 0])
-        v1 = pair.vectors[:, 1] * np.sign(pair.vectors[0, 1])
-        np.testing.assert_allclose(v0, [1, 1] / np.sqrt(2), atol=1e-14)
-        np.testing.assert_allclose(v1, [1, -1] / np.sqrt(2), atol=1e-14)
-
-    def test_identity(self):
-        pair = sym_eigen(np.eye(5))
-        np.testing.assert_allclose(pair.values, np.ones(5))
-
-    def test_reconstruction_random(self, rng):
-        for n in (3, 8, 17):
-            b = rng.standard_normal((n, n))
-            m = b + b.T
-            pair = sym_eigen(m)
-            recon = (pair.vectors * pair.values) @ pair.vectors.T
-            scale = np.linalg.norm(m, 2)
-            assert np.abs(recon - m).max() <= 1e-10 * scale
-            assert np.abs(pair.vectors.T @ pair.vectors - np.eye(n)).max() <= 1e-10
-            assert np.all(np.diff(pair.values) <= 1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            sym_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 class TestPsdSqrt:
@@ -73,6 +36,10 @@ class TestPsdSqrt:
         m = rand_psd(rng, 6)
         root = psd_sqrt(m)
         assert np.abs(root @ root - m).max() <= 1e-9 * np.abs(m).max()
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_sqrt(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 class TestInvSqrtGram:

@@ -33,12 +33,11 @@ class TestMonotoneSuite:
         euler, witness = per_trial_slacks(dim, trials, 7, euler_update)
         assert slacks[0].tobytes() == mono.tobytes()
         assert slacks[1].tobytes() == euler.tobytes()
-        (check,) = suite_monotone(dim=dim, trials=trials, seed=7, euler=True)
+        _, check = suite_monotone(dim=dim, trials=trials, seed=7)
         assert check["detail"]["witness"] == witness
         assert check["detail"]["violations"] == int(np.sum(euler < -1e-10))
 
     def test_no_negative_zero_residual(self):
         # one 2 x 2 trial: no slack is negative, so the residual is +0.0
-        for euler in (False, True):
-            residual = suite_monotone(dim=2, trials=1, seed=3, euler=euler)[0]["residual"]
-            assert residual == 0.0 and np.copysign(1.0, residual) == 1.0
+        residual = suite_monotone(dim=2, trials=1, seed=3)[0]["residual"]
+        assert residual == 0.0 and np.copysign(1.0, residual) == 1.0
