@@ -142,9 +142,12 @@ def finetune(student: StudentState, batch: FineTuneBatch) -> FineTuneResult:
     ``Omega_hat = (Pi . L(S_glob))^{1/2}``.
 
     ``W`` must be orthonormal (post feature-learning), or a
-    :class:`~qns.trainer.ManifoldError` is raised.  The mixing is invariant
-    to the sample order (it enters through sums only).
+    :class:`~qns.trainer.ManifoldError` is raised, and the batch must have
+    been collected at the student's width, or ``ValueError`` is.  The mixing
+    is invariant to the sample order (it enters through sums only).
     """
+    if batch.r_s != student.r_s:
+        raise ValueError(f"batch.r_s = {batch.r_s} does not match student.r_s = {student.r_s}")
     _on_manifold(student.w)
     s_hat = psd_project(s_glob_estimate(batch))
     omega = psd_sqrt(s_hat)

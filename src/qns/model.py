@@ -1,4 +1,4 @@
-"""Teacher/student quadratic networks, sampling, losses, and alignment metrics.
+"""Teacher/student quadratic networks, sampling, risk, and alignment metrics.
 
 The teacher is a width-``r`` quadratic network on the first ``r`` coordinate
 axes with power-law second-layer coefficients; the student is a width-``r_s``
@@ -26,9 +26,7 @@ __all__ = [
     "teacher_output",
     "student_output",
     "draw_samples",
-    "instantaneous_loss",
     "population_risk",
-    "alignment_gram",
     "opt_risk",
 ]
 
@@ -141,15 +139,6 @@ def draw_samples(
     return x, teacher_output(teacher, x)
 
 
-def instantaneous_loss(
-    student: StudentState, x: np.ndarray, y: np.ndarray | float
-) -> np.ndarray:
-    """Squared loss ``(y - yhat)^2 / 16`` of each row of a batch ``x``; the
-    prefactor keeps gradients tidy."""
-    yhat = student_output(student, x)
-    return (np.asarray(y) - yhat) ** 2 / 16.0
-
-
 def population_risk(
     teacher: TeacherModel, student: StudentState, normalized: bool = False
 ) -> float:
@@ -193,19 +182,12 @@ def _factor_risk(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _factor_alignments(w: np.ndarray, tracked: list[int], polar: bool = True) -> np.ndarray:
     """Alignments of the tracked teacher directions ``j`` (from 1) with the span
     of a factor ``w``: the squared norms of rows ``j`` of its polar factor (of
-    ``w`` itself without ``polar``), the diagonal of :func:`alignment_gram`."""
+    ``w`` itself without ``polar``), each the squared length of the projection
+    of teacher direction ``j`` onto the span of ``w``."""
     if not tracked:
         return np.empty(0)
     u = inv_sqrt_gram(w) if polar else w
     return np.sum(u[[j - 1 for j in tracked]] ** 2, axis=1)
-
-
-def alignment_gram(teacher: TeacherModel, student: StudentState) -> np.ndarray:
-    """Alignment Gram ``U[:r] U[:r].T`` (r x r) of the polar factor
-    ``U = W (W.T W)^{-1/2}``: its diagonal entry j is the squared projection
-    of teacher direction j onto the student span."""
-    f = inv_sqrt_gram(student.w)[: teacher.r]
-    return f @ f.T
 
 
 def opt_risk(spectrum: PowerLawSpectrum, r_s: int) -> float:

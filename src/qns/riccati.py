@@ -20,15 +20,19 @@ throughout, one per matrix of a stack.
 The maps take stacks of matrices ``(..., r, r)`` and solve them with one
 LAPACK call, giving each matrix the floats of a 2-D call.
 ``riccati_blocks`` broadcasts array-valued ``eta`` and ``t`` against a
-stack of spectra, so many trials are one call.
+stack of spectra, so many trials are one call, and
+``closed_form_discrete_gram`` takes an array of ``t`` and returns the stack.
 
 The sandwich harness is one generator, ``bounding_run``.  It computes the
 harness's constants once (the floor constant, the widened spectra, the
 effective step and the starting brackets) and then yields plain arrays at
 the requested steps: the reference sequence's diagonal, the lower and upper
-bounding iterates in Gram coordinates, and the exact Gram iterate.  Each
-step solves the two bounding iterates and the exact iterate as one
-``(3, r, r)`` stack.
+bounding iterates in Gram coordinates, and the exact Gram iterate.  Only
+the reference sequence and the exact iterate are stepped.  Each bracket's
+recursion is a Moebius map whose per-mode companion has determinant 1, like
+the V recursion's, so at a requested step both brackets come from their
+start through that companion's power, as one ``(2, r, r)`` solve, whether
+its modes are hyperbolic, parabolic or elliptic.
 """
 
 from __future__ import annotations
@@ -266,32 +270,50 @@ def antisym_blocks(lam_hat, eta: float, t: int) -> RiccatiBlocks:
     )
 
 
-def closed_form_discrete_gram(g0: np.ndarray, lam, eta: float, t: int) -> np.ndarray:
+def _diag_stack(v: np.ndarray) -> np.ndarray:
+    """Matrices with the vectors of ``v`` on their diagonals: ``np.diag`` of each."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    out[..., range(v.shape[-1]), range(v.shape[-1])] = v
+    return out
+
+
+def closed_form_discrete_gram(g0: np.ndarray, lam, eta: float, t) -> np.ndarray:
     """Closed form for t steps of the V recursion, mapped back to G.
 
     Equivalent to iterating :func:`v_update` with spectrum ``lam`` from
     ``V0 = 2 L^{1/2} G0 L^{1/2} - L`` and mapping back through the same
     change of variables: ``G(t) = (I + A22 A12^{-1}) / 2 - A12^{-1}
     (G0 + (A11 A12^{-1} - I) / 2)^{-1} A12^{-1} / 4`` with the blocks of
-    :func:`riccati_blocks`.
+    :func:`riccati_blocks`.  ``t`` may be an array of steps: the result is
+    then the stack of one matrix per ``t``, each the floats of a scalar call,
+    solved by one LAPACK call, and a singular inner matrix names the first
+    ``t`` that has one.
     """
     g0 = check_symmetric(g0)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != g0.shape[:1]:
         raise ValueError("dimension mismatch")
-    if t == 0:
-        return g0.copy()
-    blocks = riccati_blocks(lam, eta, t)
+    ts = np.asarray(t).reshape(-1)
+    moved = ts != 0
+    steps = ts[moved]
+    blocks = riccati_blocks(lam, eta, steps[:, None])
     b = blocks.inv_a12()
-    inner = g0 + np.diag((blocks.ratio_11_12() - 1.0) / 2.0)
+    inner = g0 + _diag_stack((blocks.ratio_11_12() - 1.0) / 2.0)
     try:
-        solved = np.linalg.solve(inner, np.diag(b))
+        solved = np.linalg.solve(inner, _diag_stack(b))
     except np.linalg.LinAlgError:
+        # gesv's and slogdet's LU meet the same exact zero pivot
+        bad = steps[np.linalg.slogdet(inner)[0] == 0][0]
         raise np.linalg.LinAlgError(
-            f"inner matrix singular in discrete closed form at step t={t}"
+            f"inner matrix singular in discrete closed form at step t={bad}"
         )
-    out = np.diag((1.0 + blocks.ratio_22_12()) / 2.0) - 0.25 * (b[:, None] * solved)
-    return 0.5 * (out + out.T)
+    g = _diag_stack((1.0 + blocks.ratio_22_12()) / 2.0) - 0.25 * (b[..., :, None] * solved)
+    g = 0.5 * (g + g.swapaxes(-1, -2))
+    if not moved.all():
+        out = np.empty(ts.shape + g0.shape)
+        out[~moved], out[moved] = g0, g
+        g = out
+    return g.reshape(np.shape(t) + g0.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +346,52 @@ class BoundingConfig:
     eta: float
 
 
+def _mobius_power(v0: np.ndarray, a: np.ndarray, add: np.ndarray, k: int) -> np.ndarray:
+    """k steps of ``V' = V (I + a V)^{-1} + diag(add)`` from each ``V0`` of a stack.
+
+    ``v0`` is ``(n, r, r)``; ``a`` holds one scalar and ``add`` one vector per
+    matrix.  Written as ``V = X Y^{-1}``, the step is linear in ``(X, Y)``: per
+    mode it is the companion ``M = [[1 + c, add_i], [a, 1]]`` with
+    ``c = a add_i``, of determinant 1 and trace ``2 + c``.  Its k-th power
+    ``[[P, Q], [R, S]] = s_k M - s_{k-1} I`` has ``s_k = sinh(k theta) /
+    sinh(theta)`` and ``S = cosh((k - 1/2) theta) / cosh(theta / 2)`` for a
+    hyperbolic mode (``c = 4 sinh^2(theta / 2) > 0``), the same with ``sin``
+    and ``cos`` for an elliptic one (``c = -4 sin^2(theta / 2)``, ``-4 < c <
+    0``), and ``s_k = k``, ``S = 1`` for a parabolic one (``c = 0``); ``S`` has
+    its own product formula, so no cancellation grows with k.  Then
+    ``V_k = (P V0 + Q)(R V0 + S)^{-1}``.  An elliptic power stays bounded, and
+    its rows take that fraction as it is.  A hyperbolic power grows like
+    ``e^{k theta}``; by ``P S - Q R = 1`` its rows are
+    ``Q/S + S^{-1} V0 (R V0 + S)^{-1}``, and with those rows of the
+    denominator divided by ``S`` only the ratios ``Q/S`` and ``R/S`` and the
+    decaying ``1/S`` remain, so nothing overflows.  One stacked solve serves
+    every row.
+    """
+    if not k:
+        return v0
+    c = a[:, None] * add
+    ell = c < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = 0.5 * np.sqrt(np.abs(c))
+        half = np.where(ell, np.arcsin(root), np.arcsinh(root))
+        theta = 2.0 * half
+        # hyperbolic rows: s_k / S and 1 / S, with e^{k theta} divided out
+        odd = 1.0 + np.exp((1 - 2 * k) * theta)
+        s_hyp = np.exp(half) * -np.expm1(-2.0 * k * theta) / (2.0 * np.sinh(half) * odd)
+        s_hyp[theta == 0] = k
+        inv_s = 2.0 * np.cosh(half) * np.exp((0.5 - k) * theta) / odd
+        # elliptic rows: s_k and S themselves
+        s = np.where(ell, np.sin(k * theta) / np.sin(theta), s_hyp)
+        diag = np.where(ell, np.cos((k - 0.5) * theta) / np.cos(half), 1.0)
+    eye = np.eye(v0.shape[-1])
+    p, q = np.where(ell, diag + c * s, 1.0), np.where(ell, add * s, 0.0)
+    num = p[..., :, None] * v0 + eye * q[..., None, :]
+    den = (a[:, None] * s)[..., :, None] * v0 + eye * diag[..., None, :]
+    scale = np.where(ell, 1.0, inv_s)
+    w = scale[..., :, None] * _solve_right(den, num) * scale[..., None, :]
+    return _sym(eye * np.where(ell, 0.0, add * s)[..., None, :] + w)
+
+
 def bounding_run(
     g0: np.ndarray,
     spectrum: PowerLawSpectrum,
@@ -344,8 +412,9 @@ def bounding_run(
     ``eta_eff = eta / (2 sqrt(r_s) ||lambda||)``, so it is ``g0`` after k
     calls of :func:`monotone_update`, to the last bit.  A step size whose
     widened lower spectrum is not positive raises ``ValueError``.  The
-    constants are computed once, and each step solves lower, upper and ``g``
-    as one ``(3, r, r)`` stack.
+    constants are computed once.  Only ``t_ref`` and ``g`` are stepped; at
+    each step in ``at`` the brackets come from their start through the
+    companion power of their recursion, as one ``(2, r, r)`` solve.
     """
     g0 = check_symmetric(g0)
     lam = spectrum.lambdas
@@ -371,28 +440,23 @@ def bounding_run(
     a_lo = ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue)
     a_up = ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)
     second = _C_TILDE * ue * spectrum.frob_sq * cfg.r_s
-    add = np.stack([np.diag(a_lo * (lam_lo**2 / (1.0 + 2.0 * kappa) ** 2 - second * lam_lo)),
-                    np.diag(a_up * (lam_up**2 / (1.0 - 2.0 * kappa) ** 2 + second * lam_up))])
-    a = np.array([a_lo, a_up])[:, None, None]
+    add = np.stack([a_lo * (lam_lo**2 / (1.0 + 2.0 * kappa) ** 2 - second * lam_lo),
+                    a_up * (lam_up**2 / (1.0 - 2.0 * kappa) ** 2 + second * lam_up)])
+    a = np.array([a_lo, a_up])
     sq = np.sqrt(lam)
     inv_sq = 1.0 / sq
     eye = np.eye(r)
     half_eta, drift = _monotone_drift(lam, ue, eye)
-    # each step solves the stacks lhs and rhs; rhs[:2] carries the lower and
-    # upper V iterates from one step to the next
-    lhs, rhs = np.empty((2, 3, r, r))
     t0 = np.diag(t_ref)
-    rhs[:2] = _sym(2.0 * (sq[:, None] * np.stack([g0 - t0, g0 + t0]) * sq[None, :]) - offset)
+    v0 = _sym(2.0 * (sq[:, None] * np.stack([g0 - t0, g0 + t0]) * sq[None, :]) - offset)
     at = frozenset(at)
     g = g0
     for k in range(steps + 1):
         if k:
             t_ref = t_ref + coef * (lam_lo * t_ref - quad * (t_ref * t_ref))
-            lhs[:2] = eye + a * rhs[:2]
-            lhs[2], rhs[2] = _monotone_system(g, lam, ue, eye)
-            solved = _solve_right(lhs, rhs)
-            rhs[:2] = _sym(solved[:2] + add)
-            g = _monotone_finish(g, solved[2], half_eta, drift)
+            resolvent, mid = _monotone_system(g, lam, ue, eye)
+            g = _monotone_finish(g, _solve_right(resolvent, mid), half_eta, drift)
         if k in at:
-            lower, upper = inv_sq[:, None] * ((rhs[:2] + offset) * 0.5) * inv_sq[None, :]
+            v = _mobius_power(v0, a, add, k)
+            lower, upper = inv_sq[:, None] * ((v + offset) * 0.5) * inv_sq[None, :]
             yield k, t_ref, lower, upper, g

@@ -50,6 +50,10 @@ __all__ = ["run_suite", "SUITES", "MIN_DIM", "MAX_DIM", "MAX_TRIALS", "MAX_STEPS
 # trials evaluated together by the stacked kernels: enough to amortise the
 # per-call overhead, few enough to keep memory flat
 TRIAL_CHUNK = 256
+# bytes of one matrix stack of a stacked closed-form call: 200 steps fit at
+# dim 8, and at the riccati suite's largest dim (256, 512 KiB a matrix) one
+# step a call keeps the peak memory of scalar calls
+_STACK_BYTES = 256 * 1024
 
 
 def _check(name: str, residual: float, tol: float, **detail) -> dict:
@@ -93,15 +97,18 @@ def block_identity_residuals(lam, eta, t) -> tuple[float, float]:
 def closed_form_residual(g0: np.ndarray, lam: np.ndarray, eta: float, t_max: int) -> float:
     """Worst entry gap, over t = 1..t_max, between :func:`closed_form_discrete_gram`
     and ``g0`` pushed t times through :func:`v_update` and mapped back to Gram
-    coordinates."""
+    coordinates.  The closed form takes as many steps per call as fit
+    :data:`_STACK_BYTES`, and at least one."""
     sq = np.sqrt(lam)
     v = 2.0 * (sq[:, None] * g0 * sq[None, :]) - np.diag(lam)
+    chunk = max(_STACK_BYTES // (8 * g0.size), 1)
     worst = 0.0
-    for t in range(1, t_max + 1):
-        v = v_update(v, lam, eta)
-        g_cf = closed_form_discrete_gram(g0, lam, eta, t)
-        g_it = (v + np.diag(lam)) / (2.0 * np.outer(sq, sq))
-        worst = max(worst, float(np.abs(g_cf - g_it).max()))
+    for start in range(1, t_max + 1, chunk):
+        ts = np.arange(start, min(start + chunk, t_max + 1))
+        for g_cf in closed_form_discrete_gram(g0, lam, eta, ts):
+            v = v_update(v, lam, eta)
+            g_it = (v + np.diag(lam)) / (2.0 * np.outer(sq, sq))
+            worst = max(worst, float(np.abs(g_cf - g_it).max()))
     return worst
 
 
@@ -394,7 +401,9 @@ MIN_DIM = {"riccati": 1, "monotone": 2, "retraction": 4, "finetune": 3, "bounds"
 # core (about 3 minutes for retraction at 10,000 x 100,000, the slowest).
 # bounds fixes d = 1000 and eta = 1e-4, and for a teacher rank above 54 its
 # widened lower spectrum falls below the reference floor's quadratic term,
-# so the floor no longer holds (from 56 it is not positive)
+# so the floor no longer holds (from 56 it is not positive).  At 55 the
+# lower bracket's last drift add / a turns negative (-7.8e-8), an elliptic
+# mode of its companion power, which bounding_run handles like the others
 MAX_DIM = {"riccati": 256, "monotone": 64, "retraction": 10_000, "finetune": 2_000, "bounds": 54}
 MAX_TRIALS = 100_000
 MAX_STEPS = 100_000

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qns.linalg import rng_stream
+from qns.linalg import inv_sqrt_gram, rng_stream
+from qns.model import student_output
 
 
 @pytest.fixture
@@ -29,3 +30,17 @@ def dense_risk_longdouble(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     target[range(lam.size), range(lam.size)] = lam / np.sqrt(np.sum(lam**2))
     err = target - w @ np.swapaxes(w, -1, -2) / np.sqrt(np.longdouble(r_s))
     return (err**2).sum(axis=(-2, -1))
+
+
+def instantaneous_loss(student, x: np.ndarray, y) -> np.ndarray:
+    """Squared loss ``(y - yhat)^2 / 16`` of each row of a batch ``x``, the
+    loss whose gradient the trainer's steps take."""
+    return (np.asarray(y) - student_output(student, x)) ** 2 / 16.0
+
+
+def alignment_gram(teacher, student) -> np.ndarray:
+    """Alignment Gram ``U[:r] U[:r].T`` (r x r) of the polar factor
+    ``U = W (W.T W)^{-1/2}``: its diagonal entry j is the squared projection
+    of teacher direction j onto the student span."""
+    f = inv_sqrt_gram(student.w)[: teacher.r]
+    return f @ f.T

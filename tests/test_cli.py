@@ -469,7 +469,8 @@ class TestRun:
         # d x r_s W with the same sub-steps must give the same records
         from qns.flow import FlowParams, _rk4_dt, integrate_rk4
         from qns.linalg import rng_stream, sample_gaussian_mat
-        from qns.model import PowerLawSpectrum, StudentState, TeacherModel, alignment_gram, population_risk
+        from conftest import alignment_gram
+        from qns.model import PowerLawSpectrum, StudentState, TeacherModel, population_risk
 
         d, r, r_s, seed = 40, 5, 3, 4
         path, _ = base_config(tmp_path, kind="gf-rk4", d=d, r=r, r_s=r_s,

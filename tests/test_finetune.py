@@ -177,6 +177,11 @@ class TestFinetune:
         with pytest.raises(ValueError, match="orthonormal"):
             finetune(s, collect_batch(teacher(), s, 10, rng_stream(0, 0)))
 
+    def test_rejects_batch_of_another_width(self):
+        batch = collect_batch(teacher(), stiefel_student(r_s=4), 50, rng_stream(13, 0))
+        with pytest.raises(ValueError, match=r"batch.r_s = 4 .* student.r_s = 3"):
+            finetune(stiefel_student(r_s=3), batch)
+
 
 class TestIdentityAndOracle:
     def test_risk_decomposition_identity(self, rng):

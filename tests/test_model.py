@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import dense_risk_longdouble, needs_extended
+from conftest import alignment_gram, dense_risk_longdouble, instantaneous_loss, needs_extended
 
 from qns.flow import _reduce
 from qns.linalg import rng_stream, sample_stiefel
@@ -11,9 +11,7 @@ from qns.model import (
     StudentState,
     TeacherModel,
     _factor_risk,
-    alignment_gram,
     draw_samples,
-    instantaneous_loss,
     opt_risk,
     population_risk,
     student_output,

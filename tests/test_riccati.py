@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import rand_psd
+from conftest import needs_extended, rand_psd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +8,7 @@ from qns.linalg import loewner_slack, rng_stream
 from qns.model import PowerLawSpectrum
 from qns.riccati import (
     BoundingConfig,
+    _mobius_power,
     antisym_blocks,
     bounding_run,
     closed_form_discrete_gram,
@@ -315,6 +316,24 @@ class TestClosedFormDiscreteGram:
             errs.append(np.abs(g_disc - g_cont).max())
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stacked_steps_equal_scalar_calls(self, rng, n):
+        lam = np.sort(rng.uniform(0.3, 1.0, n))[::-1]
+        g0 = rand_psd(rng, n, scale=0.5)
+        ts = np.array([1, 0, 2, 7, 200, 50, 3])
+        stacked = closed_form_discrete_gram(g0, lam, 0.05, ts)
+        assert stacked.shape == (ts.size, n, n)
+        for t, g in zip(ts, stacked):
+            assert _bits(g) == _bits(closed_form_discrete_gram(g0, lam, 0.05, int(t)))
+
+    def test_singular_inner_matrix_names_its_step(self):
+        lam = np.array([1.0, 1.0])
+        eta = 0.05
+        b = riccati_blocks(lam, eta, 3)
+        g_bad = np.diag(-(b.ratio_11_12() - 1.0) / 2.0)
+        with pytest.raises(np.linalg.LinAlgError, match="step t=3"):
+            closed_form_discrete_gram(g_bad, lam, eta, [1, 2, 3, 4])
+
     def test_singular_inner_matrix_raises(self):
         # engineer g0 to cancel the inner diagonal exactly at t = 1
         lam = np.array([1.0, 1.0])
@@ -405,3 +424,118 @@ class TestBoundingHarness:
         assert default_kappa_d(1000, 6, 0.25) == pytest.approx(1 / ld**3.5)
         r_u = min(int(np.ceil(ld**2.5)), 6)
         assert default_kappa_d(1000, 6, 1.0) == pytest.approx(1 / (r_u * ld**2.5))
+
+
+def _inv_unpivoted(m: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of each diagonally dominant matrix of a stack, in
+    its own dtype (``np.linalg`` has no ``np.longdouble`` solver)."""
+    m = m.copy()
+    inv = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
+    for j in range(m.shape[-1]):
+        pivot = m[..., j, j, None].copy()
+        m[..., j, :] /= pivot
+        inv[..., j, :] /= pivot
+        factor = m[..., :, j].copy()
+        factor[..., j] = 0
+        m -= factor[..., :, None] * m[..., None, j, :]
+        inv -= factor[..., :, None] * inv[..., None, j, :]
+    return inv
+
+
+def _stepped_brackets(g0, spec, cfg, steps, at, dtype=np.float64) -> dict:
+    """``{k: [lower, upper]}`` of :func:`bounding_run`'s brackets, by their
+    recursion ``V' = V (I + a V)^{-1} + diag(add)`` stepped one step at a time
+    in ``dtype``.  The constants come from their definitions in float64."""
+    lam = spec.lambdas
+    kappa = default_kappa_d(cfg.d, lam.size, spec.alpha)
+    shift = 2.0 * spec.frob * cfg.eta * cfg.d / np.sqrt(cfg.r_s)
+    lo, up = lam - shift, lam + shift
+    ue = cfg.eta / (2.0 * np.sqrt(cfg.r_s) * spec.frob)
+    offset = np.stack([lo / (1.0 + 2.0 * kappa), up / (1.0 - 2.0 * kappa)])
+    a = np.array([ue * (1.0 + 2.0 * kappa) / (1.0 - 1.2 * ue),
+                  ue * (1.0 - 2.0 * kappa) / (1.0 + 1.2 * ue)])
+    second = 2.0 * ue * spec.frob_sq * cfg.r_s
+    add = a[:, None] * np.stack([lo**2 / (1.0 + 2.0 * kappa) ** 2 - second * lo,
+                                 up**2 / (1.0 - 2.0 * kappa) ** 2 + second * up])
+    eye = np.eye(lam.size)
+    t0 = kappa * cfg.r_s / cfg.d * eye
+    sq = np.sqrt(lam)
+    v = 2.0 * (sq[:, None] * np.stack([g0 - t0, g0 + t0]) * sq[None, :]) - eye * offset[:, None, :]
+    v, a, add, offset, sq, eye = (np.asarray(x, dtype=dtype) for x in (v, a, add, offset, sq, eye))
+    inverse = np.linalg.inv if dtype == np.float64 else _inv_unpivoted
+    v = 0.5 * (v + v.swapaxes(-1, -2))
+    out = {}
+    for k in range(steps + 1):
+        if k:
+            v = v @ inverse(eye + a[:, None, None] * v) + eye * add[:, None, :]
+            v = 0.5 * (v + v.swapaxes(-1, -2))
+        if k in at:
+            out[k] = (v + eye * offset[:, None, :]) / (2.0 * sq[:, None] * sq[None, :])
+    return out
+
+
+def _run_brackets(g0, spec, cfg, steps, at) -> dict:
+    return {k: np.stack([lower, upper]) for k, _, lower, upper, _ in
+            bounding_run(g0, spec, cfg, steps, at)}
+
+
+class TestBracketPower:
+    """The brackets from their companion power against the recursion stepped."""
+
+    @staticmethod
+    def suite_case(dim):
+        # the bounds suite's config and start at seed 0
+        z = rng_stream(0, 37).standard_normal((1000, 4)) / np.sqrt(1000)
+        cfg = BoundingConfig(d=1000, r_s=4, eta=1e-4)
+        return z[:dim] @ z[:dim].T, PowerLawSpectrum(r=dim, alpha=0.25), cfg
+
+    def test_kernel_holds_for_every_kind_of_mode(self):
+        # hyperbolic, parabolic and elliptic modes (a add > 0, = 0, < 0) side by
+        # side, over enough steps for the elliptic ones to turn past a pole
+        b = rng_stream(3, 41).standard_normal((2, 5, 5))
+        v0 = 0.2 * (b + b.swapaxes(-1, -2))
+        a = np.array([0.05, 0.02])
+        add = np.array([[0.3, 0.0, -0.2, 0.1, -0.05], [0.0, 0.0, 0.2, -0.3, 0.4]])
+        eye = np.eye(5)
+        v = v0
+        np.testing.assert_array_equal(_mobius_power(v0, a, add, 0), v0)
+        for k in range(1, 301):
+            v = v @ np.linalg.inv(eye + a[:, None, None] * v) + eye * add[:, None, :]
+            v = 0.5 * (v + v.swapaxes(-1, -2))
+            assert np.abs(_mobius_power(v0, a, add, k) - v).max() <= 1e-9 * np.abs(v).max(), k
+
+    @pytest.mark.parametrize("dim", [6, 8, 54, 55])
+    def test_matches_stepped_recursion(self, dim):
+        # every step of the first 2,000 and the suite's 60 steps of 10^4; at
+        # dim 55 the lower bracket's last mode is elliptic (add / a < 0)
+        g0, spec, cfg = self.suite_case(dim)
+        at = set(range(2001)) | set(np.unique(np.geomspace(1, 10_000, 60).astype(int)).tolist())
+        run = _run_brackets(g0, spec, cfg, 10_000, at)
+        stepped = _stepped_brackets(g0, spec, cfg, 10_000, at)
+        assert run.keys() == stepped.keys()
+        for k in run:
+            np.testing.assert_allclose(run[k], stepped[k], rtol=0, atol=5e-12, err_msg=f"k={k}")
+
+    def test_no_overflow_where_the_steps_stay_finite(self):
+        # k theta reaches about 945 in the upper bracket, past exp's range,
+        # while the lower bracket's elliptic modes turn many times
+        spec = PowerLawSpectrum(r=2, alpha=0.25)
+        limit = spec.lambdas[-1] / (2.0 * spec.frob * 4)  # shift = lambda_r
+        cfg = BoundingConfig(d=4, r_s=1, eta=0.9 * limit)
+        z = rng_stream(0, 37).standard_normal((4, 1)) / 2.0
+        g0 = z[:2] @ z[:2].T
+        run = _run_brackets(g0, spec, cfg, 20_000, (20_000,))[20_000]
+        stepped = _stepped_brackets(g0, spec, cfg, 20_000, (20_000,))[20_000]
+        assert np.all(np.isfinite(stepped)) and np.all(np.isfinite(run))
+        np.testing.assert_allclose(run, stepped, rtol=1e-10, atol=1e-12)
+
+    @needs_extended
+    def test_closer_to_longdouble_than_the_float64_steps(self):
+        g0, spec, cfg = self.suite_case(8)
+        at = range(1, 2001)
+        run = _run_brackets(g0, spec, cfg, 2000, at)
+        stepped = _stepped_brackets(g0, spec, cfg, 2000, at)
+        exact = _stepped_brackets(g0, spec, cfg, 2000, at, np.longdouble)
+        run_err = max(float(np.abs(run[k] - exact[k]).max()) for k in at)
+        step_err = max(float(np.abs(stepped[k] - exact[k]).max()) for k in at)
+        assert run_err <= 2.0 * step_err, (run_err, step_err)

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import alignment_gram, instantaneous_loss
 
 import qns.trainer as trainer
 from qns.cli import EXIT_OK, main
@@ -15,9 +16,7 @@ from qns.model import (
     PowerLawSpectrum,
     StudentState,
     TeacherModel,
-    alignment_gram,
     draw_samples,
-    instantaneous_loss,
     population_risk,
     student_output,
     teacher_output,
